@@ -1,15 +1,20 @@
-"""Pure Python subset-DP kernels (reference twin of the compiled _core).
+"""Pure Python DP kernels: the subset DP and the connected-set DP.
 
-Both backends expose the same two functions and must return identical
-values; the compiled module is preferred at import time by walklabel.oracle
-when available. Subset iteration is popcount-ascending, then numerically
-ascending within a popcount layer (Gosper's hack), so the table for smaller
-sets is always complete before it is read.
+dp_total and dp_resume are the subset DP, the reference twin of the
+compiled _core: both backends expose these two functions and must return
+identical values, and walklabel.oracle prefers the compiled module at
+import time when available. Subset iteration is popcount-ascending, then
+numerically ascending within a popcount layer (Gosper's hack), so the table
+for smaller sets is always complete before it is read.
+
+dp_connected counts the same orderings by a forward DP that only ever holds
+connected vertex sets, which is what makes sparse graphs cheap. It exists
+in pure Python only.
 """
 
 from __future__ import annotations
 
-__all__ = ["dp_resume", "dp_total"]
+__all__ = ["dp_connected", "dp_resume", "dp_total"]
 
 BACKEND = "pure-python"
 
@@ -89,3 +94,46 @@ def dp_resume(masks, n: int, labeled_mask: int, require_u: int = -1, forbid_v: i
                     acc += table[prev]
             table[c] = acc
     return table[(1 << f) - 1]
+
+
+def dp_connected(masks, n: int, labeled_mask: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
+    """dp_resume by a forward DP over connected vertex sets; labeled_mask 0
+    means every start (the total, as dp_total). With forbid_v set, v is
+    never added while require_u is missing, nor used as a start.
+
+    Layer k maps each reachable set S of k vertices to [count, frontier],
+    the frontier being the vertices outside S adjacent to it. S pushes its
+    count to S | v for every frontier vertex v; the frontier of S | v is
+    computed once, when S | v is first reached. Only two layers are alive
+    at a time, so work and memory follow the number of connected sets
+    rather than 2^n.
+    """
+    nbr = {1 << v: masks[v] for v in range(n)}
+    if labeled_mask:
+        front = 0
+        for v in range(n):
+            if labeled_mask >> v & 1:
+                front |= masks[v]
+        layer = {labeled_mask: [1, front & ~labeled_mask]}
+    else:
+        layer = {1 << v: [1, masks[v]] for v in range(n) if v != forbid_v}
+    # with no constraint req is 0 and blocked keeps every bit
+    req = 1 << require_u if require_u >= 0 else 0
+    blocked = ~(1 << forbid_v) if forbid_v >= 0 else -1
+    for _ in range(n - (labeled_mask.bit_count() if labeled_mask else 1)):
+        nxt = {}
+        get = nxt.get
+        for s, (c, f) in layer.items():
+            rem = f if s & req else f & blocked
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                t = s | low
+                entry = get(t)
+                if entry is None:
+                    nxt[t] = [c, (f | nbr[low]) & ~t]
+                else:
+                    entry[0] += c
+        layer = nxt
+    entry = layer.get((1 << n) - 1)
+    return entry[0] if entry else 0

@@ -6,11 +6,13 @@ rational type. The factorial cache below is unbounded and monotone (it only
 ever gains entries); under free threading concurrent misses may compute a
 value twice, but both writes store the same int, so results are identical to
 sequential execution. Call ``factorial.cache_clear()`` if bounded memory
-matters more than speed.
+matters more than speed. to_decimal and from_decimal lift the interpreter's
+int/str digit limit only while they convert, and restore it afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -80,28 +82,39 @@ def exact_int(value: Fraction | int, what: str = "value") -> int:
     if isinstance(value, int):
         return value
     if value.denominator != 1:
-        raise ValueError(f"formula integrality violated: {what} = {value}")
+        raise ValueError(f"formula integrality violated: {what} = "
+                         f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}")
     return value.numerator
+
+
+@contextlib.contextmanager
+def _int_str_digits(digits: int):
+    """Lift the interpreter's int/str conversion digit limit to at least
+    digits for the duration of the block, then put the old limit back."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    old = get() if get else 0
+    if old == 0 or digits <= old:
+        yield
+        return
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def to_decimal(n: int) -> str:
     """Serialize a count as a decimal string.
 
-    Lifts the interpreter's int-to-str digit limit when the value is large
-    enough to trip it (counts here routinely exceed 4300 digits).
+    Counts here routinely exceed the interpreter's 4300-digit int-to-str
+    limit, so the limit is lifted for this one conversion.
     """
-    needed = n.bit_length() // 3 + 16
-    if hasattr(sys, "get_int_max_str_digits"):
-        if sys.get_int_max_str_digits() not in (0,) and needed > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(needed)
-    return str(n)
+    with _int_str_digits(n.bit_length() // 3 + 16):
+        return str(n)
 
 
 def from_decimal(text: str) -> int:
     """Parse a decimal count back to int (round-trips to_decimal output)."""
     text = text.strip()
-    if hasattr(sys, "get_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        if limit != 0 and len(text) >= limit:
-            sys.set_int_max_str_digits(len(text) + 16)
-    return int(text, 10)
+    with _int_str_digits(len(text) + 16):
+        return int(text, 10)

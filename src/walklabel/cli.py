@@ -5,8 +5,9 @@ counts for an edge-list file), verify (cross-verification harness, exit
 status reports the outcome), series (generating function coefficients as
 CSV or JSON) and oeis (b-file exports of the two sequences with published
 candidates). Counts print as decimal strings. Exit codes: 0 success (and,
-for verify, all checks passing), 1 domain errors or failed verification,
-2 usage errors.
+for verify, all checks passing), 1 domain errors, instances too large to
+finish (recursion or memory exhausted) or failed verification, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -205,6 +206,12 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return CommandResult(0, _cmd_oeis(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return CommandResult(1, "")
+    except RecursionError:
+        print("error: instance too large: recursion limit exceeded", file=sys.stderr)
+        return CommandResult(1, "")
+    except MemoryError:
+        print("error: instance too large: out of memory", file=sys.stderr)
         return CommandResult(1, "")
 
 

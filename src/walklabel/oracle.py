@@ -10,16 +10,35 @@ that goes from vi's already-visited neighbor to vi (walking inside the
 visited set first, which is connected by induction) realizes it. Counting
 labelings therefore reduces to counting prefix-adjacent orderings.
 
-Two independent algorithms implement that count. The subset dynamic program
-runs over all 2^n vertex subsets (N(S) = sum of N(S - v) over vertices v
-whose removal leaves a set they are adjacent to) and is the one real
-instances use; its hot loop lives in a compiled kernel when available, with
-a pure Python twin selected at import time otherwise (set WALKLABEL_PURE=1
-to force the twin). The permutation oracle just filters all n! orderings
-and exists to check the DP, not to be fast.
+Two dynamic programs count them, and every DP entry point below picks one
+by the graph's density alone (engine(g)):
 
-Peak DP memory is one value table of 2^n entries (16 bytes each compiled,
-Python ints otherwise), about 256 MB at the default 24-vertex cap.
+- connected-set (average degree at most 4): a forward DP that keeps, per
+  popcount layer, a dict from each reachable vertex set to its count and
+  frontier, and pushes each count to the sets one frontier vertex larger.
+  Only connected sets are ever stored. It is pure Python.
+- subset (denser graphs): N(S) = sum of N(S - v) over the vertices v whose
+  removal leaves a set they are adjacent to, over all 2^n vertex subsets.
+  Its hot loop lives in a compiled kernel when available, with a pure
+  Python twin selected at import time otherwise (set WALKLABEL_PURE=1 to
+  force the twin); backend() names the one in use.
+
+Every family here is sparse, and only a few percent of its vertex subsets
+are connected, so the family graphs all go to the connected-set engine.
+Its worst case is a star: K1,21 has average degree below 2 but 2^20 + 21
+connected sets. There both engines took about 13.4 s on a 2-core x86
+machine, and the connected-set engine peaked at 193 MB of resident memory
+against 116 MB for the pure subset kernel (the wide-star sweep of the tree
+acceptance test is the only such input in the test suite).
+
+Peak memory of the subset engine is one value table of 2^n entries (16
+bytes each compiled, Python ints otherwise), about 256 MB at the default
+24-vertex cap. That of the connected-set engine is two adjacent popcount
+layers of connected sets: small on the family graphs, but on a star it
+doubles with every further leaf (99 MB at K1,20, 193 MB at K1,21).
+
+The permutation oracle just filters all n! orderings and exists to check
+the DPs, not to be fast.
 """
 
 from __future__ import annotations
@@ -27,6 +46,7 @@ from __future__ import annotations
 import os
 from itertools import permutations
 
+from ._core_py import dp_connected
 from .graphs import Graph, is_connected
 
 if os.environ.get("WALKLABEL_PURE"):
@@ -46,6 +66,7 @@ __all__ = [
     "count_labelings_from",
     "count_labelings_from_before",
     "count_labelings_perm",
+    "engine",
 ]
 
 DP_LIMIT = 24
@@ -53,8 +74,31 @@ PERM_LIMIT = 10
 
 
 def backend() -> str:
-    """Name of the kernel actually selected at import time."""
+    """Name of the subset kernel selected at import time ("compiled" or
+    "pure-python"). It says nothing about the connected-set engine, which
+    is always pure Python; engine(g) tells which of the two a graph uses."""
     return _impl.BACKEND
+
+
+# The density cut-off 4 comes from a sweep over random connected graphs,
+# three per point, with n = 14 and 16 and a given average degree, timing
+# dp_connected against the pure subset kernel on a 2-core x86 machine. The
+# connected-set engine was 12-39x faster at average degree 2, 5.5x at 3,
+# 1.8-2.3x at 4, 0.8-1.3x at 5 and 6, and 0.7-0.8x at 8.
+def engine(g: Graph) -> str:
+    """The DP engine that counts g: "connected-set" when its average degree
+    is at most 4 (2|E| <= 4n), "subset" otherwise."""
+    return "connected-set" if sum(m.bit_count() for m in g.masks) <= 4 * g.n else "subset"
+
+
+def _dp(g: Graph, labeled: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
+    """Orderings of g extending the labeled mask (0: from every start),
+    optionally with require_u placed before forbid_v, by engine(g)."""
+    if engine(g) == "connected-set":
+        return dp_connected(g.masks, g.n, labeled, require_u, forbid_v)
+    if not labeled:
+        return _impl.dp_total(g.masks, g.n)
+    return _impl.dp_resume(g.masks, g.n, labeled, require_u, forbid_v)
 
 
 def _check(g: Graph, dp_limit: int) -> None:
@@ -72,14 +116,14 @@ def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
 def count_labelings(g: Graph, *, dp_limit: int = DP_LIMIT) -> int:
     """Number of random walk labelings of g (all starting vertices)."""
     _check(g, dp_limit)
-    return _impl.dp_total(g.masks, g.n)
+    return _dp(g)
 
 
 def count_labelings_from(g: Graph, start: int, *, dp_limit: int = DP_LIMIT) -> int:
     """Labelings whose first label lands on start."""
     _check(g, dp_limit)
     _check_vertex(g, start, "start")
-    return _impl.dp_resume(g.masks, g.n, 1 << start)
+    return _dp(g, 1 << start)
 
 
 def count_completions(g: Graph, labeled, *, dp_limit: int = DP_LIMIT) -> int:
@@ -106,7 +150,7 @@ def count_completions(g: Graph, labeled, *, dp_limit: int = DP_LIMIT) -> int:
                 frontier.append(u)
     if len(seen) != len(vs):
         raise ValueError("labeled set not connected")
-    return _impl.dp_resume(g.masks, g.n, mask)
+    return _dp(g, mask)
 
 
 def count_labelings_from_before(g: Graph, start: int, u: int, v: int, *, dp_limit: int = DP_LIMIT) -> int:
@@ -124,10 +168,10 @@ def count_labelings_from_before(g: Graph, start: int, u: int, v: int, *, dp_limi
     if u == v:
         raise ValueError("order constraint needs two distinct vertices")
     if u == start:
-        return _impl.dp_resume(g.masks, g.n, 1 << start)
+        return _dp(g, 1 << start)
     if v == start:
         return 0
-    return _impl.dp_resume(g.masks, g.n, 1 << start, u, v)
+    return _dp(g, 1 << start, u, v)
 
 
 def count_labelings_perm(g: Graph) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import combs, oracle, torus, trees, twocycles
+from .bigmath import to_decimal
 from .graphs import comb, perfect_tree, torus as torus_graph, tree_minus_child, two_cycles, vertex_at
 
 __all__ = [
@@ -37,8 +38,12 @@ class Check:
     ok: bool
 
 
+def _text(value) -> str:
+    return to_decimal(value) if isinstance(value, int) else str(value)
+
+
 def _check(out: list[Check], family: str, instance: str, kind: str, expected, actual) -> None:
-    out.append(Check(family, instance, kind, str(expected), str(actual), expected == actual))
+    out.append(Check(family, instance, kind, _text(expected), _text(actual), expected == actual))
 
 
 def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, progress=None) -> list[Check]:

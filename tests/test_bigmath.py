@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,3 +85,14 @@ def test_decimal_round_trip_on_huge_integers():
     assert text.isdigit() and len(text) > 10000
     assert bigmath.from_decimal(text) == value
     assert bigmath.from_decimal("-" + text) == -value
+
+
+def test_decimal_round_trip_restores_digit_limit():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        value = 10**99_999 + 12345  # 10^5 digits
+        assert bigmath.from_decimal(bigmath.to_decimal(value)) == value
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)

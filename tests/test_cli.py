@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from walklabel import trees
 from walklabel.cli import run
 
 
@@ -25,6 +27,28 @@ def test_count_comb_json():
 def test_count_torus_and_twocycles():
     assert run(["count", "torus", "--n", "3"]).stdout == "360\n"
     assert run(["count", "twocycles", "--a1", "2", "--a2", "2", "--a3", "2"]).stdout == "208\n"
+
+
+def test_count_torus_beyond_recursion_depth_exits_cleanly(capsys):
+    n = 400
+    result = run(["count", "torus", "--n", str(n)])
+    if result.exit_code == 0:
+        expected = n * (n + 2) * math.factorial(2 * n - 2) // math.factorial(n - 2)
+        assert result.stdout == f"{expected}\n"
+    else:
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_of_memory_exits_cleanly(monkeypatch, capsys):
+    def exhausted(h, m):
+        raise MemoryError
+
+    monkeypatch.setattr(trees, "count_perfect_tree", exhausted)
+    result = run(["count", "tree", "--h", "2", "--m", "2"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err == "error: instance too large: out of memory\n"
 
 
 def test_count_is_deterministic():

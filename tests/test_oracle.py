@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from conftest import random_connected_graph
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklabel import oracle
-from walklabel._core_py import dp_resume, dp_total
+from walklabel._core_py import dp_connected, dp_resume, dp_total
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -25,6 +26,92 @@ def connected_graphs(draw, max_n=7):
     )
     edges.update((min(u, v), max(u, v)) for u, v in extras if u != v)
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def graphs_at_any_density(draw, max_n=9):
+    """Connected graphs: a random spanning tree plus a uniformly drawn
+    number of further edges, from none to all of them."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    extra = draw(st.integers(0, len(pairs)))
+    edges.update(draw(st.permutations(pairs))[:extra])
+    return Graph(n, sorted(edges))
+
+
+def _filtered_orderings(g, labeled, before=None):
+    """Orderings of the vertices outside the labeled mask in which each is
+    adjacent to the labeled set or an earlier one, and with before=(u, v)
+    u is labeled or placed ahead of v: a filter over all permutations."""
+    free = [w for w in range(g.n) if not labeled >> w & 1]
+    count = 0
+    for order in permutations(free):
+        seen = labeled
+        for w in order:
+            if not g.masks[w] & seen:
+                break
+            if before and w == before[1] and not seen >> before[0] & 1:
+                break
+            seen |= 1 << w
+        else:
+            count += 1
+    return count
+
+
+def _grow_connected(g, rng, size):
+    """A connected vertex set of the given size grown from a random vertex."""
+    labeled = 1 << rng.randrange(g.n)
+    for _ in range(size - 1):
+        labeled |= 1 << rng.choice([w for w in range(g.n) if not labeled >> w & 1 and g.masks[w] & labeled])
+    return labeled
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(graphs_at_any_density(), st.randoms(use_true_random=False))
+def test_connected_set_kernel_matches_subset_kernel_and_permutations(g, rng):
+    masks, n = g.masks, g.n
+    total = dp_connected(masks, n)
+    assert total == dp_total(masks, n) == oracle.count_labelings_perm(g)
+    for v in range(n):
+        assert dp_connected(masks, n, 1 << v) == dp_resume(masks, n, 1 << v) == _filtered_orderings(g, 1 << v)
+    labeled = _grow_connected(g, rng, rng.randrange(1, n + 1))
+    assert dp_connected(masks, n, labeled) == dp_resume(masks, n, labeled) == _filtered_orderings(g, labeled)
+    if n >= 3:
+        start, u, v = rng.sample(range(n), 3)
+        assert (
+            dp_connected(masks, n, 1 << start, u, v)
+            == dp_resume(masks, n, 1 << start, u, v)
+            == _filtered_orderings(g, 1 << start, (u, v))
+        )
+        # labeled mask 0: every start except v itself
+        assert dp_connected(masks, n, 0, u, v) == sum(
+            dp_connected(masks, n, 1 << s, u, v) for s in range(n) if s != v
+        )
+
+
+def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
+    rng = random.Random(11)
+    for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2)):
+        masks, n = g.masks, g.n
+        assert dp_connected(masks, n) == dp_total(masks, n)
+        start, u, v = rng.sample(range(n), 3)
+        assert dp_connected(masks, n, 1 << start) == dp_resume(masks, n, 1 << start)
+        assert dp_connected(masks, n, 1 << start, u, v) == dp_resume(masks, n, 1 << start, u, v)
+        labeled = _grow_connected(g, rng, n // 2)
+        assert dp_connected(masks, n, labeled) == dp_resume(masks, n, labeled)
+
+
+def test_engine_follows_density():
+    for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7)):
+        assert oracle.engine(g) == "connected-set"
+    n = 12
+    complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert oracle.engine(complete) == "subset"
+    rng = random.Random(3)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    half = Graph(n, sorted({(rng.randrange(v), v) for v in range(1, n)} | set(rng.sample(pairs, len(pairs) // 2))))
+    assert oracle.engine(half) == "subset"
 
 
 def test_backend_reports_selected_kernel():
