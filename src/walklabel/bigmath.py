@@ -6,13 +6,12 @@ rational type. The factorial cache below is unbounded and monotone (it only
 ever gains entries); under free threading concurrent misses may compute a
 value twice, but both writes store the same int, so results are identical to
 sequential execution. Call ``factorial.cache_clear()`` if bounded memory
-matters more than speed. to_decimal and from_decimal lift the interpreter's
-int/str digit limit only while they convert, and restore it afterwards.
+matters more than speed. to_decimal and from_decimal convert values of any
+length without touching the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -87,34 +86,45 @@ def exact_int(value: Fraction | int, what: str = "value") -> int:
     return value.numerator
 
 
-@contextlib.contextmanager
-def _int_str_digits(digits: int):
-    """Lift the interpreter's int/str conversion digit limit to at least
-    digits for the duration of the block, then put the old limit back."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    old = get() if get else 0
-    if old == 0 or digits <= old:
-        yield
-        return
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+# Every int/str digit limit the interpreter accepts, other than 0 (no
+# limit), is at least this many digits, so conversions of pieces this short
+# never trip it. Python < 3.11 has no limit at all.
+_SAFE_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+_SAFE_BITS = int(_SAFE_DIGITS / math.log10(2)) - 1  # at most _SAFE_DIGITS digits
+
+
+def _digits(n: int, width: int = 0) -> str:
+    """Decimal digits of n >= 0, zero-padded to width: split at a power of
+    ten into halves, down to pieces short enough for str()."""
+    if n.bit_length() <= _SAFE_BITS:
+        return str(n).zfill(width)
+    k = int(n.bit_length() * math.log10(2)) // 2
+    high, low = divmod(n, 10**k)
+    return _digits(high, width - k) + _digits(low, k)
+
+
+def _value(digits: str) -> int:
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _value(digits[:-k]) * 10**k + _value(digits[-k:])
 
 
 def to_decimal(n: int) -> str:
     """Serialize a count as a decimal string.
 
     Counts here routinely exceed the interpreter's 4300-digit int-to-str
-    limit, so the limit is lifted for this one conversion.
+    limit, so long values are converted piecewise, leaving the limit alone.
     """
-    with _int_str_digits(n.bit_length() // 3 + 16):
-        return str(n)
+    return "-" + _digits(-n) if n < 0 else _digits(n)
 
 
 def from_decimal(text: str) -> int:
     """Parse a decimal count back to int (round-trips to_decimal output)."""
     text = text.strip()
-    with _int_str_digits(len(text) + 16):
+    if len(text) <= _SAFE_DIGITS:
         return int(text, 10)
+    sign, digits = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal count of {len(text)} characters")
+    return -_value(digits) if sign == "-" else _value(digits)

@@ -11,25 +11,30 @@ visited set first, which is connected by induction) realizes it. Counting
 labelings therefore reduces to counting prefix-adjacent orderings.
 
 Two dynamic programs count them, and every DP entry point below picks one
-by the graph's density alone (engine(g)):
+through engine(g):
 
-- connected-set (average degree at most 4): a forward DP that keeps, per
-  popcount layer, a dict from each reachable vertex set to its count and
-  frontier, and pushes each count to the sets one frontier vertex larger.
-  Only connected sets are ever stored. It is pure Python.
-- subset (denser graphs): N(S) = sum of N(S - v) over the vertices v whose
-  removal leaves a set they are adjacent to, over all 2^n vertex subsets.
-  Its hot loop lives in a compiled kernel when available, with a pure
-  Python twin selected at import time otherwise (set WALKLABEL_PURE=1 to
-  force the twin); backend() names the one in use.
+- subset: N(S) = sum of N(S - v) over the vertices v whose removal leaves
+  a set they are adjacent to, over all 2^n vertex subsets. Its hot loop
+  lives in a compiled kernel when available, with a pure Python twin
+  selected at import time otherwise (set WALKLABEL_PURE=1 to force the
+  twin); backend() names the one in use.
+- connected-set: a forward DP that keeps, per popcount layer, a dict from
+  each reachable vertex set to its count and frontier, and pushes each
+  count to the sets one frontier vertex larger. Only connected sets are
+  ever stored. It is pure Python.
 
-Every family here is sparse, and only a few percent of its vertex subsets
-are connected, so the family graphs all go to the connected-set engine.
-Its worst case is a star: K1,21 has average degree below 2 but 2^20 + 21
-connected sets. There both engines took about 13.4 s on a 2-core x86
-machine, and the connected-set engine peaked at 193 MB of resident memory
-against 116 MB for the pure subset kernel (the wide-star sweep of the tree
-acceptance test is the only such input in the test suite).
+With the compiled subset kernel every graph goes to it: per subset it is
+about a hundred times cheaper than the connected-set engine is per
+connected set, and no density cut-off keeps the connected-set engine from
+losing somewhere (see the measurements above engine). With the pure
+subset kernel, graphs of average degree at most 4 go to the connected-set
+engine; they include every family graph here, of which only a few percent
+of the vertex subsets are connected. Its worst case is a star: K1,21 has average degree
+below 2 but 2^20 + 21 connected sets. There both engines took about 13.4 s
+on a 2-core x86 machine, and the connected-set engine peaked at 193 MB of
+resident memory against 116 MB for the pure subset kernel (the wide-star
+sweep of the tree acceptance test is the only such input in the test
+suite).
 
 Peak memory of the subset engine is one value table of 2^n entries (16
 bytes each compiled, Python ints otherwise), about 256 MB at the default
@@ -80,14 +85,27 @@ def backend() -> str:
     return _impl.BACKEND
 
 
-# The density cut-off 4 comes from a sweep over random connected graphs,
-# three per point, with n = 14 and 16 and a given average degree, timing
-# dp_connected against the pure subset kernel on a 2-core x86 machine. The
-# connected-set engine was 12-39x faster at average degree 2, 5.5x at 3,
-# 1.8-2.3x at 4, 0.8-1.3x at 5 and 6, and 0.7-0.8x at 8.
+# Measured on a 2-core x86 machine, timing dp_connected against each subset
+# kernel's dp_total on random connected graphs of n = 14, 16 and 18 vertices
+# at a given average degree, and on family graphs.
+# - Against the pure subset kernel (n = 14 and 16) the connected-set engine
+#   was 12-39x faster at average degree 2, 5.5x at 3, 1.8-2.3x at 4,
+#   0.8-1.3x at 5 and 6 and 0.7-0.8x at 8: hence the cut-off 4.
+# - Against the compiled subset kernel it lost on every random graph from
+#   average degree 3 up (7-13x slower at 3, 100-150x at 8) and was within
+#   a factor of 3 either way at 2. On family graphs and trees of average
+#   degree 1.9-3 it won on paths, combs and two-cycle graphs (comb(2,9,2)
+#   0.0004 s against 0.008 s, two_cycles(7,8,7) 0.003 s against 0.21 s)
+#   but lost on the torus (torus(10) 0.20 s against 0.05 s), on
+#   perfect_tree(2,4) (0.22 s against 0.07 s) and on stars (K1,19 2.6 s
+#   against 0.04 s). Density does not separate these cases, so the
+#   compiled kernel takes every graph.
 def engine(g: Graph) -> str:
-    """The DP engine that counts g: "connected-set" when its average degree
-    is at most 4 (2|E| <= 4n), "subset" otherwise."""
+    """The DP engine that counts g: "subset" whenever the compiled subset
+    kernel is loaded; otherwise "connected-set" when g's average degree is
+    at most 4 (2|E| <= 4n) and "subset" when it is higher."""
+    if _impl.BACKEND == "compiled":
+        return "subset"
     return "connected-set" if sum(m.bit_count() for m in g.masks) <= 4 * g.n else "subset"
 
 

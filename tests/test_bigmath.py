@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -87,12 +88,39 @@ def test_decimal_round_trip_on_huge_integers():
     assert bigmath.from_decimal("-" + text) == -value
 
 
-def test_decimal_round_trip_restores_digit_limit():
+@pytest.fixture
+def digit_limit_4300():
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
-    try:
-        value = 10**99_999 + 12345  # 10^5 digits
-        assert bigmath.from_decimal(bigmath.to_decimal(value)) == value
-        assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(before)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_decimal_round_trip_leaves_digit_limit_alone(digit_limit_4300):
+    value = 10**99_999 + 12345  # 10^5 digits
+    text = bigmath.to_decimal(value)
+    assert len(text) == 100_000 and text.endswith("12345")
+    assert bigmath.from_decimal(text) == value
+    assert bigmath.from_decimal("-" + text) == -value
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_decimal_conversions_in_two_threads(digit_limit_4300):
+    values = (7**6_000 + 1, 3**40_000 - 1)  # about 5,000 and 19,000 digits
+    sys.set_int_max_str_digits(0)
+    expected = [str(v) for v in values]
+    sys.set_int_max_str_digits(4300)
+    failures = []
+
+    def convert(value, text):
+        for _ in range(20):
+            if bigmath.to_decimal(value) != text or bigmath.from_decimal(text) != value:
+                failures.append(value.bit_length())
+
+    threads = [threading.Thread(target=convert, args=pair) for pair in zip(values, expected)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert failures == []
+    assert sys.get_int_max_str_digits() == 4300

@@ -1,13 +1,14 @@
 import math
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from conftest import random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklabel import oracle
+from walklabel import _core_py, oracle
 from walklabel._core_py import dp_connected, dp_resume, dp_total
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
@@ -102,16 +103,21 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
         assert dp_connected(masks, n, labeled) == dp_resume(masks, n, labeled)
 
 
-def test_engine_follows_density():
-    for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7)):
-        assert oracle.engine(g) == "connected-set"
+def test_engine_follows_density_and_subset_kernel(monkeypatch):
     n = 12
     complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert oracle.engine(complete) == "subset"
     rng = random.Random(3)
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     half = Graph(n, sorted({(rng.randrange(v), v) for v in range(1, n)} | set(rng.sample(pairs, len(pairs) // 2))))
-    assert oracle.engine(half) == "subset"
+    sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7))
+    monkeypatch.setattr(oracle, "_impl", _core_py)
+    for g in sparse:
+        assert oracle.engine(g) == "connected-set"
+    assert oracle.engine(complete) == oracle.engine(half) == "subset"
+    # the compiled subset kernel takes every graph, sparse or not
+    monkeypatch.setattr(oracle, "_impl", SimpleNamespace(BACKEND="compiled"))
+    for g in (*sparse, complete, half):
+        assert oracle.engine(g) == "subset"
 
 
 def test_backend_reports_selected_kernel():
