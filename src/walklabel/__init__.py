@@ -1,19 +1,6 @@
 """Exact counting of random walk labelings on structured graph families."""
 
-from .graphs import (
-    Comb,
-    Cycle,
-    FamilySpec,
-    Graph,
-    Path,
-    PerfectTree,
-    Torus,
-    TreeMinusChild,
-    TwoCycles,
-    build_family,
-    parse_edge_list,
-    vertex_at,
-)
+from .graphs import Graph, parse_edge_list, vertex_at
 from .oracle import (
     count_completions,
     count_labelings,
@@ -25,17 +12,8 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Comb",
-    "Cycle",
-    "FamilySpec",
     "Graph",
-    "Path",
-    "PerfectTree",
-    "Torus",
-    "TreeMinusChild",
-    "TwoCycles",
     "__version__",
-    "build_family",
     "count_completions",
     "count_labelings",
     "count_labelings_from",

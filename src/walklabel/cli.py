@@ -8,7 +8,12 @@ candidates). Counts print as decimal strings. Exit codes: 0 success (and,
 for verify, all checks passing), 1 domain errors, instances too large to
 finish (recursion or memory exhausted) or failed verification, 2 usage
 errors.
-"""
+
+One table, _FAMILIES, drives both count and verify: per family it names
+the count parameters and closed form, and the verify function with its
+grid flags. The count functions validate their own parameters. The verify
+grid defaults live in the verify functions' signatures alone: a flag the
+user leaves out is not passed on."""
 
 from __future__ import annotations
 
@@ -17,10 +22,11 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import combs, oracle, series, torus, trees, twocycles, verify
 from .bigmath import to_decimal
-from .graphs import Comb, parse_edge_list, PerfectTree, Torus, TwoCycles
+from .graphs import parse_edge_list
 
 __all__ = ["CommandResult", "main", "run"]
 
@@ -29,6 +35,46 @@ __all__ = ["CommandResult", "main", "run"]
 class CommandResult:
     exit_code: int
     stdout: str
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family as the CLI exposes it: the count subcommand's integer
+    parameters and closed form, and the verify function with its grid
+    flags as (flag, keyword, help). count and verify look their target up
+    at call time, so a wrapper bound later to the module global sees the
+    call."""
+
+    name: str
+    help: str
+    params: tuple[str, ...]
+    count: Callable[..., int]
+    verify: Callable[..., list]
+    grid: tuple[tuple[str, str, str], ...]
+
+
+_FAMILIES = (
+    _Family("tree", "perfect m-ary tree of height h", ("h", "m"),
+            lambda *p: trees.count_perfect_tree(*p),
+            lambda **kw: verify.verify_trees(**kw),
+            (("--max-h", "max_h", "tree: maximum height"),
+             ("--max-m", "max_m", "tree: maximum arity"),
+             ("--max-vertices", "oracle_vertex_limit", "tree: oracle size cap"))),
+    _Family("comb", "m teeth of n vertices joined at position k", ("m", "n", "k"),
+            lambda *p: combs.count_comb(*p),
+            lambda **kw: verify.verify_combs(**kw),
+            (("--max-mn", "max_mn", "comb: maximum m*n"),)),
+    _Family("torus", "two n-cycles joined by a matching", ("n",),
+            lambda *p: torus.count_torus(*p),
+            lambda **kw: verify.verify_torus(**kw),
+            (("--max-n", "max_exact_n", "torus: closed-form range"),
+             ("--max-oracle-n", "max_oracle_n", "torus: oracle range"))),
+    _Family("twocycles", "two cycles sharing a path of a2 vertices", ("a1", "a2", "a3"),
+            lambda *p: twocycles.count_two_cycles(*p),
+            lambda **kw: verify.verify_twocycles(**kw),
+            (("--max-total", "max_total", "twocycles: maximum a1+a2+a3"),
+             ("--max-lemma-total", "lemma_total", "twocycles: per-start lemma oracle range"))),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,20 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="closed-form count for one family instance")
     fam = count.add_subparsers(dest="family", required=True)
-    tree = fam.add_parser("tree", help="perfect m-ary tree of height h")
-    tree.add_argument("--h", type=int, required=True)
-    tree.add_argument("--m", type=int, required=True)
-    comb = fam.add_parser("comb", help="m teeth of n vertices joined at position k")
-    comb.add_argument("--m", type=int, required=True)
-    comb.add_argument("--n", type=int, required=True)
-    comb.add_argument("--k", type=int, required=True)
-    torus_p = fam.add_parser("torus", help="two n-cycles joined by a matching")
-    torus_p.add_argument("--n", type=int, required=True)
-    tc = fam.add_parser("twocycles", help="two cycles sharing a path of a2 vertices")
-    tc.add_argument("--a1", type=int, required=True)
-    tc.add_argument("--a2", type=int, required=True)
-    tc.add_argument("--a3", type=int, required=True)
-    for family_parser in (tree, comb, torus_p, tc):
+    for family in _FAMILIES:
+        family_parser = fam.add_parser(family.name, help=family.help)
+        for name in family.params:
+            family_parser.add_argument(f"--{name}", type=int, required=True)
         family_parser.add_argument("--json", action="store_true",
                                    help="print a JSON record instead of the bare count")
 
@@ -67,16 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="count completions of the given already-labeled vertex set")
 
     ver = sub.add_parser("verify", help="run the cross-verification harness")
-    ver.add_argument("--family", choices=("tree", "comb", "torus", "twocycles", "all"), required=True)
-    ver.add_argument("--max-h", type=int, default=4, help="tree: maximum height")
-    ver.add_argument("--max-m", type=int, default=4, help="tree: maximum arity")
-    ver.add_argument("--max-vertices", type=int, default=22, help="tree: oracle size cap")
-    ver.add_argument("--max-mn", type=int, default=16, help="comb: maximum m*n")
-    ver.add_argument("--max-n", type=int, default=12, help="torus: closed-form range")
-    ver.add_argument("--max-oracle-n", type=int, default=8, help="torus: oracle range")
-    ver.add_argument("--max-total", type=int, default=16, help="twocycles: maximum a1+a2+a3")
-    ver.add_argument("--max-lemma-total", type=int, default=12,
-                     help="twocycles: per-start lemma oracle range")
+    ver.add_argument("--family", choices=[f.name for f in _FAMILIES] + ["all"], required=True)
+    for family in _FAMILIES:
+        for flag, _, help_text in family.grid:
+            ver.add_argument(flag, type=int, help=help_text)
 
     ser = sub.add_parser("series", help="generating function coefficients")
     ser.add_argument("--degree", type=int, required=True, help="total degree bound")
@@ -90,26 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> str:
-    if args.family == "tree":
-        spec = PerfectTree(args.h, args.m)
-        value = trees.count_perfect_tree(args.h, args.m)
-        params = {"h": args.h, "m": args.m}
-    elif args.family == "comb":
-        spec = Comb(args.m, args.n, args.k)
-        value = combs.count_comb(args.m, args.n, args.k)
-        params = {"m": args.m, "n": args.n, "k": args.k}
-    elif args.family == "torus":
-        spec = Torus(args.n)
-        value = torus.count_torus(args.n)
-        params = {"n": args.n}
-    else:
-        spec = TwoCycles(args.a1, args.a2, args.a3)
-        value = twocycles.count_two_cycles(args.a1, args.a2, args.a3)
-        params = {"a1": args.a1, "a2": args.a2, "a3": args.a3}
-    del spec  # construction above validated the parameters
+    family = next(f for f in _FAMILIES if f.name == args.family)
+    params = {name: getattr(args, name) for name in family.params}
+    value = to_decimal(family.count(*params.values()))
     if args.json:
-        return json.dumps({"family": args.family, "params": params, "count": to_decimal(value)}) + "\n"
-    return to_decimal(value) + "\n"
+        return json.dumps({"family": args.family, "params": params, "count": value}) + "\n"
+    return value + "\n"
 
 
 def _cmd_oracle(args) -> str:
@@ -133,23 +149,12 @@ def _cmd_oracle(args) -> str:
 
 
 def _cmd_verify(args, progress) -> tuple[int, str]:
-    if args.family == "tree":
-        checks = verify.verify_trees(args.max_h, args.max_m, args.max_vertices, progress)
-    elif args.family == "comb":
-        checks = verify.verify_combs(args.max_mn, progress=progress)
-    elif args.family == "torus":
-        checks = verify.verify_torus(args.max_n, args.max_oracle_n, progress)
-    elif args.family == "twocycles":
-        checks = verify.verify_twocycles(args.max_total, lemma_total=args.max_lemma_total,
-                                         progress=progress)
-    else:
-        checks = (
-            verify.verify_trees(args.max_h, args.max_m, args.max_vertices, progress)
-            + verify.verify_combs(args.max_mn, progress=progress)
-            + verify.verify_torus(args.max_n, args.max_oracle_n, progress)
-            + verify.verify_twocycles(args.max_total, lemma_total=args.max_lemma_total,
-                                      progress=progress)
-        )
+    checks = []
+    for family in _FAMILIES:
+        if args.family in (family.name, "all"):
+            # a flag left out keeps the verify function's own default
+            given = {kw: getattr(args, flag[2:].replace("-", "_")) for flag, kw, _ in family.grid}
+            checks += family.verify(progress=progress, **{kw: v for kw, v in given.items() if v is not None})
     rep = verify.report(checks)
     return (0 if rep["ok"] else 1), json.dumps(rep, indent=2) + "\n"
 

@@ -4,26 +4,18 @@ Vertices are 0-based ints internally. Each family builder also attaches
 1-based coordinate labels matching the conventions of the closed-form
 modules (depth/position for trees, tooth/position for combs, row/column for
 tori and two-cycle graphs), so tests can address "the" vertex a formula
-talks about without knowing the numbering. Graphs are immutable after
-construction by convention; nothing mutates them in this package.
+talks about without knowing the numbering. Each builder checks its own
+parameters and raises ValueError("invalid family parameters: ...") on a
+bad one. Graphs are immutable after construction by convention; nothing
+mutates them in this package.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 __all__ = [
-    "Comb",
-    "Cycle",
-    "FamilySpec",
     "Graph",
-    "Path",
-    "PerfectTree",
-    "Torus",
-    "TreeMinusChild",
-    "TwoCycles",
-    "build_family",
     "comb",
     "cycle",
     "is_connected",
@@ -106,98 +98,10 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-# family parameter records; validation happens at construction so that a
-# spec object always denotes a buildable graph
-
-@dataclass(frozen=True)
-class PerfectTree:
-    """Rooted tree of height h where every internal vertex has m children."""
-    h: int
-    m: int
-
-    def __post_init__(self):
-        if self.h < 0 or self.m < 2:
-            raise ValueError("invalid family parameters: PerfectTree needs h >= 0, m >= 2")
-
-
-@dataclass(frozen=True)
-class TreeMinusChild:
-    """Perfect tree with one depth-(k+1) subtree removed.
-
-    The surviving parent at depth k is addressable via the "bereaved" alias.
-    """
-    h: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.h < 1 or self.m < 2 or not 0 <= self.k <= self.h - 1:
-            raise ValueError("invalid family parameters: TreeMinusChild needs h >= 1, m >= 2, 0 <= k <= h-1")
-
-
-@dataclass(frozen=True)
-class Comb:
-    """m teeth of n vertices each, adjacent teeth joined at position k."""
-    m: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 2 or not 1 <= self.k <= self.n:
-            raise ValueError("invalid family parameters: Comb needs m >= 1, n >= 2, 1 <= k <= n")
-
-
-@dataclass(frozen=True)
-class Torus:
-    """Two n-cycles joined by a perfect matching, as a simple graph.
-
-    n = 2 collapses the doubled row edges to a 4-cycle; n = 1 collapses to a
-    single edge.
-    """
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("invalid family parameters: Torus needs n >= 1")
-
-
-@dataclass(frozen=True)
-class TwoCycles:
-    """Three internally disjoint paths of a1, a2, a3 vertices sharing two
-    junction columns; rows 1 and 3 attach to the ends of row 2."""
-    a1: int
-    a2: int
-    a3: int
-
-    def __post_init__(self):
-        if min(self.a1, self.a2, self.a3) < 2:
-            raise ValueError("invalid family parameters: TwoCycles needs a1, a2, a3 >= 2")
-
-
-@dataclass(frozen=True)
-class Path:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("invalid family parameters: Path needs n >= 1")
-
-
-@dataclass(frozen=True)
-class Cycle:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("invalid family parameters: Cycle needs n >= 3")
-
-
-FamilySpec = PerfectTree | TreeMinusChild | Comb | Torus | TwoCycles | Path | Cycle
-
-
 def perfect_tree(h: int, m: int) -> Graph:
-    spec = PerfectTree(h, m)
-    h, m = spec.h, spec.m
+    """Rooted tree of height h where every internal vertex has m children."""
+    if h < 0 or m < 2:
+        raise ValueError("invalid family parameters: PerfectTree needs h >= 0, m >= 2")
     # BFS numbering: depth d occupies a contiguous block of m^d indices
     offsets = [0]
     for d in range(h + 1):
@@ -215,8 +119,12 @@ def perfect_tree(h: int, m: int) -> Graph:
 
 
 def tree_minus_child(h: int, m: int, k: int) -> Graph:
-    spec = TreeMinusChild(h, m, k)
-    h, m, k = spec.h, spec.m, spec.k
+    """Perfect tree with one depth-(k+1) subtree removed.
+
+    The surviving parent at depth k is addressable via the "bereaved" alias.
+    """
+    if h < 1 or m < 2 or not 0 <= k <= h - 1:
+        raise ValueError("invalid family parameters: TreeMinusChild needs h >= 1, m >= 2, 0 <= k <= h-1")
     # drop the last child of the last depth-k vertex, i.e. the subtree rooted
     # at the last vertex of depth k+1; survivors at depth d > k are the first
     # m^d - m^(d-k-1) of that depth
@@ -238,8 +146,9 @@ def tree_minus_child(h: int, m: int, k: int) -> Graph:
 
 
 def comb(m: int, n: int, k: int) -> Graph:
-    spec = Comb(m, n, k)
-    m, n, k = spec.m, spec.n, spec.k
+    """m teeth of n vertices each, adjacent teeth joined at position k."""
+    if m < 1 or n < 2 or not 1 <= k <= n:
+        raise ValueError("invalid family parameters: Comb needs m >= 1, n >= 2, 1 <= k <= n")
     def idx(i, j):  # 1-based tooth i, position j
         return (i - 1) * n + (j - 1)
     edges = []
@@ -255,8 +164,13 @@ def comb(m: int, n: int, k: int) -> Graph:
 
 
 def torus(n: int) -> Graph:
-    spec = Torus(n)
-    n = spec.n
+    """Two n-cycles joined by a perfect matching, as a simple graph.
+
+    n = 2 collapses the doubled row edges to a 4-cycle; n = 1 collapses to a
+    single edge.
+    """
+    if n < 1:
+        raise ValueError("invalid family parameters: Torus needs n >= 1")
     def idx(r, c):  # 1-based row r in {1, 2}, column c
         return (r - 1) * n + (c - 1)
     edges = set()
@@ -273,8 +187,10 @@ def torus(n: int) -> Graph:
 
 
 def two_cycles(a1: int, a2: int, a3: int) -> Graph:
-    spec = TwoCycles(a1, a2, a3)
-    a1, a2, a3 = spec.a1, spec.a2, spec.a3
+    """Three internally disjoint paths of a1, a2, a3 vertices sharing two
+    junction columns; rows 1 and 3 attach to the ends of row 2."""
+    if min(a1, a2, a3) < 2:
+        raise ValueError("invalid family parameters: TwoCycles needs a1, a2, a3 >= 2")
     starts = {1: 0, 2: a1, 3: a1 + a2}
     lengths = {1: a1, 2: a2, 3: a3}
     def idx(row, pos):  # 1-based position along the row
@@ -302,36 +218,16 @@ def two_cycles(a1: int, a2: int, a3: int) -> Graph:
 
 
 def path(n: int) -> Graph:
-    spec = Path(n)
-    n = spec.n
+    if n < 1:
+        raise ValueError("invalid family parameters: Path needs n >= 1")
     return Graph(n, [(i, i + 1) for i in range(n - 1)], {i: i + 1 for i in range(n)})
 
 
 def cycle(n: int) -> Graph:
-    spec = Cycle(n)
-    n = spec.n
+    if n < 3:
+        raise ValueError("invalid family parameters: Cycle needs n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph(n, edges, {i: i + 1 for i in range(n)})
-
-
-_BUILDERS = {
-    PerfectTree: lambda s: perfect_tree(s.h, s.m),
-    TreeMinusChild: lambda s: tree_minus_child(s.h, s.m, s.k),
-    Comb: lambda s: comb(s.m, s.n, s.k),
-    Torus: lambda s: torus(s.n),
-    TwoCycles: lambda s: two_cycles(s.a1, s.a2, s.a3),
-    Path: lambda s: path(s.n),
-    Cycle: lambda s: cycle(s.n),
-}
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    """Build the concrete graph a family spec denotes."""
-    try:
-        builder = _BUILDERS[type(spec)]
-    except KeyError:
-        raise ValueError(f"invalid family parameters: unknown spec {spec!r}") from None
-    return builder(spec)
 
 
 def parse_edge_list(text: str) -> Graph:

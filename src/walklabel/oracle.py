@@ -119,9 +119,9 @@ def _dp(g: Graph, labeled: int = 0, require_u: int = -1, forbid_v: int = -1) -> 
     return _impl.dp_resume(g.masks, g.n, labeled, require_u, forbid_v)
 
 
-def _check(g: Graph, dp_limit: int) -> None:
-    if g.n > dp_limit:
-        raise ValueError(f"instance too large: {g.n} vertices exceeds the DP limit {dp_limit}")
+def _check(g: Graph) -> None:
+    if g.n > DP_LIMIT:
+        raise ValueError(f"instance too large: {g.n} vertices exceeds the DP limit {DP_LIMIT}")
     if not is_connected(g):
         raise ValueError("graph not connected")
 
@@ -131,26 +131,26 @@ def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
         raise ValueError(f"{name} {v} out of range")
 
 
-def count_labelings(g: Graph, *, dp_limit: int = DP_LIMIT) -> int:
+def count_labelings(g: Graph) -> int:
     """Number of random walk labelings of g (all starting vertices)."""
-    _check(g, dp_limit)
+    _check(g)
     return _dp(g)
 
 
-def count_labelings_from(g: Graph, start: int, *, dp_limit: int = DP_LIMIT) -> int:
+def count_labelings_from(g: Graph, start: int) -> int:
     """Labelings whose first label lands on start."""
-    _check(g, dp_limit)
+    _check(g)
     _check_vertex(g, start, "start")
     return _dp(g, 1 << start)
 
 
-def count_completions(g: Graph, labeled, *, dp_limit: int = DP_LIMIT) -> int:
+def count_completions(g: Graph, labeled) -> int:
     """Ways to extend a partial labeling to all of g.
 
     labeled is the set of already-labeled vertices; it must induce a
     connected subgraph, because a walk's visited set is always connected.
     """
-    _check(g, dp_limit)
+    _check(g)
     vs = sorted(set(labeled))
     if not vs:
         raise ValueError("labeled set not connected: it is empty")
@@ -171,7 +171,7 @@ def count_completions(g: Graph, labeled, *, dp_limit: int = DP_LIMIT) -> int:
     return _dp(g, mask)
 
 
-def count_labelings_from_before(g: Graph, start: int, u: int, v: int, *, dp_limit: int = DP_LIMIT) -> int:
+def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
     """Labelings starting at start in which u gets a smaller label than v.
 
     Implemented by forbidding the DP transition that labels v while u is
@@ -179,7 +179,7 @@ def count_labelings_from_before(g: Graph, start: int, u: int, v: int, *, dp_limi
     labeled first and the constraint is vacuous, and if v is the start the
     constraint is unsatisfiable.
     """
-    _check(g, dp_limit)
+    _check(g)
     _check_vertex(g, start, "start")
     _check_vertex(g, u, "u")
     _check_vertex(g, v, "v")

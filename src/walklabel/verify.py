@@ -3,7 +3,8 @@ and every formula against the brute-force oracle, over configurable grids.
 
 Each family function returns a list of Check records; report() folds them
 into a JSON-friendly dict. The CLI exposes these through the verify
-subcommand, and the acceptance tests run them with the grids pinned to the
+subcommand, whose grid defaults are the signature defaults here, and the
+acceptance tests run them with the grids pinned to the
 package's guarantees. Progress (one line per instance group) goes through
 an optional callback so the CLI can stream it to stderr and tests can keep
 it silent.
@@ -20,7 +21,6 @@ from .graphs import comb, perfect_tree, torus as torus_graph, tree_minus_child, 
 __all__ = [
     "Check",
     "report",
-    "verify_all",
     "verify_combs",
     "verify_torus",
     "verify_trees",
@@ -82,7 +82,7 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
     return out
 
 
-def verify_combs(max_mn: int = 20, lemma_max_m: int = 8, lemma_max_n: int = 6, progress=None) -> list[Check]:
+def verify_combs(max_mn: int = 16, lemma_max_m: int = 8, lemma_max_n: int = 6, progress=None) -> list[Check]:
     out: list[Check] = []
     for m in range(1, max_mn // 2 + 1):
         for n in range(2, max_mn // m + 1):
@@ -117,7 +117,7 @@ def verify_combs(max_mn: int = 20, lemma_max_m: int = 8, lemma_max_n: int = 6, p
     return out
 
 
-def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 9, progress=None) -> list[Check]:
+def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[Check]:
     out: list[Check] = []
     for n in range(2, max_exact_n + 1):
         inst = f"(n={n})"
@@ -159,7 +159,7 @@ def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 9, progress=None) ->
     return out
 
 
-def verify_twocycles(max_total: int = 20, max_part: int = 8, lemma_total: int = 12, progress=None) -> list[Check]:
+def verify_twocycles(max_total: int = 16, max_part: int = 8, lemma_total: int = 12, progress=None) -> list[Check]:
     out: list[Check] = []
     for a1 in range(2, max_part + 1):
         for a2 in range(2, max_part + 1):
@@ -194,21 +194,6 @@ def verify_twocycles(max_total: int = 20, max_part: int = 8, lemma_total: int = 
                     _check(out, "twocycles", f"{inst} s={s}", "swapped term_C == constrained oracle",
                            oracle.count_labelings_from_before(g, vertex_at(g, (3, s)), left, right),
                            twocycles.term_C(a3, a2, a1, s))
-    return out
-
-
-_FAMILIES = {
-    "tree": verify_trees,
-    "comb": verify_combs,
-    "torus": verify_torus,
-    "twocycles": verify_twocycles,
-}
-
-
-def verify_all(progress=None) -> list[Check]:
-    out: list[Check] = []
-    for fn in _FAMILIES.values():
-        out.extend(fn(progress=progress))
     return out
 
 

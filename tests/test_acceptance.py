@@ -1,9 +1,10 @@
 """Acceptance gate: one test per published guarantee, one summary line each.
 
 Every criterion asserts (a red test means the guarantee is broken) and
-registers a PASS/FAIL line printed in the terminal summary. Artifacts
-(b-files, the numerator diff, the corollary comparison) land in
-artifacts/ next to the package sources.
+registers a PASS/FAIL line printed in the terminal summary. The tracked
+artifacts in artifacts/ (b-files, the numerator diff, the corollary
+comparison) are compared with the text the criteria compute, never
+written, so a run leaves the tree untouched and a drifted artifact fails.
 """
 
 import json
@@ -61,6 +62,10 @@ PRINTED_F_TERMS = {
 }
 
 
+def _matches_artifact(name, text):
+    return (ARTIFACTS / name).read_text() == text
+
+
 def _tree_instances_up_to(vertex_limit):
     for m in range(2, vertex_limit):
         h = 0
@@ -112,14 +117,11 @@ def test_acceptance_3_combs():
             "agrees": double.agrees,
         },
     }
-    ARTIFACTS.mkdir(exist_ok=True)
-    (ARTIFACTS / "corollary_comparison.json").write_text(
-        json.dumps(comparison, indent=2) + "\n"
-    )
+    artifact_ok = _matches_artifact("corollary_comparison.json", json.dumps(comparison, indent=2) + "\n")
     discrepancy_recorded = (single.value, single.closed_form, single.agrees) == (4, 8, False)
     agreement_shown = double.agrees and double.value == 112
     theorem_confirmed = single.closed_form == oracle.count_labelings(comb(2, 2, 1))
-    ok = report["ok"] and discrepancy_recorded and agreement_shown and theorem_confirmed
+    ok = report["ok"] and discrepancy_recorded and agreement_shown and theorem_confirmed and artifact_ok
     assert record_acceptance(
         3, ok, f"{report['total']} checks; corollary discrepancy 4 vs 8 recorded"
     )
@@ -157,12 +159,11 @@ def test_acceptance_6_generating_function():
         recovery_ok = True
     except ValueError:
         diff, recovery_ok = None, False
-    if recovery_ok:
-        ARTIFACTS.mkdir(exist_ok=True)
-        (ARTIFACTS / "numerator_transcription_diff.json").write_text(
-            json.dumps({f"{e}": list(v) for e, v in sorted(diff.items())}, indent=2) + "\n"
-        )
-    ok = printed_match and counts_match and recovery_ok and diff == {}
+    artifact_ok = recovery_ok and _matches_artifact(
+        "numerator_transcription_diff.json",
+        json.dumps({f"{e}": list(v) for e, v in sorted(diff.items())}, indent=2) + "\n",
+    )
+    ok = printed_match and counts_match and recovery_ok and diff == {} and artifact_ok
     assert record_acceptance(
         6, ok, f"56 printed terms match; transcription diff has {len(diff or {})} entries"
     )
@@ -217,11 +218,12 @@ def test_acceptance_7_oracle_self_consistency():
 
 
 def test_acceptance_8_oeis_exports():
-    ARTIFACTS.mkdir(exist_ok=True)
     tree_bfile = run(["oeis", "tree-root", "--count", "8"])
     comb_bfile = run(["oeis", "comb-row", "--count", "8"])
-    (ARTIFACTS / "b056972_candidate.txt").write_text(tree_bfile.stdout)
-    (ARTIFACTS / "b151817_candidate.txt").write_text(comb_bfile.stdout)
+    artifact_ok = (
+        _matches_artifact("b056972_candidate.txt", tree_bfile.stdout)
+        and _matches_artifact("b151817_candidate.txt", comb_bfile.stdout)
+    )
     format_ok = (
         tree_bfile.exit_code == 0
         and comb_bfile.exit_code == 0
@@ -253,5 +255,5 @@ def test_acceptance_8_oeis_exports():
         combs.count_comb(m, 2, 1) == oracle.count_labelings(comb(m, 2, 1))
         for m in range(1, 5)
     )
-    ok = format_ok and head_ok and dual_ok and oracle_ok
-    assert record_acceptance(8, ok, "b-files exported; prefixes re-verified internally")
+    ok = format_ok and head_ok and dual_ok and oracle_ok and artifact_ok
+    assert record_acceptance(8, ok, "b-files match artifacts/; prefixes re-verified internally")

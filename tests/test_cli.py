@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from walklabel import trees
+from walklabel import cli, trees, verify
 from walklabel.cli import run
 
 
@@ -60,6 +61,68 @@ def test_count_rejects_bad_parameters():
     result = run(["count", "comb", "--m", "2", "--n", "2", "--k", "5"])
     assert result.exit_code == 1
     assert result.stdout == ""
+
+
+# per family: count argv, its --json params and count, and a bad argv
+COUNT_CASES = {
+    "tree": (["--h", "2", "--m", "2"], {"h": 2, "m": 2}, "240", ["--h", "2", "--m", "1"]),
+    "comb": (["--m", "2", "--n", "2", "--k", "1"], {"m": 2, "n": 2, "k": 1}, "8",
+             ["--m", "2", "--n", "2", "--k", "5"]),
+    "torus": (["--n", "3"], {"n": 3}, "360", ["--n", "0"]),
+    "twocycles": (["--a1", "2", "--a2", "3", "--a3", "2"], {"a1": 2, "a2": 3, "a3": 2}, "752",
+                  ["--a1", "1", "--a2", "2", "--a3", "2"]),
+}
+
+
+@pytest.mark.parametrize("family", COUNT_CASES)
+def test_count_json_and_bad_parameter_per_family(family, capsys):
+    argv, params, count, bad = COUNT_CASES[family]
+    result = run(["count", family, *argv, "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"family": family, "params": params, "count": count}
+    capsys.readouterr()
+    result = run(["count", family, *bad])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err.startswith("error: parameter out of range")
+
+
+VERIFY_FUNCTIONS = {
+    "tree": "verify_trees",
+    "comb": "verify_combs",
+    "torus": "verify_torus",
+    "twocycles": "verify_twocycles",
+}
+
+
+def test_verify_flags_default_to_the_verify_functions(monkeypatch):
+    """A grid flag left out runs the verify function with its signature
+    default; a flag given reaches its keyword and nothing else. The CLI
+    must look the functions up when it runs, or the recorders below would
+    never see a call."""
+    calls = []
+    defaults = {}
+    for family, name in VERIFY_FUNCTIONS.items():
+        signature = inspect.signature(getattr(verify, name))
+        defaults[family] = {p: v.default for p, v in signature.parameters.items()}
+
+        def recorder(*args, _family=family, _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((_family, dict(bound.arguments)))
+            return []
+
+        monkeypatch.setattr(verify, name, recorder)
+
+    assert run(["--quiet", "verify", "--family", "all"]).exit_code == 0
+    assert calls == [(family, defaults[family]) for family in VERIFY_FUNCTIONS]
+    for family in cli._FAMILIES:
+        calls.clear()
+        run(["--quiet", "verify", "--family", family.name])
+        assert calls == [(family.name, defaults[family.name])]
+        for flag, keyword, _ in family.grid:
+            calls.clear()
+            run(["--quiet", "verify", "--family", family.name, flag, "3"])
+            assert calls == [(family.name, {**defaults[family.name], keyword: 3})]
 
 
 def test_usage_errors_exit_2():

@@ -2,15 +2,7 @@ import pytest
 
 from walklabel import graphs
 from walklabel.graphs import (
-    Comb,
-    Cycle,
     Graph,
-    Path,
-    PerfectTree,
-    Torus,
-    TreeMinusChild,
-    TwoCycles,
-    build_family,
     comb,
     cycle,
     is_connected,
@@ -120,25 +112,19 @@ def test_vertex_at_unknown_coordinate():
 
 def test_family_spec_validation_messages():
     cases = [
-        (lambda: PerfectTree(-1, 2), "PerfectTree"),
-        (lambda: PerfectTree(0, 1), "PerfectTree"),
-        (lambda: TreeMinusChild(2, 2, 2), "TreeMinusChild"),
-        (lambda: Comb(0, 2, 1), "Comb"),
-        (lambda: Comb(2, 2, 3), "Comb"),
-        (lambda: Torus(0), "Torus"),
-        (lambda: TwoCycles(1, 2, 2), "TwoCycles"),
-        (lambda: Path(0), "Path"),
-        (lambda: Cycle(2), "Cycle"),
+        (lambda: perfect_tree(-1, 2), "PerfectTree"),
+        (lambda: perfect_tree(0, 1), "PerfectTree"),
+        (lambda: tree_minus_child(2, 2, 2), "TreeMinusChild"),
+        (lambda: comb(0, 2, 1), "Comb"),
+        (lambda: comb(2, 2, 3), "Comb"),
+        (lambda: torus(0), "Torus"),
+        (lambda: two_cycles(1, 2, 2), "TwoCycles"),
+        (lambda: path(0), "Path"),
+        (lambda: cycle(2), "Cycle"),
     ]
     for make, name in cases:
         with pytest.raises(ValueError, match=f"invalid family parameters: {name}"):
             make()
-
-
-def test_build_family_dispatch():
-    assert build_family(Comb(2, 3, 1)).n == comb(2, 3, 1).n
-    assert build_family(Torus(4)).n == 8
-    assert build_family(Path(6)).n == 6
 
 
 def test_parse_edge_list_round_trip():
@@ -169,11 +155,6 @@ def test_is_connected():
     assert is_connected(cycle(6))
     assert not is_connected(Graph(3, [(0, 1)]))
     assert is_connected(Graph(1, []))
-
-
-def test_build_family_rejects_unknown_spec():
-    with pytest.raises(ValueError, match="invalid family parameters"):
-        build_family("not a spec")
 
 
 def test_graphs_module_exports_exist():
