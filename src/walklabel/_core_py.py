@@ -18,6 +18,12 @@ __all__ = ["dp_connected", "dp_resume", "dp_total"]
 
 BACKEND = "pure-python"
 
+# Most sets one layer of dp_connected may hold, checked once per source set
+# (a layer may end up to n sets past it). At about 240 bytes per set and two
+# live layers, K1,22 and K1,23 stop at 245 MB peak on a 2-core x86 machine;
+# the widest layer of K1,21, C(21, 10) = 352,716 sets (192 MB peak), fits.
+LAYER_LIMIT = 1 << 19
+
 
 def _layer(popcount: int, nbits: int):
     """Yield all nbits-wide masks with the given popcount, ascending."""
@@ -106,7 +112,8 @@ def dp_connected(masks, n: int, labeled_mask: int = 0, require_u: int = -1, forb
     count to S | v for every frontier vertex v; the frontier of S | v is
     computed once, when S | v is first reached. Only two layers are alive
     at a time, so work and memory follow the number of connected sets
-    rather than 2^n.
+    rather than 2^n. A layer that grows past LAYER_LIMIT sets raises
+    ValueError.
     """
     nbr = {1 << v: masks[v] for v in range(n)}
     if labeled_mask:
@@ -120,10 +127,14 @@ def dp_connected(masks, n: int, labeled_mask: int = 0, require_u: int = -1, forb
     # with no constraint req is 0 and blocked keeps every bit
     req = 1 << require_u if require_u >= 0 else 0
     blocked = ~(1 << forbid_v) if forbid_v >= 0 else -1
+    limit = LAYER_LIMIT
     for _ in range(n - (labeled_mask.bit_count() if labeled_mask else 1)):
         nxt = {}
         get = nxt.get
         for s, (c, f) in layer.items():
+            if len(nxt) > limit:
+                raise ValueError(f"instance too large: more than {limit} connected "
+                                 f"vertex sets of {s.bit_count() + 1} vertices")
             rem = f if s & req else f & blocked
             while rem:
                 low = rem & -rem

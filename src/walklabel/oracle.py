@@ -41,6 +41,8 @@ bytes each compiled, Python ints otherwise), about 256 MB at the default
 24-vertex cap. That of the connected-set engine is two adjacent popcount
 layers of connected sets: small on the family graphs, but on a star it
 doubles with every further leaf (99 MB at K1,20, 193 MB at K1,21).
+_core_py.LAYER_LIMIT caps one layer at 2^19 sets, so K1,22 and wider stars
+end in an "instance too large" ValueError at about 250 MB.
 
 The permutation oracle just filters all n! orderings and exists to check
 the DPs, not to be fast.

@@ -138,10 +138,8 @@ def t_closed(h: int, m: int, k: int) -> int:
     value = gamma(h, m, k)
     for j in range(1, h - k + 1):
         value *= alpha(j, m) ** (m ** (h - k - j))
-    for j in range(k):
-        value *= beta(h, m, j)
-        for level in range(1, h - j):
-            value *= alpha(level, m) ** ((m - 1) * m ** (h - 1 - j - level))
+    if k:
+        value *= s_closed(h, m, k - 1)
     return value
 
 

@@ -22,14 +22,26 @@ term_B is stated for every interior start 2 <= s <= a2 - 1, including
 s = 2; the brute-force oracle confirms that boundary (see the tests), which
 the total above needs.
 
-The q-sum prefixes in term_B and term_C count the interleavings of the two
-stretches the walk labels in its own row before first descending to the
-left junction: s - 2 vertices to the left of a middle start (s - 1 for a
-top start) against q - s to the right, giving multinomial(q - s, s - 2) =
+Once the left junction is labeled, every term finishes alike: block(x, r, z)
+counts the completions with x top-row, r middle-interior and z bottom-row
+vertices unlabeled. term_A is block(a1, a2 - 2, a3); term_B and term_C sum
+blocks over a cut q, the last position the walk labels in its own row
+before it first descends to the left junction:
+
+  term_B(s) = sum_{q=s}^{a2-1} C(q - 2, s - 2) block(a1, a2 - 1 - q, a3),
+  term_C(s) = sum_{q=s}^{a1}   C(q - 1, s - 1) block(a1 - q, a2 - 2, a3).
+
+The prefixes interleave the two stretches of that row labeled before the
+descent: s - 2 vertices left of a middle start (s - 1 for a top start)
+against q - s to the right, giving multinomial(q - s, s - 2) =
 C(q - 2, s - 2) and multinomial(q - s, s - 1) = C(q - 1, s - 1). The
 constrained brute-force oracle pins these down; the superficially plausible
 alternatives multinomial(q - 2, s - 2) and multinomial(q - 1, s - 1) fail
 it on every non-degenerate start (640 checks, see the tests).
+
+A block depends on q but not on s, so count_two_cycles takes each block
+once, times its prefixes summed over s: 2^(q - 2) for term_B and 2^(q - 1)
+for term_C. That is O(a) blocks of O(a^2) terms, O(a^3) in all.
 
 All multinomials here go through bigmath.multinomial, which raises on a
 negative part rather than clamping to zero, so a malformed term cannot
@@ -44,55 +56,41 @@ from .bigmath import multinomial
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
 
-def _m3(a: int, b: int, c: int) -> int:
-    return multinomial((a, b, c))
-
-
-def _m2(a: int, b: int) -> int:
-    return multinomial((a, b))
-
-
 def _check(a1: int, a2: int, a3: int) -> None:
     if min(a1, a2, a3) < 2:
         raise ValueError("parameter out of range: path lengths must all be >= 2")
 
 
+def _ends(p: int) -> int:
+    """Orders of a row stretch of p unlabeled vertices with labeled
+    vertices at both ends: 2^(p - 1), and 1 for p = 0."""
+    return 1 << (p - 1) if p else 1
+
+
+def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
+    """Completions in which, when the right junction is labeled, one row of
+    `full` vertices is labeled and k < a_cap of row a and l < b_cap of row
+    b are, each row from its left end; the rest of rows a and b then fill
+    in from both ends."""
+    return sum(
+        multinomial((full, k, l)) * multinomial((a - k, b - l)) * _ends(a - k) * _ends(b - l)
+        for k in range(a_cap)
+        for l in range(b_cap)
+    )
+
+
+def _block(x: int, r: int, z: int) -> int:
+    """Ways to finish a labeling once the left junction is labeled and x
+    top-row, r middle-interior and z bottom-row vertices are not, split by
+    the rows that are fully labeled when the right junction is: the middle
+    row; else the bottom row; else only the top row."""
+    return _rows(r, x, z, x + 1, z + 1) + _rows(z, x, r, x + 1, r) + _rows(x, z, r, z, r)
+
+
 def term_A(a1: int, a2: int, a3: int) -> int:
     """Labelings of S(a1, a2, a3) started at the left junction."""
     _check(a1, a2, a3)
-    total = 0
-    # walk reaches the right junction through the middle row
-    for k in range(a1):
-        for l in range(a3):
-            total += (
-                _m3(a2 - 2, k, l)
-                * _m2(a1 - k, a3 - l)
-                * 2 ** ((a1 - 1 - k) + (a3 - 1 - l))
-            )
-    for k in range(a3):
-        total += _m3(a2 - 2, k, a1) * 2 ** (a3 - 1 - k)
-    for k in range(a1):
-        total += _m3(a2 - 2, k, a3) * 2 ** (a1 - 1 - k)
-    total += _m3(a2 - 2, a1, a3)
-    # walk reaches the right junction through the top row first
-    for k in range(a1):
-        for l in range(a2 - 2):
-            total += (
-                _m3(a3, k, l)
-                * _m2(a1 - k, a2 - 2 - l)
-                * 2 ** ((a1 - 1 - k) + (a2 - 3 - l))
-            )
-    for l in range(a2 - 2):
-        total += _m3(a1, a3, l) * 2 ** (a2 - 3 - l)
-    # or through the bottom row first
-    for k in range(a3):
-        for l in range(a2 - 2):
-            total += (
-                _m3(a1, k, l)
-                * _m2(a3 - k, a2 - 2 - l)
-                * 2 ** ((a3 - 1 - k) + (a2 - 3 - l))
-            )
-    return total
+    return _block(a1, a2 - 2, a3)
 
 
 def term_B(a1: int, a2: int, a3: int, s: int) -> int:
@@ -101,45 +99,7 @@ def term_B(a1: int, a2: int, a3: int, s: int) -> int:
     _check(a1, a2, a3)
     if not 2 <= s <= a2 - 1:
         raise ValueError(f"parameter out of range: s = {s} must be in [2, {a2 - 1}]")
-    total = 0
-    # q = rightmost middle position labeled before the walk descends to the
-    # left junction; the right junction is then reached through the middle
-    for q in range(s, a2):
-        prefix = _m2(q - s, s - 2)
-        block = 0
-        for k in range(a1):
-            for l in range(a3):
-                block += (
-                    _m3(a2 - 1 - q, k, l)
-                    * _m2(a1 - k, a3 - l)
-                    * 2 ** ((a1 - 1 - k) + (a3 - 1 - l))
-                )
-        for k in range(a1):
-            block += _m3(a2 - 1 - q, k, a3) * 2 ** (a1 - 1 - k)
-        for k in range(a3):
-            block += _m3(a2 - 1 - q, k, a1) * 2 ** (a3 - 1 - k)
-        block += _m3(a2 - 1 - q, a1, a3)
-        total += prefix * block
-    # or reached around through the top or bottom row
-    for q in range(s, a2 - 1):
-        prefix = _m2(q - s, s - 2)
-        block = 0
-        for l in range(a2 - 1 - q):
-            for k in range(a1):
-                block += (
-                    _m3(a3, k, l)
-                    * _m2(a1 - k, a2 - 1 - q - l)
-                    * 2 ** ((a1 - 1 - k) + (a2 - 2 - q - l))
-                )
-            for k in range(a3):
-                block += (
-                    _m3(a1, k, l)
-                    * _m2(a3 - k, a2 - 1 - q - l)
-                    * 2 ** ((a3 - 1 - k) + (a2 - 2 - q - l))
-                )
-            block += _m3(a3, a1, l) * 2 ** (a2 - 2 - q - l)
-        total += prefix * block
-    return total
+    return sum(multinomial((q - s, s - 2)) * _block(a1, a2 - 1 - q, a3) for q in range(s, a2))
 
 
 def term_C(a1: int, a2: int, a3: int, s: int) -> int:
@@ -149,50 +109,15 @@ def term_C(a1: int, a2: int, a3: int, s: int) -> int:
     _check(a1, a2, a3)
     if not 1 <= s <= a1:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {a1}]")
-    total = 0
-    for q in range(s, a1 + 1):
-        prefix = _m2(q - s, s - 1)
-        block = 0
-        # right junction reached through the middle row
-        for k in range(a1 - q):
-            for l in range(a3):
-                block += (
-                    _m3(a2 - 2, k, l)
-                    * _m2(a1 - q - k, a3 - l)
-                    * 2 ** ((a1 - 1 - q - k) + (a3 - 1 - l))
-                )
-        for l in range(a3):
-            block += _m3(a2 - 2, a1 - q, l) * 2 ** (a3 - 1 - l)
-        for k in range(a1 - q):
-            block += _m3(a2 - 2, k, a3) * 2 ** (a1 - 1 - q - k)
-        block += _m3(a1 - q, a2 - 2, a3)
-        # right junction reached around through the bottom row
-        for l in range(a2 - 2):
-            for k in range(a3):
-                block += (
-                    _m3(a1 - q, k, l)
-                    * _m2(a2 - 2 - l, a3 - k)
-                    * 2 ** ((a3 - 1 - k) + (a2 - 3 - l))
-                )
-        for l in range(a2 - 2):
-            block += _m3(a1 - q, a3, l) * 2 ** (a2 - 3 - l)
-        # or around through the rest of the top row
-        for l in range(a2 - 2):
-            for k in range(a1 - q):
-                block += (
-                    _m3(k, a3, l)
-                    * _m2(a2 - 2 - l, a1 - q - k)
-                    * 2 ** ((a1 - 1 - q - k) + (a2 - 3 - l))
-                )
-        total += prefix * block
-    return total
+    return sum(multinomial((q - s, s - 1)) * _block(a1 - q, a2 - 2, a3) for q in range(s, a1 + 1))
 
 
 def count_two_cycles(a1: int, a2: int, a3: int) -> int:
-    """Total labelings of S(a1, a2, a3)."""
+    """Total labelings of S(a1, a2, a3): 2 A + 2 sum_s B(s) + 2 sum_s C(s)
+    + 2 sum_s C_swapped(s), with each term's prefixes summed over s."""
     _check(a1, a2, a3)
-    total = 2 * term_A(a1, a2, a3)
-    total += 2 * sum(term_B(a1, a2, a3, s) for s in range(2, a2))
-    total += 2 * sum(term_C(a1, a2, a3, s) for s in range(1, a1 + 1))
-    total += 2 * sum(term_C(a3, a2, a1, s) for s in range(1, a3 + 1))
-    return total
+    total = _block(a1, a2 - 2, a3)
+    total += sum(2 ** (q - 2) * _block(a1, a2 - 1 - q, a3) for q in range(2, a2))
+    total += sum(2 ** (q - 1) * _block(a1 - q, a2 - 2, a3) for q in range(1, a1 + 1))
+    total += sum(2 ** (q - 1) * _block(a3 - q, a2 - 2, a1) for q in range(1, a3 + 1))
+    return 2 * total

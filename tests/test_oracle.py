@@ -203,13 +203,20 @@ def test_order_constraint_boundary_cases():
         oracle.count_labelings_from_before(g, 0, 2, 2)
 
 
-def test_size_limits():
+def test_size_limits(monkeypatch):
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_labelings(path(oracle.DP_LIMIT + 1))
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_labelings_perm(path(oracle.PERM_LIMIT + 1))
+    # the widest layer of the star K1,6 holds C(6, 3) = 20 connected sets
+    star = Graph(7, [(0, v) for v in range(1, 7)])
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 19)
+    with pytest.raises(ValueError, match="instance too large"):
+        dp_connected(star.masks, star.n)
     # the limits themselves are inclusive
     assert oracle.count_labelings_perm(path(oracle.PERM_LIMIT)) > 0
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 20)
+    assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
 
 
 def test_oracle_rejects_disconnected_graphs():

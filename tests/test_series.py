@@ -75,12 +75,13 @@ def test_numerator_shape():
 
 
 def test_expansion_matches_counts():
-    expansion = expand_rational(two_cycles_gf(), 9)
-    for a1 in range(2, 6):
-        for a2 in range(2, 6):
-            for a3 in range(2, 6):
-                if a1 + a2 + a3 <= 9:
-                    assert coefficient(expansion, (a1, a2, a3)) == count_two_cycles(a1, a2, a3)
+    # totals up to 21 and corners of total 45, past the oracle's 24 vertices
+    expansion = expand_rational(two_cycles_gf(), 45)
+    triples = [(a1, a2, a3) for a1 in range(2, 18) for a2 in range(2, 18) for a3 in range(2, 18)
+               if a1 + a2 + a3 <= 21]
+    triples += [(2, 2, 41), (2, 41, 2), (41, 2, 2), (15, 15, 15)]
+    for a1, a2, a3 in triples:
+        assert coefficient(expansion, (a1, a2, a3)) == count_two_cycles(a1, a2, a3)
 
 
 def test_expansion_has_no_low_degree_terms():

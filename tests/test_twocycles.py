@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from walklabel import oracle
@@ -73,7 +75,7 @@ def test_term_B_boundary_s_equals_two_is_well_defined():
 
 
 def test_totals_decompose_into_terms():
-    for a1, a2, a3 in [(2, 3, 2), (3, 3, 3), (2, 2, 4)]:
+    for a1, a2, a3 in product(range(2, 7), repeat=3):
         total = 2 * term_A(a1, a2, a3)
         total += 2 * sum(term_B(a1, a2, a3, s) for s in range(2, a2))
         total += 2 * sum(term_C(a1, a2, a3, s) for s in range(1, a1 + 1))
