@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklabel import _core_py, oracle
-from walklabel._core_py import dp_connected, dp_resume, dp_total
+from walklabel._core_py import dp_connected, dp_first_gap, dp_resume, dp_total
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -73,20 +73,31 @@ def _grow_connected(g, rng, size):
 def test_connected_set_kernel_matches_subset_kernel_and_permutations(g, rng):
     masks, n = g.masks, g.n
     total = dp_connected(masks, n)
-    assert total == dp_total(masks, n) == oracle.count_labelings_perm(g)
+    assert total == dp_first_gap(masks, n) == dp_total(masks, n) == oracle.count_labelings_perm(g)
     for v in range(n):
-        assert dp_connected(masks, n, 1 << v) == dp_resume(masks, n, 1 << v) == _filtered_orderings(g, 1 << v)
+        assert (
+            dp_connected(masks, n, 1 << v)
+            == dp_first_gap(masks, n, 1 << v)
+            == dp_resume(masks, n, 1 << v)
+            == _filtered_orderings(g, 1 << v)
+        )
     labeled = _grow_connected(g, rng, rng.randrange(1, n + 1))
-    assert dp_connected(masks, n, labeled) == dp_resume(masks, n, labeled) == _filtered_orderings(g, labeled)
+    assert (
+        dp_connected(masks, n, labeled)
+        == dp_first_gap(masks, n, labeled)
+        == dp_resume(masks, n, labeled)
+        == _filtered_orderings(g, labeled)
+    )
     if n >= 3:
         start, u, v = rng.sample(range(n), 3)
         assert (
             dp_connected(masks, n, 1 << start, u, v)
+            == dp_first_gap(masks, n, 1 << start, u, v)
             == dp_resume(masks, n, 1 << start, u, v)
             == _filtered_orderings(g, 1 << start, (u, v))
         )
         # labeled mask 0: every start except v itself
-        assert dp_connected(masks, n, 0, u, v) == sum(
+        assert dp_connected(masks, n, 0, u, v) == dp_first_gap(masks, n, 0, u, v) == sum(
             dp_connected(masks, n, 1 << s, u, v) for s in range(n) if s != v
         )
 
@@ -95,12 +106,12 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
     rng = random.Random(11)
     for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2)):
         masks, n = g.masks, g.n
-        assert dp_connected(masks, n) == dp_total(masks, n)
+        assert dp_connected(masks, n) == dp_first_gap(masks, n) == dp_total(masks, n)
         start, u, v = rng.sample(range(n), 3)
-        assert dp_connected(masks, n, 1 << start) == dp_resume(masks, n, 1 << start)
-        assert dp_connected(masks, n, 1 << start, u, v) == dp_resume(masks, n, 1 << start, u, v)
-        labeled = _grow_connected(g, rng, n // 2)
-        assert dp_connected(masks, n, labeled) == dp_resume(masks, n, labeled)
+        for labeled, before in ((1 << start, ()), (1 << start, (u, v)), (_grow_connected(g, rng, n // 2), ())):
+            expected = dp_resume(masks, n, labeled, *before)
+            assert dp_connected(masks, n, labeled, *before) == dp_first_gap(masks, n, labeled, *before) == expected
+        assert dp_connected(masks, n, 0, u, v) == dp_first_gap(masks, n, 0, u, v)
 
 
 def test_engine_follows_density_and_subset_kernel(monkeypatch):
@@ -109,15 +120,26 @@ def test_engine_follows_density_and_subset_kernel(monkeypatch):
     rng = random.Random(3)
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     half = Graph(n, sorted({(rng.randrange(v), v) for v in range(1, n)} | set(rng.sample(pairs, len(pairs) // 2))))
+    # a star has average degree below 2, but its center is adjacent to all others
+    star = perfect_tree(1, 11)
     sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7))
     monkeypatch.setattr(oracle, "_impl", _core_py)
     for g in sparse:
         assert oracle.engine(g) == "connected-set"
-    assert oracle.engine(complete) == oracle.engine(half) == "subset"
+    for g in (complete, half, star):
+        assert oracle.engine(g) == "first-gap"
     # the compiled subset kernel takes every graph, sparse or not
     monkeypatch.setattr(oracle, "_impl", SimpleNamespace(BACKEND="compiled"))
-    for g in (*sparse, complete, half):
+    for g in (*sparse, complete, half, star):
         assert oracle.engine(g) == "subset"
+
+
+def test_pure_kernel_counts_the_widest_stars(monkeypatch):
+    # the connected-set engine would hold 2^k sets here; first-gap starts no DP
+    # from the center and only one-vertex prefixes from a leaf
+    monkeypatch.setattr(oracle, "_impl", _core_py)
+    for k in (21, 22, 23):
+        assert oracle.count_labelings(perfect_tree(1, k)) == 2 * math.factorial(k)
 
 
 def test_backend_reports_selected_kernel():
@@ -217,6 +239,17 @@ def test_size_limits(monkeypatch):
     assert oracle.count_labelings_perm(path(oracle.PERM_LIMIT)) > 0
     monkeypatch.setattr(_core_py, "LAYER_LIMIT", 20)
     assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
+    # first-gap runs its DPs through the same capped layers: a hub joined to
+    # the path 1-...-7 goes to first-gap, and the DP from the gap at 1 runs
+    # on the path 3-...-7, whose 4 pairs outgrow a limit of 3
+    hub = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
+    monkeypatch.setattr(oracle, "_impl", _core_py)
+    assert oracle.engine(hub) == "first-gap"
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
+    with pytest.raises(ValueError, match="instance too large"):
+        oracle.count_labelings(hub)
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 4)
+    assert oracle.count_labelings(hub) == dp_total(hub.masks, hub.n)
 
 
 def test_oracle_rejects_disconnected_graphs():
@@ -266,5 +299,11 @@ def test_backends_agree():
 
 def test_pure_kernel_handles_values_beyond_64_bits():
     n = 21
-    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert oracle.count_labelings(g) == math.factorial(n)  # 21! > 2^64
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert oracle.count_labelings(Graph(n, pairs)) == math.factorial(n)  # 21! > 2^64
+    # without a matching of m edges the only possible gap is the partner of
+    # the first vertex, in second place: 2m first pairs, 19! orders after them
+    for m in (1, 5, 10):
+        matching = {(2 * i, 2 * i + 1) for i in range(m)}
+        g = Graph(n, [e for e in pairs if e not in matching])
+        assert oracle.count_labelings(g) == math.factorial(n) - 2 * m * math.factorial(n - 2)
