@@ -230,14 +230,15 @@ def cycle(n: int) -> Graph:
     return Graph(n, edges, {i: i + 1 for i in range(n)})
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, check_n=None) -> Graph:
     """Parse the plain edge-list format.
 
     First data line is the vertex count; every following line is one edge
     "u v" with 0-based endpoints. Lines whose first non-blank character is
     '#' are comments. The parsed graph must be connected because every
     consumer here counts walk labelings, which only exist on connected
-    graphs.
+    graphs. check_n, if given, is called with the vertex count as soon as
+    it is read, so that a size limit raises before the graph is built.
     """
     n = None
     edges = []
@@ -255,6 +256,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: vertex count is not an integer") from None
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be positive")
+            if check_n:
+                check_n(n)
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -10,18 +10,13 @@ that goes from vi's already-visited neighbor to vi (walking inside the
 visited set first, which is connected by induction) realizes it. Counting
 labelings therefore reduces to counting prefix-adjacent orderings.
 
-Three dynamic programs count them, and every DP entry point below picks
-one through engine(g):
+Two dynamic programs count them, both pure Python, and every DP entry
+point below picks one through engine(g):
 
-- subset: N(S) = sum of N(S - v) over the vertices v whose removal leaves
-  a set they are adjacent to, over all 2^n vertex subsets. Its hot loop
-  lives in a compiled kernel when available, with a pure Python twin
-  selected at import time otherwise (set WALKLABEL_PURE=1 to force the
-  twin); backend() names the one in use.
 - connected-set: a forward DP that keeps, per popcount layer, a dict from
   each reachable vertex set to its count and frontier, and pushes each
   count to the sets one frontier vertex larger. Only connected sets are
-  ever stored. It is pure Python.
+  ever stored.
 - first-gap: an ordering that is not a labeling has a first vertex w with
   no earlier neighbour; the vertices before w label a connected set U
   inside w's non-neighbourhood, and those after it come in any order, so
@@ -30,36 +25,30 @@ one through engine(g):
 
   where P_k(w) counts the labelings of k-vertex sets of G - N[w], which a
   connected-set DP on that induced subgraph gives layer by layer. A
-  labeled set or an order constraint changes only the weights. It is pure
-  Python and shares the connected-set engine's layer loop.
+  labeled set or an order constraint changes only the weights. It shares
+  the connected-set engine's layer loop.
 
-With the compiled subset kernel every graph goes to it: per subset it is
-about a hundred times cheaper than the connected-set engine is per
-connected set, and no density cut-off keeps the connected-set engine from
-losing somewhere (see the measurements above engine). With the pure
-subset kernel, graphs of average degree at most 4 go to the connected-set
-engine unless a vertex is adjacent to all others; they include every
-family graph here but the stars, and only a few percent of their vertex
-subsets are connected. All other graphs go to first-gap, so a pure
-install never builds a 2^n table.
+Graphs of average degree at most 4 go to the connected-set engine unless
+a vertex is adjacent to all others; they include every family graph here
+but the stars, and only a few percent of their vertex subsets are
+connected. All other graphs go to first-gap. Neither engine builds a
+table over all 2^n vertex subsets.
 
-Peak memory of the subset engine is one value table of 2^n entries (16
-bytes each compiled, Python ints otherwise), about 256 MB at the default
-24-vertex cap. That of the connected-set engine is two adjacent popcount
-layers of connected sets; that of first-gap is the same for the graph
-left when one vertex and its neighbours are removed, which on a dense
-graph is small. Each engine's worst case is a graph with many connected
-sets where it looks: for the connected-set engine a star (K1,21 has
-2^20 + 21 connected sets and takes about 11 s and 190 MB), which is why
-a vertex adjacent to all others sends a graph to first-gap, where the
-center never enters a DP and K1,23 takes under a millisecond; for
-first-gap a sparse graph, where w's non-neighbourhood is nearly the whole
-graph and the connected-set DP runs about once per vertex. The widest
-first-gap input within the cap found so far is a hub joined to every
-vertex of K1,21 and to one more vertex, whose non-neighbourhood is that
-K1,21: 12.8 s and 192 MB.
-_core_py.LAYER_LIMIT caps one layer of either DP at 2^19 sets; past it
-the count ends in an "instance too large" ValueError at about 250 MB.
+Peak memory of the connected-set engine is two adjacent popcount layers
+of connected sets; that of first-gap is the same for the graph left when
+one vertex and its neighbours are removed, which on a dense graph is
+small. Each engine's worst case is a graph with many connected sets where
+it looks: for the connected-set engine a star (K1,21 has 2^20 + 21
+connected sets and takes about 11 s and 190 MB), which is why a vertex
+adjacent to all others sends a graph to first-gap, where the center never
+enters a DP and K1,23 takes under a millisecond; for first-gap a sparse
+graph, where w's non-neighbourhood is nearly the whole graph and the
+connected-set DP runs about once per vertex. The widest first-gap input
+within the cap found so far is a hub joined to every vertex of K1,21 and
+to one more vertex, whose non-neighbourhood is that K1,21: 12.8 s and
+192 MB. _core_py.LAYER_LIMIT caps one layer of either DP at 2^19 sets;
+past it the count ends in an "instance too large" ValueError at about
+250 MB.
 
 The permutation oracle just filters all n! orderings and exists to check
 the DPs, not to be fast.
@@ -67,24 +56,16 @@ the DPs, not to be fast.
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 
 from ._core_py import dp_connected, dp_first_gap
 from .graphs import Graph, is_connected
 
-if os.environ.get("WALKLABEL_PURE"):
-    from . import _core_py as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as _impl
-
 __all__ = [
     "DP_LIMIT",
     "PERM_LIMIT",
     "backend",
+    "check_size",
     "count_completions",
     "count_labelings",
     "count_labelings_from",
@@ -93,51 +74,42 @@ __all__ = [
     "engine",
 ]
 
+# DP_LIMIT is the only bound on the work of long sparse inputs. A path of n vertices has n(n+1)/2 connected sets but
+# at most n in a layer, so LAYER_LIMIT never stops it; with the cap
+# removed, path(1000) took 1.5-1.7 s over 500,500 sets and path(2000)
+# 9.7-10 s over 2,001,000 sets on a 2-core x86 machine. It stays until a
+# work budget per call replaces it.
 DP_LIMIT = 24
 PERM_LIMIT = 10
 
 
 def backend() -> str:
-    """Name of the subset kernel selected at import time ("compiled" or
-    "pure-python"). It says nothing about the connected-set and first-gap
-    engines, which are always pure Python and run only when the pure
-    subset kernel is selected; engine(g) tells which one a graph uses."""
-    return _impl.BACKEND
+    """Name of the DP kernels: always "pure-python". engine(g) tells which
+    of the two engines a graph uses."""
+    return "pure-python"
 
 
 # Measured on a 2-core x86 machine, timing dp_connected and dp_first_gap
-# against each subset kernel's dp_total on random connected graphs of
-# n = 14, 16 and 18 vertices at a given average degree, and on family
-# graphs.
-# - Against the pure subset kernel (n = 14 and 16) the connected-set engine
-#   was 12-39x faster at average degree 2, 5.5x at 3, 1.8-2.3x at 4,
-#   0.8-1.3x at 5 and 6 and 0.7-0.8x at 8.
+# against the subset DP over all 2^n vertex sets (tests/subset_dp.py) on
+# random connected graphs of n = 14, 16 and 18 vertices at a given average
+# degree, and on family graphs.
+# - Against the subset DP (n = 14 and 16) the connected-set engine was
+#   12-39x faster at average degree 2, 5.5x at 3, 1.8-2.3x at 4, 0.8-1.3x
+#   at 5 and 6 and 0.7-0.8x at 8.
 # - At n = 18 (median of three graphs), first-gap took 0.09, 0.20, 0.10,
 #   0.12 and 0.027 s at average degree 3, 4, 5, 6 and 8 and 0.023 s with
 #   half of all edges; the connected-set engine took 0.06, 0.31, 0.61,
-#   0.61, 1.09 and 1.10 s and the pure subset kernel 0.6-0.8 s. On paths,
-#   combs and two-cycle graphs first-gap was 3-11x slower than the
-#   connected-set engine (two_cycles(6,7,5) 0.008 s against 0.002 s,
-#   path(18) 0.002 s against 0.0002 s), though faster on torus(9) (0.06 s
-#   against 0.09 s), so the cut-off stays at 4. A vertex adjacent to all
-#   others is in every connected set that holds it, so such a graph has at
-#   least 2^(n-1) of them and goes to first-gap whatever its density.
-# - Against the compiled subset kernel the connected-set engine lost on
-#   every random graph from average degree 3 up (7-13x slower at 3,
-#   100-150x at 8) and was within a factor of 3 either way at 2. On family
-#   graphs and trees of average degree 1.9-3 it won on paths, combs and
-#   two-cycle graphs (comb(2,9,2) 0.0004 s against 0.008 s,
-#   two_cycles(7,8,7) 0.003 s against 0.21 s) but lost on the torus
-#   (torus(10) 0.20 s against 0.05 s), on perfect_tree(2,4) (0.22 s
-#   against 0.07 s) and on stars (K1,19 2.6 s against 0.04 s). Density does
-#   not separate these cases, so the compiled kernel takes every graph.
+#   0.61, 1.09 and 1.10 s and the subset DP 0.6-0.8 s. On paths, combs
+#   and two-cycle graphs first-gap was 3-11x slower than the connected-set
+#   engine (two_cycles(6,7,5) 0.008 s against 0.002 s, path(18) 0.002 s
+#   against 0.0002 s), though faster on torus(9) (0.06 s against 0.09 s),
+#   so the cut-off stays at 4. A vertex adjacent to all others is in every
+#   connected set that holds it, so such a graph has at least 2^(n-1) of
+#   them and goes to first-gap whatever its density.
 def engine(g: Graph) -> str:
-    """The DP engine that counts g: "subset" whenever the compiled subset
-    kernel is loaded; otherwise "connected-set" when g's average degree is
-    at most 4 (2|E| <= 4n) and no vertex is adjacent to all others, and
+    """The DP engine that counts g: "connected-set" when g's average degree
+    is at most 4 (2|E| <= 4n) and no vertex is adjacent to all others, and
     "first-gap" when it is higher or one is."""
-    if _impl.BACKEND == "compiled":
-        return "subset"
     degrees = [m.bit_count() for m in g.masks]
     if sum(degrees) <= 4 * g.n and max(degrees) < g.n - 1:
         return "connected-set"
@@ -147,19 +119,19 @@ def engine(g: Graph) -> str:
 def _dp(g: Graph, labeled: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
     """Orderings of g extending the labeled mask (0: from every start),
     optionally with require_u placed before forbid_v, by engine(g)."""
-    kind = engine(g)
-    if kind == "connected-set":
-        return dp_connected(g.masks, g.n, labeled, require_u, forbid_v)
-    if kind == "first-gap":
-        return dp_first_gap(g.masks, g.n, labeled, require_u, forbid_v)
-    if not labeled:
-        return _impl.dp_total(g.masks, g.n)
-    return _impl.dp_resume(g.masks, g.n, labeled, require_u, forbid_v)
+    dp = dp_connected if engine(g) == "connected-set" else dp_first_gap
+    return dp(g.masks, g.n, labeled, require_u, forbid_v)
+
+
+def check_size(n: int) -> None:
+    """Reject an instance of n vertices past DP_LIMIT. The CLI calls it on
+    an edge list's vertex count before the graph is built."""
+    if n > DP_LIMIT:
+        raise ValueError(f"instance too large: {n} vertices exceeds the DP limit {DP_LIMIT}")
 
 
 def _check(g: Graph) -> None:
-    if g.n > DP_LIMIT:
-        raise ValueError(f"instance too large: {g.n} vertices exceeds the DP limit {DP_LIMIT}")
+    check_size(g.n)
     if not is_connected(g):
         raise ValueError("graph not connected")
 
@@ -233,8 +205,8 @@ def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
 def count_labelings_perm(g: Graph) -> int:
     """Independent check: filter all n! orderings for prefix adjacency.
 
-    Shares nothing with the DP (no subset table, no bit tricks beyond the
-    adjacency masks the graph already carries).
+    Shares nothing with the DPs (no vertex-set tables, no bit tricks beyond
+    the adjacency masks the graph already carries).
     """
     if g.n > PERM_LIMIT:
         raise ValueError(f"instance too large: permutation oracle is capped at {PERM_LIMIT} vertices")

@@ -1,14 +1,13 @@
 import inspect
 import json
 import math
-import os
 import shutil
 import subprocess
-import sys
+import tracemalloc
 
 import pytest
 
-from walklabel import cli, trees, verify
+from walklabel import _core_py, cli, oracle, trees, verify
 from walklabel.cli import run
 
 
@@ -161,6 +160,35 @@ def test_oracle_rejects_disconnected_input(tmp_path):
     assert run(["oracle", "--input", str(f)]).exit_code == 1
 
 
+def test_oracle_rejects_an_oversized_header_before_building_the_graph(tmp_path, capsys):
+    # building a million-vertex graph first takes seconds and hundreds of MB
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000\n")
+    tracemalloc.start()
+    try:
+        result = run(["oracle", "--input", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert peak < 10 * 2**20
+    assert capsys.readouterr().err == (
+        f"error: instance too large: 1000000 vertices exceeds the DP limit {oracle.DP_LIMIT}\n")
+
+
+def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # the hub joined to the path 1-...-7 goes to first-gap, whose DP from the
+    # gap at 1 runs on the path 3-...-7 and outgrows a layer limit of 3
+    f = tmp_path / "hub.txt"
+    edges = [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)]
+    f.write_text("8\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
+    result = run(["oracle", "--input", str(f)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err.startswith(
+        "error: instance too large: more than 3 connected vertex sets")
+
+
 def test_verify_subcommand_small():
     result = run([
         "--quiet", "verify", "--family", "tree",
@@ -202,36 +230,13 @@ def test_oeis_count_validation():
     assert run(["oeis", "tree-root", "--count", "0"]).exit_code == 1
 
 
-def _cli_env(**extra):
-    env = {k: v for k, v in os.environ.items() if k != "WALKLABEL_PURE"}
-    env.update(extra)
-    return env
-
-
 def test_console_script_entry_point():
     exe = shutil.which("walklabel")
     if exe is None:
         pytest.skip("console script not on PATH")
     out = subprocess.run(
         [exe, "count", "tree", "--h", "2", "--m", "2"],
-        capture_output=True, text=True, env=_cli_env(), check=True,
+        capture_output=True, text=True, check=True,
     )
     assert out.stdout == "240\n"
 
-
-def test_pure_backend_env_switch():
-    code = (
-        "from walklabel import oracle; "
-        "from walklabel.graphs import torus; "
-        "print(oracle.backend()); "
-        "print(oracle.count_labelings(torus(5)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=_cli_env(WALKLABEL_PURE="1"), check=True,
-    )
-    backend_name, count = out.stdout.split()
-    assert backend_name == "pure-python"
-    from walklabel import oracle
-    from walklabel.graphs import torus
-    assert int(count) == oracle.count_labelings(torus(5))

@@ -1,15 +1,15 @@
 import math
 import random
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 from conftest import random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from subset_dp import dp_resume, dp_total
 
 from walklabel import _core_py, oracle
-from walklabel._core_py import dp_connected, dp_first_gap, dp_resume, dp_total
+from walklabel._core_py import dp_connected, dp_first_gap
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -114,7 +114,7 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
         assert dp_connected(masks, n, 0, u, v) == dp_first_gap(masks, n, 0, u, v)
 
 
-def test_engine_follows_density_and_subset_kernel(monkeypatch):
+def test_engine_follows_density():
     n = 12
     complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     rng = random.Random(3)
@@ -123,27 +123,21 @@ def test_engine_follows_density_and_subset_kernel(monkeypatch):
     # a star has average degree below 2, but its center is adjacent to all others
     star = perfect_tree(1, 11)
     sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7))
-    monkeypatch.setattr(oracle, "_impl", _core_py)
     for g in sparse:
         assert oracle.engine(g) == "connected-set"
     for g in (complete, half, star):
         assert oracle.engine(g) == "first-gap"
-    # the compiled subset kernel takes every graph, sparse or not
-    monkeypatch.setattr(oracle, "_impl", SimpleNamespace(BACKEND="compiled"))
-    for g in (*sparse, complete, half, star):
-        assert oracle.engine(g) == "subset"
 
 
-def test_pure_kernel_counts_the_widest_stars(monkeypatch):
+def test_pure_kernel_counts_the_widest_stars():
     # the connected-set engine would hold 2^k sets here; first-gap starts no DP
     # from the center and only one-vertex prefixes from a leaf
-    monkeypatch.setattr(oracle, "_impl", _core_py)
     for k in (21, 22, 23):
         assert oracle.count_labelings(perfect_tree(1, k)) == 2 * math.factorial(k)
 
 
 def test_backend_reports_selected_kernel():
-    assert oracle.backend() in ("compiled", "pure-python")
+    assert oracle.backend() == "pure-python"
 
 
 def test_known_small_counts():
@@ -243,7 +237,6 @@ def test_size_limits(monkeypatch):
     # the path 1-...-7 goes to first-gap, and the DP from the gap at 1 runs
     # on the path 3-...-7, whose 4 pairs outgrow a limit of 3
     hub = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
-    monkeypatch.setattr(oracle, "_impl", _core_py)
     assert oracle.engine(hub) == "first-gap"
     monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
     with pytest.raises(ValueError, match="instance too large"):
@@ -273,28 +266,6 @@ def test_single_vertex_graph():
     assert oracle.count_labelings(g) == 1
     assert oracle.count_labelings_from(g, 0) == 1
     assert oracle.count_labelings_perm(g) == 1
-
-
-def test_backends_agree():
-    if oracle.backend() != "compiled":
-        pytest.skip("compiled kernel unavailable; nothing to cross-check")
-    from walklabel import _core
-    rng = random.Random(5)
-    for _ in range(8):
-        g = random_connected_graph(rng, rng.randrange(2, 11))
-        assert _core.dp_total(g.masks, g.n) == dp_total(g.masks, g.n)
-        start = rng.randrange(g.n)
-        assert (
-            _core.dp_resume(g.masks, g.n, 1 << start)
-            == dp_resume(g.masks, g.n, 1 << start)
-        )
-        if g.n >= 3:
-            others = [v for v in range(g.n) if v != start]
-            u, v = rng.sample(others, 2)
-            assert (
-                _core.dp_resume(g.masks, g.n, 1 << start, require_u=u, forbid_v=v)
-                == dp_resume(g.masks, g.n, 1 << start, require_u=u, forbid_v=v)
-            )
 
 
 def test_pure_kernel_handles_values_beyond_64_bits():
