@@ -1,0 +1,91 @@
+"""Time the oracle on 24-vertex graphs, one fresh interpreter per graph.
+
+    python scripts/sweep24.py [NAME ...]
+
+The graphs are seeded random connected graphs of average degree d = 3, 4,
+5, 6, 8 and 12 (a random spanning tree plus random edges up to 12d
+edges), torus(12), the 4x6 grid, the star K1,23 and a hub joined to every
+vertex of K1,21 and to one more vertex. For each graph the script prints
+one JSON line: the engine oracle.engine picks, the seconds
+oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
+the count or the error. Graphs run one after another, so at most one
+count holds memory at a time.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from walklabel import oracle  # noqa: E402
+from walklabel.graphs import Graph, perfect_tree, torus  # noqa: E402
+
+N = 24
+DEGREES = (3, 4, 5, 6, 8, 12)
+
+
+def random_graph(d: int) -> Graph:
+    rng = random.Random(d)
+    edges = {(rng.randrange(v), v) for v in range(1, N)}
+    rest = [(u, v) for v in range(N) for u in range(v) if (u, v) not in edges]
+    edges.update(rng.sample(rest, N * d // 2 - len(edges)))
+    return Graph(N, sorted(edges))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+GRAPHS = {
+    **{f"random-d{d}": (lambda d=d: random_graph(d)) for d in DEGREES},
+    "torus12": lambda: torus(12),
+    "grid4x6": lambda: grid(4, 6),
+    "star23": lambda: perfect_tree(1, 23),
+    # vertex 0 is the hub, 1 the star's center, 2-22 its leaves
+    "hub21": lambda: Graph(N, [(0, v) for v in range(1, N)] + [(1, v) for v in range(2, N - 1)]),
+}
+
+
+def count_one(name: str) -> dict:
+    g = GRAPHS[name]()
+    record = {"graph": name, "edges": g.edge_count(), "engine": oracle.engine(g)}
+    started = time.perf_counter()
+    try:
+        record["count"] = str(oracle.count_labelings(g))
+    except (ValueError, MemoryError) as exc:
+        record["error"] = str(exc) or type(exc).__name__
+    record["seconds"] = round(time.perf_counter() - started, 3)
+    record["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return record
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--one"]:
+        print(json.dumps(count_one(argv[1])), flush=True)
+        return 0
+    names = argv or list(GRAPHS)
+    unknown = [name for name in names if name not in GRAPHS]
+    if unknown:
+        print(f"unknown graph {unknown[0]!r}; choose from {', '.join(GRAPHS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        child = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
+        if child.returncode:
+            print(json.dumps({"graph": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}))
+        else:
+            sys.stdout.write(child.stdout)
+        sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

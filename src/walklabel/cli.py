@@ -130,7 +130,7 @@ def _cmd_count(args) -> str:
 
 def _cmd_oracle(args) -> str:
     with open(args.input, encoding="utf-8") as fh:
-        g = parse_edge_list(fh.read(), oracle.check_size)
+        g = parse_edge_list(fh, oracle.check_size)
     if args.start is not None and args.completions is not None:
         raise ValueError("--from and --completions are mutually exclusive")
     if args.alg == "perm":

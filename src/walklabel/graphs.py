@@ -230,8 +230,8 @@ def cycle(n: int) -> Graph:
     return Graph(n, edges, {i: i + 1 for i in range(n)})
 
 
-def parse_edge_list(text: str, check_n=None) -> Graph:
-    """Parse the plain edge-list format.
+def parse_edge_list(source, check_n=None) -> Graph:
+    """Parse the plain edge-list format from a string or an open text file.
 
     First data line is the vertex count; every following line is one edge
     "u v" with 0-based endpoints. Lines whose first non-blank character is
@@ -239,10 +239,16 @@ def parse_edge_list(text: str, check_n=None) -> Graph:
     consumer here counts walk labelings, which only exist on connected
     graphs. check_n, if given, is called with the vertex count as soon as
     it is read, so that a size limit raises before the graph is built.
+    A file is read one line at a time, and repeated edges are kept once,
+    so memory follows the graph rather than the input.
     """
     n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    edges = set()
+    # a file line may hold several str.splitlines() lines (form feeds and
+    # the like); splitting it again numbers lines as for the whole text
+    chunks = (source,) if isinstance(source, str) else source
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -269,7 +275,7 @@ def parse_edge_list(text: str, check_n=None) -> Graph:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
+        edges.add((u, v) if u < v else (v, u))
     if n is None:
         raise ValueError("empty edge list: no vertex count found")
     g = Graph(n, edges)

@@ -10,45 +10,36 @@ that goes from vi's already-visited neighbor to vi (walking inside the
 visited set first, which is connected by induction) realizes it. Counting
 labelings therefore reduces to counting prefix-adjacent orderings.
 
-Two dynamic programs count them, both pure Python, and every DP entry
-point below picks one through engine(g):
+One identity counts them, in pure Python. An ordering that is not a
+labeling has a first vertex w with no earlier neighbour; the vertices
+before w label a connected set U whose closed neighbourhood N[U] misses
+w, and those after it come in any order, so
 
-- connected-set: a forward DP that keeps, per popcount layer, a dict from
-  each reachable vertex set to its count and frontier, and pushes each
-  count to the sets one frontier vertex larger. Only connected sets are
-  ever stored.
-- first-gap: an ordering that is not a labeling has a first vertex w with
-  no earlier neighbour; the vertices before w label a connected set U
-  inside w's non-neighbourhood, and those after it come in any order, so
+    N(G) = n! - sum over U and w outside N[U] of (n - 1 - |U|)! P(U),
 
-      N(G) = n! - sum over w and k of (n - 1 - k)! P_k(w),
+where P(U) counts the labelings of U. A forward DP over connected vertex
+sets, one popcount layer at a time, gives P(U) and adds up the sum; a
+labeled set or an order constraint changes only the weights. Every DP
+entry point below picks one of two call patterns through engine(g):
 
-  where P_k(w) counts the labelings of k-vertex sets of G - N[w], which a
-  connected-set DP on that induced subgraph gives layer by layer. A
-  labeled set or an order constraint changes only the weights. It shares
-  the connected-set engine's layer loop.
+- connected-set: one pass over the whole graph, every vertex a possible
+  w. A set U with N[U] = V has no w, nor has any superset, so it is never
+  stored: the pass stops at a dominating set, and a star at its center.
+  Graphs of average degree at most 4 go here, every family graph among
+  them; only a few percent of their vertex subsets are connected.
+- first-gap: one pass per w, inside w's non-neighbourhood, which on the
+  denser graphs that go here is small.
 
-Graphs of average degree at most 4 go to the connected-set engine unless
-a vertex is adjacent to all others; they include every family graph here
-but the stars, and only a few percent of their vertex subsets are
-connected. All other graphs go to first-gap. Neither engine builds a
-table over all 2^n vertex subsets.
-
-Peak memory of the connected-set engine is two adjacent popcount layers
-of connected sets; that of first-gap is the same for the graph left when
-one vertex and its neighbours are removed, which on a dense graph is
-small. Each engine's worst case is a graph with many connected sets where
-it looks: for the connected-set engine a star (K1,21 has 2^20 + 21
-connected sets and takes about 11 s and 190 MB), which is why a vertex
-adjacent to all others sends a graph to first-gap, where the center never
-enters a DP and K1,23 takes under a millisecond; for first-gap a sparse
-graph, where w's non-neighbourhood is nearly the whole graph and the
-connected-set DP runs about once per vertex. The widest first-gap input
-within the cap found so far is a hub joined to every vertex of K1,21 and
-to one more vertex, whose non-neighbourhood is that K1,21: 12.8 s and
-192 MB. _core_py.LAYER_LIMIT caps one layer of either DP at 2^19 sets;
-past it the count ends in an "instance too large" ValueError at about
-250 MB.
+Neither builds a table over all 2^n vertex subsets. Peak memory is two
+adjacent layers of stored sets. Each call pattern's worst case is a graph
+with many connected sets where it looks. On a 2-core x86 machine
+(scripts/sweep24.py), the slowest 24-vertex graphs found are a random
+graph of average degree 5 under first-gap (19 s, 79 MB), a hub joined to
+every vertex of K1,21 and to one more vertex under connected-set (the
+sets holding the star's center dominate all but that vertex: 16 s,
+193 MB) and a random graph of average degree 4 under connected-set
+(13 s, 160 MB). _core_py.LAYER_LIMIT caps one layer at 2^19 sets; past it
+the count ends in an "instance too large" ValueError at about 250 MB.
 
 The permutation oracle just filters all n! orderings and exists to check
 the DPs, not to be fast.
@@ -74,11 +65,11 @@ __all__ = [
     "engine",
 ]
 
-# DP_LIMIT is the only bound on the work of long sparse inputs. A path of n vertices has n(n+1)/2 connected sets but
-# at most n in a layer, so LAYER_LIMIT never stops it; with the cap
-# removed, path(1000) took 1.5-1.7 s over 500,500 sets and path(2000)
-# 9.7-10 s over 2,001,000 sets on a 2-core x86 machine. It stays until a
-# work budget per call replaces it.
+# DP_LIMIT is the only bound on the work of long sparse inputs. A path
+# of n vertices has n(n+1)/2 connected sets but at most n in a layer, so
+# LAYER_LIMIT never stops it; with the cap removed, path(1000) took 1.7 s
+# over 500,500 sets and path(2000) 11 s over 2,001,000 sets on a 2-core
+# x86 machine. It stays until a work budget per call replaces it.
 DP_LIMIT = 24
 PERM_LIMIT = 10
 
@@ -89,29 +80,23 @@ def backend() -> str:
     return "pure-python"
 
 
-# Measured on a 2-core x86 machine, timing dp_connected and dp_first_gap
-# against the subset DP over all 2^n vertex sets (tests/subset_dp.py) on
-# random connected graphs of n = 14, 16 and 18 vertices at a given average
-# degree, and on family graphs.
-# - Against the subset DP (n = 14 and 16) the connected-set engine was
-#   12-39x faster at average degree 2, 5.5x at 3, 1.8-2.3x at 4, 0.8-1.3x
-#   at 5 and 6 and 0.7-0.8x at 8.
-# - At n = 18 (median of three graphs), first-gap took 0.09, 0.20, 0.10,
-#   0.12 and 0.027 s at average degree 3, 4, 5, 6 and 8 and 0.023 s with
-#   half of all edges; the connected-set engine took 0.06, 0.31, 0.61,
-#   0.61, 1.09 and 1.10 s and the subset DP 0.6-0.8 s. On paths, combs
-#   and two-cycle graphs first-gap was 3-11x slower than the connected-set
-#   engine (two_cycles(6,7,5) 0.008 s against 0.002 s, path(18) 0.002 s
-#   against 0.0002 s), though faster on torus(9) (0.06 s against 0.09 s),
-#   so the cut-off stays at 4. A vertex adjacent to all others is in every
-#   connected set that holds it, so such a graph has at least 2^(n-1) of
-#   them and goes to first-gap whatever its density.
+# Measured on a 2-core x86 machine, calling dp_connected (the pruned
+# pass) and dp_first_gap directly on random connected graphs of a given
+# average degree and on family graphs.
+# - At n = 18 (median of three graphs) the pruned pass took 0.04, 0.10,
+#   0.17, 0.14 and 0.034 s at average degree 3, 4, 5, 6 and 8 and 0.035 s
+#   with half of all edges; first-gap took 0.08, 0.14, 0.14, 0.10, 0.027
+#   and 0.019 s. On path(18), two_cycles(6,7,5) and torus(9) the pruned
+#   pass took 0.0002, 0.002 and 0.028 s against 0.002, 0.007 and 0.046 s.
+# - At n = 24 (the graphs of scripts/sweep24.py) the pruned pass took 5.3,
+#   13.0, 19.4, 20.5, 9.9 and 0.62 s at average degree 3, 4, 5, 6, 8 and
+#   12, first-gap 7.8, 15.7, 19.5, 14.6, 5.0 and 0.28 s; on torus(12) and
+#   the 4x6 grid 0.75 and 3.7 s against 1.15 and 4.2 s.
+# So the cut-off stays at average degree 4.
 def engine(g: Graph) -> str:
     """The DP engine that counts g: "connected-set" when g's average degree
-    is at most 4 (2|E| <= 4n) and no vertex is adjacent to all others, and
-    "first-gap" when it is higher or one is."""
-    degrees = [m.bit_count() for m in g.masks]
-    if sum(degrees) <= 4 * g.n and max(degrees) < g.n - 1:
+    is at most 4 (2|E| <= 4n), and "first-gap" when it is higher."""
+    if 2 * g.edge_count() <= 4 * g.n:
         return "connected-set"
     return "first-gap"
 

@@ -149,8 +149,6 @@ def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) ->
                    oracle.count_completions(g, labeled), torus.a_rec(n, k))
         for s in range(n):
             for t in range(n - s):
-                if s + t > n - 1:
-                    continue
                 g, labeled = torus.torus_partial_state_graph(n, ("b", s, t))
                 _check(out, "torus", f"{inst} s={s} t={t}", "b_rec == oracle completions",
                        oracle.count_completions(g, labeled), torus.b_rec(n, s, t))

@@ -176,9 +176,24 @@ def test_oracle_rejects_an_oversized_header_before_building_the_graph(tmp_path, 
         f"error: instance too large: 1000000 vertices exceeds the DP limit {oracle.DP_LIMIT}\n")
 
 
+def test_oracle_memory_follows_the_graph_not_the_file(tmp_path):
+    # path(24) followed by 50,000 copies of one of its edges: the file is
+    # read a line at a time and the repeated edge is kept once
+    f = tmp_path / "repeated.txt"
+    f.write_text("24\n" + "".join(f"{i} {i + 1}\n" for i in range(23)) + "0 1\n" * 50_000)
+    tracemalloc.start()
+    try:
+        result = run(["oracle", "--input", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.exit_code, result.stdout) == (0, f"{2 ** 23}\n")
+    assert peak < 2 * 2**20
+
+
 def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
-    # the hub joined to the path 1-...-7 goes to first-gap, whose DP from the
-    # gap at 1 runs on the path 3-...-7 and outgrows a layer limit of 3
+    # the hub joined to the path 1-...-7 goes to the connected-set engine,
+    # whose layer of the path's 6 pairs outgrows a layer limit of 3
     f = tmp_path / "hub.txt"
     edges = [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)]
     f.write_text("8\n" + "".join(f"{u} {v}\n" for u, v in edges))

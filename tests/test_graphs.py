@@ -141,6 +141,23 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("2\n0 5\n")
 
 
+def _parsed(source):
+    try:
+        return parse_edge_list(source).masks
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_edge_list_reads_a_file_as_its_text(tmp_path):
+    # a file is read a line at a time, yet str.splitlines() also breaks
+    # lines at form feeds and the like, which file iteration does not
+    f = tmp_path / "g.txt"
+    for text in ("3\r\n0 1\r\n\x0c1 2\n", "3\n0 1\x0c1 2 3\n", "3\r0 1\r\r\n1 1\n", "3\n0 1\n1 2\n0 1\n"):
+        f.write_text(text, newline="")
+        with open(f, encoding="utf-8") as fh:
+            assert _parsed(fh) == _parsed(f.read_text(encoding="utf-8"))
+
+
 def test_parse_edge_list_rejects_disconnected():
     with pytest.raises(ValueError, match="graph not connected"):
         parse_edge_list("4\n0 1\n2 3\n")

@@ -120,20 +120,31 @@ def test_engine_follows_density():
     rng = random.Random(3)
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     half = Graph(n, sorted({(rng.randrange(v), v) for v in range(1, n)} | set(rng.sample(pairs, len(pairs) // 2))))
-    # a star has average degree below 2, but its center is adjacent to all others
+    # a star is sparse: its center dominates the graph, so no set holding it grows
     star = perfect_tree(1, 11)
-    sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7))
+    sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7), star)
     for g in sparse:
         assert oracle.engine(g) == "connected-set"
-    for g in (complete, half, star):
+    for g in (complete, half):
         assert oracle.engine(g) == "first-gap"
 
 
 def test_pure_kernel_counts_the_widest_stars():
-    # the connected-set engine would hold 2^k sets here; first-gap starts no DP
-    # from the center and only one-vertex prefixes from a leaf
+    # a set holding the center covers every vertex, so the connected-set
+    # engine never grows one, and K1,k costs one layer of k + 1 sets
     for k in (21, 22, 23):
         assert oracle.count_labelings(perfect_tree(1, k)) == 2 * math.factorial(k)
+
+
+def test_kernels_drop_a_constraint_whose_vertex_is_labeled():
+    # a labeled u already precedes v, and a labeled v is never added, so
+    # either way the count is the unconstrained one
+    for g in (path(3), cycle(5), perfect_tree(2, 2)):
+        masks, n = g.masks, g.n
+        for u, v in permutations(range(n), 2):
+            for labeled in (1 << u, 1 << v):
+                expected = dp_resume(masks, n, labeled)
+                assert dp_connected(masks, n, labeled, u, v) == dp_first_gap(masks, n, labeled, u, v) == expected
 
 
 def test_backend_reports_selected_kernel():
@@ -224,25 +235,31 @@ def test_size_limits(monkeypatch):
         oracle.count_labelings(path(oracle.DP_LIMIT + 1))
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_labelings_perm(path(oracle.PERM_LIMIT + 1))
-    # the widest layer of the star K1,6 holds C(6, 3) = 20 connected sets
-    star = Graph(7, [(0, v) for v in range(1, 7)])
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 19)
+    # each layer of the 8-cycle holds its 8 arcs of one length, 1 to 5; an
+    # arc of 6 dominates the cycle, so it is never stored
+    ring = cycle(8)
+    assert oracle.engine(ring) == "connected-set"
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 7)
     with pytest.raises(ValueError, match="instance too large"):
-        dp_connected(star.masks, star.n)
+        oracle.count_labelings(ring)
     # the limits themselves are inclusive
     assert oracle.count_labelings_perm(path(oracle.PERM_LIMIT)) > 0
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 20)
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 8)
+    assert oracle.count_labelings(ring) == dp_total(ring.masks, ring.n)
+    # a set holding the center of K1,6 covers every vertex, so only the
+    # first layer of 7 sets is stored, where the subset DP holds C(6, 3) = 20
+    star = perfect_tree(1, 6)
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 19)
     assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
-    # first-gap runs its DPs through the same capped layers: a hub joined to
-    # the path 1-...-7 goes to first-gap, and the DP from the gap at 1 runs
-    # on the path 3-...-7, whose 4 pairs outgrow a limit of 3
+    # first-gap runs its passes through the same capped layers: on a hub
+    # joined to the path 1-...-7, the pass from the gap at 1 runs on the path
+    # 3-...-7, whose 4 pairs outgrow a limit of 3
     hub = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
-    assert oracle.engine(hub) == "first-gap"
     monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
     with pytest.raises(ValueError, match="instance too large"):
-        oracle.count_labelings(hub)
+        dp_first_gap(hub.masks, hub.n)
     monkeypatch.setattr(_core_py, "LAYER_LIMIT", 4)
-    assert oracle.count_labelings(hub) == dp_total(hub.masks, hub.n)
+    assert dp_first_gap(hub.masks, hub.n) == dp_total(hub.masks, hub.n)
 
 
 def test_oracle_rejects_disconnected_graphs():
