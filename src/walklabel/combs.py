@@ -7,8 +7,10 @@ is the building block for per-vertex counts: labelings in which the walk
 starts on tooth j and the interleaving constraint is parameterized by the
 effective spine position kp and a cut index y. count_from_vertex assembles
 the per-start count for any (j, s) from these blocks, and count_comb is the
-fully summed closed form, evaluated with exact rationals and asserted
-integral.
+fully summed closed form. count_comb is the fast path: one factorial, a
+Horner sum of O(n) small terms and one exact division whose remainder must
+be zero. count_from_vertex, t_spine and lemma_pac_check are the paths
+verify checks it against.
 
 Two compact product formulas for single columns are kept for reference:
 corollary_double_comb agrees with count_comb, while corollary_comb does not
@@ -96,26 +98,35 @@ def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
 
 
 def count_comb(m: int, n: int, k: int) -> int:
-    """Total labelings of C(m, n, k), by the summed closed form."""
+    """Total labelings of C(m, n, k), by the summed closed form
+
+      (1/(m-1)!) (2 C(n-1, k-1) / n!)^(m-1) [ (mn-1)! / ((n-k)! (k-1)!)
+        + sum_{y=2}^{k} 2^(y-2) (mn-y)! / ((n-k)! (k-y)!)
+        + sum_{y=2}^{n-k+1} 2^(y-2) (mn-y)! / ((k-1)! (n-k+1-y)!) ].
+
+    Over the common denominator (n-k)! (k-1)! the bracket is
+    sum_{y=1}^{Y} c_y (mn-y)! with Y = max(k, n-k+1), c_1 = 1 and small
+    integer weights c_y, which Horner's rule sums as (mn-Y)! times a small
+    integer; the prefactor cancels to
+    2^(m-1) / ((m-1)! n^(m-1) ((k-1)! (n-k)!)^m)."""
     _check_mnk(m, n, k)
-    prefactor = (
-        Fraction(1, factorial(m - 1))
-        * Fraction(2 * binomial(n - 1, k - 1), factorial(n)) ** (m - 1)
-    )
-    bracket = (
-        Fraction(1, factorial(n - k))
-        * sum(
-            Fraction(2 ** (y - 2) * factorial(m * n - y), factorial(k - y))
-            for y in range(2, k + 1)
-        )
-        + Fraction(1, factorial(k - 1))
-        * sum(
-            Fraction(2 ** (y - 2) * factorial(m * n - y), factorial(n - k + 1 - y))
-            for y in range(2, n - k + 2)
-        )
-        + Fraction(factorial(m * n - 1), factorial(n - k) * factorial(k - 1))
-    )
-    return exact_int(prefactor * bracket, f"count_comb({m}, {n}, {k})")
+    mn = m * n
+    last = max(k, n - k + 1)
+    # falling factorials (k-1)!/(k-y)! and (n-k)!/(n-k+1-y)!, which turn 0
+    # once y passes the end of their sum
+    left = right = 1
+    horner = 1
+    for y in range(2, last + 1):
+        left *= k - y + 1
+        right *= n - k - y + 2
+        horner = horner * (mn - y + 1) + ((left + right) << (y - 2))
+    numerator = factorial(mn - last) * horner << (m - 1)
+    denominator = factorial(m - 1) * n ** (m - 1) * (factorial(k - 1) * factorial(n - k)) ** m
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        # raises "formula integrality violated" with the reduced fraction
+        exact_int(Fraction(numerator, denominator), f"count_comb({m}, {n}, {k})")
+    return value
 
 
 def lemma_pac_check(m: int, n: int, k: int) -> bool:

@@ -230,6 +230,12 @@ def cycle(n: int) -> Graph:
     return Graph(n, edges, {i: i + 1 for i in range(n)})
 
 
+def _quote(line: str, limit: int = 60) -> str:
+    """repr of an input line for an error message, cut to its first limit
+    characters so that a huge malformed line makes a short message."""
+    return repr(line) if len(line) <= limit else repr(line[:limit]) + "..."
+
+
 def parse_edge_list(source, check_n=None) -> Graph:
     """Parse the plain edge-list format from a string or an open text file.
 
@@ -255,7 +261,7 @@ def parse_edge_list(source, check_n=None) -> Graph:
         fields = line.split()
         if n is None:
             if len(fields) != 1:
-                raise ValueError(f"line {lineno}: expected the vertex count, got {raw!r}")
+                raise ValueError(f"line {lineno}: expected the vertex count, got {_quote(raw)}")
             try:
                 n = int(fields[0])
             except ValueError:
@@ -266,7 +272,7 @@ def parse_edge_list(source, check_n=None) -> Graph:
                 check_n(n)
             continue
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'u v', got {_quote(raw)}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:

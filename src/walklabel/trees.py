@@ -7,9 +7,13 @@ finish labeling T(h, m) minus one depth-(k+1) subtree, given that exactly
 the path from the root to the bereaved depth-k parent is labeled (the
 recursive step the t recurrence consumes).
 
-Each quantity has two independent evaluation paths: the mutual recurrences
-(t_rec, s_rec) and fully expanded products (t_closed, s_closed). Tests hold
-them equal and hold both equal to the brute-force oracle on small trees.
+count_perfect_tree is the fast path: one factorial and one exact division
+give the root-started count by hook lengths, and each start depth below it
+is one exact small-integer step (O(h) steps in all). The per-depth
+quantities keep two independent evaluation paths, the mutual recurrences
+(t_rec, s_rec) and fully expanded products (t_closed, s_closed); verify
+holds them equal to each other and to the brute-force oracle, and the tests
+hold count_perfect_tree equal to the depth-weighted sum of t_rec.
 
 Sizes below are written with the geometric sums (m^a - m^b) // (m - 1),
 which are exact for every m >= 2; all divisions in this module are exact
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bigmath import binomial, multinomial
+from .bigmath import binomial, factorial, multinomial
 
 __all__ = [
     "alpha",
@@ -144,9 +148,23 @@ def t_closed(h: int, m: int, k: int) -> int:
 
 
 def count_perfect_tree(h: int, m: int) -> int:
-    """Total labelings of T(h, m): sum over start depths of m^k t(h, m, k)."""
+    """Total labelings of T(h, m): sum over start depths of m^k t(h, m, k),
+    by rerooted hook lengths. With s_j the size of a depth-j subtree and n
+    the tree's size, t(h, m, 0) = n! / prod_j s_j^(m^j), and moving the
+    start from a depth-(k-1) vertex to its child multiplies the count by
+    s_k / (n - s_k), an exact integer step."""
     _check_hm(h, m)
-    return sum(m**k * t_rec(h, m, k) for k in range(h + 1))
+    n = _geo(m, h + 1)
+    hooks = 1
+    for j in range(h + 1):
+        hooks *= _geo(m, h + 1 - j) ** (m**j)
+    t = factorial(n) // hooks
+    total = t
+    for k in range(1, h + 1):
+        size = _geo(m, h + 1 - k)
+        t = t * size // (n - size)
+        total += m**k * t
+    return total
 
 
 def oeis_tree_root_sequence(count: int) -> list[int]:

@@ -41,17 +41,35 @@ it on every non-degenerate start (640 checks, see the tests).
 
 A block depends on q but not on s, so count_two_cycles takes each block
 once, times its prefixes summed over s: 2^(q - 2) for term_B and 2^(q - 1)
-for term_C. That is O(a) blocks of O(a^2) terms, O(a^3) in all.
+for term_C. That is O(a) blocks.
 
-All multinomials here go through bigmath.multinomial, which raises on a
-negative part rather than clamping to zero, so a malformed term cannot
+Each block is three row sums, and a row sum is a double sum over k and l,
+the labeled vertices of the two partial rows. Its summand is
+W(j) C(a, k) C(b, l) e(a - k) e(b - l) with j = k + l,
+W(j) = (full + j)! (a + b - j)! / (full! a! b!) and e(p) the orders of a
+stretch of p vertices filled from both ends, 2 e(p) = 2^p + [p = 0].
+Vandermonde's identity sums S(j), the part of the summand after W(j),
+along each diagonal j (binomials are 0 outside their range):
+
+  4 S(j) = (C(a + b, j) + sa C(b, j - a) + sb C(a, j - b)) 2^(a + b - j)
+           + [j = a + b] sa sb,
+
+where sa = 1 when the row k = a is in the sum and sa = -1 when the cap
+leaves it out (sb likewise for the column l = b). A row sum is then one
+sum of a + b + 1 integer terms and one exact division by 4 full! a! b!,
+so a block costs O(a) and count_two_cycles O(a^2). The double sum it
+replaces is kept in the tests as the reference.
+
+Multinomials go through bigmath.multinomial, which raises on a negative
+part rather than clamping to zero, and a row sum raises on a negative row
+or a cap outside its two legal values, so a malformed term cannot
 silently vanish. Empty sums are 0 (for a_i = 2 several inner ranges are
 empty by design).
 """
 
 from __future__ import annotations
 
-from .bigmath import multinomial
+from .bigmath import binomial, factorial, multinomial
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
@@ -61,22 +79,20 @@ def _check(a1: int, a2: int, a3: int) -> None:
         raise ValueError("parameter out of range: path lengths must all be >= 2")
 
 
-def _ends(p: int) -> int:
-    """Orders of a row stretch of p unlabeled vertices with labeled
-    vertices at both ends: 2^(p - 1), and 1 for p = 0."""
-    return 1 << (p - 1) if p else 1
-
-
 def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
     """Completions in which, when the right junction is labeled, one row of
     `full` vertices is labeled and k < a_cap of row a and l < b_cap of row
     b are, each row from its left end; the rest of rows a and b then fill
-    in from both ends."""
-    return sum(
-        multinomial((full, k, l)) * multinomial((a - k, b - l)) * _ends(a - k) * _ends(b - l)
-        for k in range(a_cap)
-        for l in range(b_cap)
-    )
+    in from both ends. a_cap is a or a + 1, b_cap is b or b + 1."""
+    if min(full, a, b) < 0 or a_cap - a not in (0, 1) or b_cap - b not in (0, 1):
+        raise ValueError(f"malformed two-cycle term: rows({full}, {a}, {b}) with caps ({a_cap}, {b_cap})")
+    n = a + b
+    sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
+    total = sa * sb * factorial(full + n)
+    for j in range(n + 1):
+        diagonal = binomial(n, j) + sa * binomial(b, j - a) + sb * binomial(a, j - b)
+        total += (factorial(full + j) * factorial(n - j) * diagonal) << (n - j)
+    return total // (4 * factorial(full) * factorial(a) * factorial(b))
 
 
 def _block(x: int, r: int, z: int) -> int:

@@ -191,6 +191,24 @@ def test_oracle_memory_follows_the_graph_not_the_file(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_oracle_error_quotes_only_the_start_of_a_huge_line(tmp_path, capsys):
+    # a malformed 1 MB edge line must not be copied whole into the message
+    f = tmp_path / "long.txt"
+    f.write_text("3\n0 1\n" + "1 2 " * 250_000 + "\n")
+    result = run(["oracle", "--input", str(f)])
+    err = capsys.readouterr().err
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert err.startswith("error: line 3: expected 'u v', got '1 2 1 2")
+    assert len(err.encode()) < 1024
+
+
+def test_oracle_error_quotes_a_short_line_whole(tmp_path, capsys):
+    f = tmp_path / "short.txt"
+    f.write_text("3 4\n")
+    assert run(["oracle", "--input", str(f)]).exit_code == 1
+    assert capsys.readouterr().err == "error: line 1: expected the vertex count, got '3 4'\n"
+
+
 def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
     # the hub joined to the path 1-...-7 goes to the connected-set engine,
     # whose layer of the path's 6 pairs outgrows a layer limit of 3

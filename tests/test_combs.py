@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from closed_forms_ref import count_comb as count_comb_ref
 from walklabel import combs, oracle
 from walklabel.graphs import comb, vertex_at
 
@@ -97,3 +100,19 @@ def test_a_term_block_positivity_boundary():
                 block = combs.A_term(m, n, j, kp, y)
                 # a cut beyond the spine position is impossible
                 assert (block >= 1) == (y <= kp)
+
+
+def test_count_comb_matches_the_rational_reference():
+    for m in range(1, 31):
+        for n in range(2, 60 // m + 1):
+            for k in range(1, n + 1):
+                assert combs.count_comb(m, n, k) == count_comb_ref(m, n, k)
+    for k in (1, 40, 80):
+        assert combs.count_comb(80, 80, k) == count_comb_ref(80, 80, k)
+
+
+def test_count_comb_refuses_a_non_integral_value(monkeypatch):
+    # a corrupted factorial leaves a remainder, which must raise, not round
+    monkeypatch.setattr(combs, "factorial", lambda x: math.factorial(x) + 1)
+    with pytest.raises(ValueError, match=r"formula integrality violated: count_comb\(3, 4, 2\)"):
+        combs.count_comb(3, 4, 2)

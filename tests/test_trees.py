@@ -56,7 +56,9 @@ def test_s_matches_oracle_from_bereaved_parent():
 
 
 def test_count_is_depth_weighted_sum_of_t():
-    for h, m in [(2, 2), (3, 2), (2, 4)]:
+    # count_perfect_tree reroots hook lengths; t_rec is the recurrence
+    grid = [(h, m) for h in range(8) for m in range(2, 6)] + [(12, 2)]
+    for h, m in grid:
         total = sum(m**k * trees.t_rec(h, m, k) for k in range(h + 1))
         assert trees.count_perfect_tree(h, m) == total
 

@@ -2,10 +2,11 @@ from itertools import product
 
 import pytest
 
+from closed_forms_ref import rows as rows_ref
 from walklabel import oracle
 from walklabel.bigmath import binomial
 from walklabel.graphs import two_cycles, vertex_at
-from walklabel.twocycles import count_two_cycles, term_A, term_B, term_C
+from walklabel.twocycles import _rows, count_two_cycles, term_A, term_B, term_C
 
 
 def test_smallest_instance():
@@ -103,3 +104,20 @@ def test_parameter_validation():
         term_B(2, 2, 2, 2)  # a2 = 2 leaves no interior start
     with pytest.raises(ValueError, match="parameter out of range"):
         term_C(2, 2, 2, 3)
+
+
+def test_rows_match_the_double_sum():
+    # the three cap pairs _block passes: both partial rows may end full,
+    # only row a may, neither may
+    for full, a, b in product(range(9), repeat=3):
+        for a_cap, b_cap in [(a + 1, b + 1), (a + 1, b), (a, b)]:
+            assert _rows(full, a, b, a_cap, b_cap) == rows_ref(full, a, b, a_cap, b_cap)
+
+
+@pytest.mark.parametrize("args", [
+    (-1, 2, 2, 3, 3), (2, -1, 2, 0, 3), (2, 2, -1, 3, 0),
+    (2, 2, 2, 4, 3), (2, 2, 2, 1, 3), (2, 2, 2, 3, 4), (2, 2, 2, 3, 1),
+])
+def test_rows_reject_malformed_terms(args):
+    with pytest.raises(ValueError, match="malformed two-cycle term"):
+        _rows(*args)
