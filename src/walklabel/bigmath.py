@@ -1,27 +1,28 @@
-"""Exact integer and rational arithmetic shared by every counting module.
+"""Exact integer arithmetic shared by every counting module.
 
-Counts are plain Python ints (arbitrary precision); exact non-integer
-intermediates use fractions.Fraction, re-exported here as the canonical
-rational type. The factorial cache below is unbounded and monotone (it only
-ever gains entries); under free threading concurrent misses may compute a
-value twice, but both writes store the same int, so results are identical to
-sequential execution. Call ``factorial.cache_clear()`` if bounded memory
-matters more than speed. to_decimal and from_decimal convert values of any
-length without touching the interpreter's int/str digit limit.
+Counts are plain Python ints (arbitrary precision), and no intermediate is
+ever a rational: a closed form whose integrality rests on the formula
+divides through exact_div, which raises instead of flooring when the
+division leaves a remainder. Divisions that are exact by structure (falling
+factorials, geometric sums) keep a plain //. The factorial cache below is
+unbounded and monotone (it only ever gains entries); under free threading
+concurrent misses may compute a value twice, but both writes store the same
+int, so results are identical to sequential execution. Call
+``factorial.cache_clear()`` if bounded memory matters more than speed.
+to_decimal and from_decimal convert values of any length without touching
+the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import cache
 
 __all__ = [
-    "Fraction",
     "binomial",
     "double_factorial",
-    "exact_int",
+    "exact_div",
     "factorial",
     "from_decimal",
     "multinomial",
@@ -76,14 +77,15 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def exact_int(value: Fraction | int, what: str = "value") -> int:
-    """Collapse an exact rational to int, refusing non-integers loudly."""
-    if isinstance(value, int):
-        return value
-    if value.denominator != 1:
+def exact_div(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator for a quotient a formula says is an integer,
+    refusing a remainder loudly with the reduced fraction."""
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        g = math.gcd(numerator, denominator)
         raise ValueError(f"formula integrality violated: {what} = "
-                         f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}")
-    return value.numerator
+                         f"{to_decimal(numerator // g)}/{to_decimal(denominator // g)}")
+    return value
 
 
 # Every int/str digit limit the interpreter accepts, other than 0 (no
@@ -120,11 +122,10 @@ def to_decimal(n: int) -> str:
 
 
 def from_decimal(text: str) -> int:
-    """Parse a decimal count back to int (round-trips to_decimal output)."""
+    """Parse a decimal count back to int (round-trips to_decimal output):
+    an optional sign, then ASCII digits, at any length."""
     text = text.strip()
-    if len(text) <= _SAFE_DIGITS:
-        return int(text, 10)
-    sign, digits = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    sign, digits = (text[0], text[1:]) if text[:1] in ("+", "-") else ("", text)
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid decimal count of {len(text)} characters")
     return -_value(digits) if sign == "-" else _value(digits)

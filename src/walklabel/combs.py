@@ -8,9 +8,11 @@ starts on tooth j and the interleaving constraint is parameterized by the
 effective spine position kp and a cut index y. count_from_vertex assembles
 the per-start count for any (j, s) from these blocks, and count_comb is the
 fully summed closed form. count_comb is the fast path: one factorial, a
-Horner sum of O(n) small terms and one exact division whose remainder must
-be zero. count_from_vertex, t_spine and lemma_pac_check are the paths
-verify checks it against.
+Horner sum of O(n) small terms and one bigmath.exact_div, which raises
+instead of flooring if the formula leaves a remainder. count_from_vertex,
+t_spine and lemma_pac_check are the paths verify checks it against; every
+quantity here stays an integer, and lemma_pac_check states its identity of
+rationals multiplied through by their common denominator.
 
 Two compact product formulas for single columns are kept for reference:
 corollary_double_comb agrees with count_comb, while corollary_comb does not
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bigmath import Fraction, binomial, double_factorial, exact_int, factorial, multinomial
+from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
 
 __all__ = [
     "A_term",
@@ -84,16 +86,11 @@ def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {n}]")
     if s == k:
         return A_term(m, n, j, k, 1)
-    if s < k:
-        return sum(
-            binomial(y - 2, k - s - 1) * A_term(m, n, j, k, y)
-            for y in range(k - s + 1, k + 1)
-        )
-    # s > k: the tooth reversed, spine position n - k + 1
-    kp = n - k + 1
+    if s > k:  # the mirrored tooth: spine position n - k + 1, start n - s + 1
+        return count_from_vertex(m, n, n - k + 1, j, n - s + 1)
     return sum(
-        binomial(y - 2, s - k - 1) * A_term(m, n, j, kp, y)
-        for y in range(s - k + 1, kp + 1)
+        binomial(y - 2, k - s - 1) * A_term(m, n, j, k, y)
+        for y in range(k - s + 1, k + 1)
     )
 
 
@@ -122,25 +119,22 @@ def count_comb(m: int, n: int, k: int) -> int:
         horner = horner * (mn - y + 1) + ((left + right) << (y - 2))
     numerator = factorial(mn - last) * horner << (m - 1)
     denominator = factorial(m - 1) * n ** (m - 1) * (factorial(k - 1) * factorial(n - k)) ** m
-    value, remainder = divmod(numerator, denominator)
-    if remainder:
-        # raises "formula integrality violated" with the reduced fraction
-        exact_int(Fraction(numerator, denominator), f"count_comb({m}, {n}, {k})")
-    return value
+    return exact_div(numerator, denominator, f"count_comb({m}, {n}, {k})")
 
 
 def lemma_pac_check(m: int, n: int, k: int) -> bool:
     """Exact identity between the spine-count convolution and its product
     form: sum over j of t_spine(j)/((jn)!) * t_spine(m-j)/(((m-j)n)!)
-    against (1/m!) (2 C(n-1, k-1) / n!)^m."""
+    against (1/m!) (2 C(n-1, k-1) / n!)^m, multiplied through by
+    (mn)! m! (n!)^m into the integer identity
+    m! (n!)^m sum_j C(mn, jn) t_spine(j) t_spine(m-j) = (mn)! (2 C(n-1, k-1))^m."""
     _check_mnk(m, n, k, min_m=0)
     lhs = sum(
-        Fraction(t_spine(j, n, k), factorial(j * n))
-        * Fraction(t_spine(m - j, n, k), factorial((m - j) * n))
+        binomial(m * n, j * n) * t_spine(j, n, k) * t_spine(m - j, n, k)
         for j in range(m + 1)
     )
-    rhs = Fraction(1, factorial(m)) * Fraction(2 * binomial(n - 1, k - 1), factorial(n)) ** m
-    return lhs == rhs
+    rhs = factorial(m * n) * (2 * binomial(n - 1, k - 1)) ** m
+    return factorial(m) * factorial(n) ** m * lhs == rhs
 
 
 class CorollaryComparison(NamedTuple):
@@ -166,10 +160,8 @@ def corollary_double_comb(m: int) -> CorollaryComparison:
     2^(m-1) (3m+1)! / (3^m (3m-1) m!), compared against count_comb."""
     if m < 1:
         raise ValueError(f"parameter out of range: m = {m} must be >= 1")
-    value = exact_int(
-        Fraction(2 ** (m - 1) * factorial(3 * m + 1), 3**m * (3 * m - 1) * factorial(m)),
-        f"corollary_double_comb({m})",
-    )
+    value = exact_div(2 ** (m - 1) * factorial(3 * m + 1), 3**m * (3 * m - 1) * factorial(m),
+                      f"corollary_double_comb({m})")
     closed = count_comb(m, 3, 2)
     return CorollaryComparison(value, closed, value == closed)
 

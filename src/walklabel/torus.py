@@ -10,7 +10,10 @@ State quantities, both for the simple graph with rows of length n >= 2:
               s + t <= n - 1; the count is 0 once s + t >= n).
 
 Each comes as a recurrence (a_rec, b_rec, mutually defined, memoized) and a
-closed form (a_closed, b_closed, exact rationals asserted integral). The
+closed form (a_closed, b_closed). The closed forms are factorial quotients
+whose integrality rests on the formula, so they divide through
+bigmath.exact_div, which raises on a remainder; falling factorials, exact by
+structure, divide with a plain //. The
 total is count_torus(n) = 2n a(n, 1) for n >= 2, computed from its closed
 form so that no n runs into the recursion of a_rec; n = 1 degenerates to
 a single edge with exactly 2 labelings.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bigmath import Fraction, binomial, exact_int, factorial
+from .bigmath import binomial, exact_div, factorial
 
 from .graphs import Graph, torus, vertex_at
 
@@ -125,14 +128,9 @@ def a_closed(n: int, k: int) -> int:
     if k == n:
         return factorial(n)
     if k == 1:
-        return exact_int(
-            Fraction((n + 2) * factorial(2 * n - 2), 2 * factorial(n - 2)),
-            f"a_closed({n}, 1)",
-        )
-    return exact_int(
-        Fraction(binomial(n - k + 2, 2) * factorial(2 * n - k), 2 * factorial(n - k + 1)),
-        f"a_closed({n}, {k})",
-    )
+        return exact_div((n + 2) * factorial(2 * n - 2), 2 * factorial(n - 2), f"a_closed({n}, 1)")
+    return exact_div(binomial(n - k + 2, 2) * factorial(2 * n - k), 2 * factorial(n - k + 1),
+                     f"a_closed({n}, {k})")
 
 
 def b_closed(n: int, s: int, t: int) -> int:
@@ -147,17 +145,13 @@ def b_closed(n: int, s: int, t: int) -> int:
             return factorial(2 * n - 2) // factorial(n - 2) if n >= 2 else 0
         if w == n - 1:
             return factorial(n - 1)
-        return exact_int(
-            Fraction(factorial(2 * n - 2 - w) * (n - w), 2 * factorial(n - 1 - w)),
-            f"b_closed({n}, {s}, {t})",
-        )
+        return exact_div(factorial(2 * n - 2 - w) * (n - w), 2 * factorial(n - 1 - w),
+                         f"b_closed({n}, {s}, {t})")
     if s + t == n - 1:
         return factorial(n - 1)
     u = n - s - t
-    return exact_int(
-        Fraction(factorial(2 * n - 2 - s - t) * (u * (u + 1) + 2), 4 * factorial(u)),
-        f"b_closed({n}, {s}, {t})",
-    )
+    return exact_div(factorial(2 * n - 2 - s - t) * (u * (u + 1) + 2), 4 * factorial(u),
+                     f"b_closed({n}, {s}, {t})")
 
 
 def count_torus(n: int) -> int:

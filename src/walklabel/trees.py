@@ -16,15 +16,16 @@ holds them equal to each other and to the brute-force oracle, and the tests
 hold count_perfect_tree equal to the depth-weighted sum of t_rec.
 
 Sizes below are written with the geometric sums (m^a - m^b) // (m - 1),
-which are exact for every m >= 2; all divisions in this module are exact
-integer divisions by construction.
+which are exact by construction for every m >= 2. The hook-length quotient
+and the rerooting steps are exact only because the formula says so, so they
+divide through bigmath.exact_div, which raises instead of flooring.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .bigmath import binomial, factorial, multinomial
+from .bigmath import binomial, exact_div, factorial, multinomial
 
 __all__ = [
     "alpha",
@@ -89,19 +90,19 @@ def _t0_table(h: int, m: int) -> tuple[int, ...]:
 @cache
 def s_rec(h: int, m: int, k: int) -> int:
     """Completion count after removing one depth-(k+1) subtree, by the
-    mutual recurrence (bottom-up in k over the t(., m, 0) table)."""
+    mutual recurrence over the t(., m, 0) table: each k extends the cached
+    s(h, m, k - 1) by one level."""
     _check_hm(h, m, min_h=1)
     if not 0 <= k <= h - 1:
         raise ValueError(f"parameter out of range: k = {k} must be in [0, {h - 1}]")
     t0 = _t0_table(h, m)
-    value = t0[h - 1] ** (m - 1) * multinomial([_geo(m, h)] * (m - 1))
-    for j in range(1, k + 1):
-        value = (
-            t0[h - j - 1] ** (m - 1)
-            * value
-            * multinomial([_geo(m, h - j)] * (m - 1) + [_geo(m, h + 1, h - j + 1)])
-        )
-    return value
+    if k == 0:
+        return t0[h - 1] ** (m - 1) * multinomial([_geo(m, h)] * (m - 1))
+    return (
+        t0[h - k - 1] ** (m - 1)
+        * s_rec(h, m, k - 1)
+        * multinomial([_geo(m, h - k)] * (m - 1) + [_geo(m, h + 1, h - k + 1)])
+    )
 
 
 @cache
@@ -158,11 +159,11 @@ def count_perfect_tree(h: int, m: int) -> int:
     hooks = 1
     for j in range(h + 1):
         hooks *= _geo(m, h + 1 - j) ** (m**j)
-    t = factorial(n) // hooks
+    t = exact_div(factorial(n), hooks, f"t({h}, {m}, 0)")
     total = t
     for k in range(1, h + 1):
         size = _geo(m, h + 1 - k)
-        t = t * size // (n - size)
+        t = exact_div(t * size, n - size, f"t({h}, {m}, {k})")
         total += m**k * t
     return total
 

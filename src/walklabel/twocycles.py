@@ -56,7 +56,8 @@ along each diagonal j (binomials are 0 outside their range):
 
 where sa = 1 when the row k = a is in the sum and sa = -1 when the cap
 leaves it out (sb likewise for the column l = b). A row sum is then one
-sum of a + b + 1 integer terms and one exact division by 4 full! a! b!,
+sum of a + b + 1 integer terms and one division by 4 full! a! b! through
+bigmath.exact_div, which raises if the identity ever leaves a remainder,
 so a block costs O(a) and count_two_cycles O(a^2). The double sum it
 replaces is kept in the tests as the reference.
 
@@ -69,7 +70,7 @@ empty by design).
 
 from __future__ import annotations
 
-from .bigmath import binomial, factorial, multinomial
+from .bigmath import binomial, exact_div, factorial, multinomial
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
@@ -92,7 +93,7 @@ def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
     for j in range(n + 1):
         diagonal = binomial(n, j) + sa * binomial(b, j - a) + sb * binomial(a, j - b)
         total += (factorial(full + j) * factorial(n - j) * diagonal) << (n - j)
-    return total // (4 * factorial(full) * factorial(a) * factorial(b))
+    return exact_div(total, 4 * factorial(full) * factorial(a) * factorial(b), "two-cycle row sum")
 
 
 def _block(x: int, r: int, z: int) -> int:

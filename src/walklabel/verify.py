@@ -82,7 +82,11 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
     return out
 
 
-def verify_combs(max_mn: int = 16, lemma_max_m: int = 8, lemma_max_n: int = 6, progress=None) -> list[Check]:
+# the spine convolution identity is checked on one fixed grid of m x n
+_LEMMA_MAX_M, _LEMMA_MAX_N = 8, 6
+
+
+def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
     out: list[Check] = []
     for m in range(1, max_mn // 2 + 1):
         for n in range(2, max_mn // m + 1):
@@ -103,8 +107,8 @@ def verify_combs(max_mn: int = 16, lemma_max_m: int = 8, lemma_max_n: int = 6, p
                 _check(out, "comb", inst, "t_spine == oracle from (1, k)",
                        oracle.count_labelings_from(g, vertex_at(g, (1, k))),
                        combs.t_spine(m, n, k))
-    for m in range(0, lemma_max_m + 1):
-        for n in range(2, lemma_max_n + 1):
+    for m in range(0, _LEMMA_MAX_M + 1):
+        for n in range(2, _LEMMA_MAX_N + 1):
             for k in range(1, n + 1):
                 _check(out, "comb", f"(m={m}, n={n}, k={k})", "spine convolution identity",
                        True, combs.lemma_pac_check(m, n, k))

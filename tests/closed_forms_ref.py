@@ -9,7 +9,9 @@ fast evaluations in src/ are checked against.
 
 from __future__ import annotations
 
-from walklabel.bigmath import Fraction, binomial, exact_int, factorial, multinomial
+from fractions import Fraction
+
+from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 
 __all__ = ["count_comb", "rows"]
 
@@ -48,4 +50,5 @@ def count_comb(m: int, n: int, k: int) -> int:
         )
         + Fraction(factorial(m * n - 1), factorial(n - k) * factorial(k - 1))
     )
-    return exact_int(prefactor * bracket, f"count_comb({m}, {n}, {k})")
+    value = prefactor * bracket
+    return exact_div(value.numerator, value.denominator, f"count_comb({m}, {n}, {k})")

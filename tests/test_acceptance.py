@@ -100,9 +100,7 @@ def test_acceptance_2_tree_dual_path_and_oracle():
 
 
 def test_acceptance_3_combs():
-    report = verify.report(
-        verify.verify_combs(max_mn=20, lemma_max_m=8, lemma_max_n=6)
-    )
+    report = verify.report(verify.verify_combs(max_mn=20))
     single = combs.corollary_comb(2)
     double = combs.corollary_double_comb(2)
     comparison = {

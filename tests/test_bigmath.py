@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
 import sys
 import threading
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import walklabel
 from walklabel import bigmath
 
 
@@ -69,15 +72,27 @@ def test_double_factorial_rejects_below_minus_one():
         bigmath.double_factorial(-2)
 
 
-def test_exact_int_passes_integers_through():
-    assert bigmath.exact_int(Fraction(6, 3), "q") == 2
-    assert bigmath.exact_int(Fraction(0), "q") == 0
-    assert bigmath.exact_int(7, "q") == 7
+def test_exact_div_passes_integers_through():
+    assert bigmath.exact_div(6, 3, "q") == 2
+    assert bigmath.exact_div(0, 5, "q") == 0
+    assert bigmath.exact_div(7, 1, "q") == 7
+    assert bigmath.exact_div(-12, 4, "q") == -3
 
 
-def test_exact_int_raises_on_non_integer():
-    with pytest.raises(ValueError, match="formula integrality violated"):
-        bigmath.exact_int(Fraction(7, 3), "q")
+def test_exact_div_raises_on_non_integer():
+    with pytest.raises(ValueError, match="formula integrality violated: q = 7/3$"):
+        bigmath.exact_div(7, 3, "q")
+    # the fraction in the message is reduced
+    with pytest.raises(ValueError, match="formula integrality violated: q = 7/3$"):
+        bigmath.exact_div(14, 6, "q")
+
+
+def test_cli_import_loads_no_rational_or_decimal_module():
+    code = "import sys, walklabel.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = str(Path(walklabel.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_decimal_round_trip_on_huge_integers():
@@ -124,3 +139,26 @@ def test_decimal_conversions_in_two_threads(digit_limit_4300):
         t.join()
     assert failures == []
     assert sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+@pytest.mark.parametrize("text", ["1_000", "\u0661\u0662\u0663", "12a", "+-1", "1 2", "0x10"])
+def test_from_decimal_rejects_the_same_forms_at_every_length(text, long):
+    if long:  # longer than any piece the conversion parses in one go
+        text = text + "0" * (bigmath._SAFE_DIGITS + 1)
+    with pytest.raises(ValueError, match="invalid decimal count"):
+        bigmath.from_decimal(text)
+
+
+@pytest.mark.parametrize("text", ["", " ", "-", "+"])
+def test_from_decimal_rejects_text_without_digits(text):
+    with pytest.raises(ValueError, match="invalid decimal count"):
+        bigmath.from_decimal(text)
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+@pytest.mark.parametrize("text,value", [("123", 123), ("+123", 123), ("-123", -123), (" 0042\n", 42)])
+def test_from_decimal_accepts_sign_and_ascii_digits_at_every_length(text, value, long):
+    if long:
+        text, value = text.strip() + "0" * (bigmath._SAFE_DIGITS + 1), value * 10 ** (bigmath._SAFE_DIGITS + 1)
+    assert bigmath.from_decimal(text) == value

@@ -106,7 +106,7 @@ def test_parameter_validation():
 
 
 def test_closed_forms_are_integral_for_larger_n():
-    # exact_int inside the closed forms raises if any division fails
+    # exact_div inside the closed forms raises if any division fails
     for n in range(2, 30):
         assert a_closed(n, 1) > 0
         assert b_closed(n, 1, 1) >= 0

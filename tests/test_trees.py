@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from walklabel import oracle, trees
@@ -96,3 +98,10 @@ def test_root_sequence_matches_per_start_count():
         g = perfect_tree(h, 2)
         root = vertex_at(g, "root")
         assert trees.oeis_tree_root_sequence(h + 1)[h] == oracle.count_labelings_from(g, root)
+
+
+def test_count_raises_on_a_corrupted_factorial_instead_of_flooring(monkeypatch):
+    # n! / hooks is exact only for the true n!; one off must not floor quietly
+    monkeypatch.setattr(trees, "factorial", lambda n: math.factorial(n) + 1)
+    with pytest.raises(ValueError, match=r"formula integrality violated: t\(2, 2, 0\) = 5041/63"):
+        trees.count_perfect_tree(2, 2)
