@@ -1,16 +1,18 @@
-"""Time `walklabel count` on a size ladder per family, one fresh interpreter
-per point.
+"""Time the CLI on a size ladder per family, one fresh interpreter per
+point.
 
     python scripts/ladder.py [NAME ...]
 
-The points are two-cycles (20,20,20), (40,40,40) and (80,80,80), perfect
-trees (h, m) = (12,2), (14,2) and (16,2), combs (m, n, k) = (80,80,40) and
-(200,200,100), and the torus n = 2000. For each point the script prints one
-JSON line: the CLI argv, the seconds `cli.run` takes (argument parsing,
-the count and its decimal conversion), the child's peak RSS (ru_maxrss) in
-MB, the digit count of the result and the sha256 of the CLI's stdout, so
-two checkouts can be compared for both speed and output. Points run one
-after another, so at most one count holds memory at a time.
+The points are `walklabel count` on two-cycles (20,20,20), (40,40,40) and
+(80,80,80), perfect trees (h, m) = (12,2), (14,2) and (16,2), combs
+(m, n, k) = (80,80,40) and (200,200,100), and the torus n = 2000, and
+`walklabel series` at degrees 45 and 80. For each point the script prints
+one JSON line: the CLI argv, the seconds `cli.run` takes (argument
+parsing, the work and its decimal conversion), the child's peak RSS
+(ru_maxrss) in MB, the length of the stripped stdout (the digit count of
+a count) and the sha256 of the CLI's stdout, so two checkouts can be
+compared for both speed and output. Points run one after another, so at
+most one holds memory at a time.
 """
 
 from __future__ import annotations
@@ -28,16 +30,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from walklabel import cli  # noqa: E402
 
 POINTS = {
-    **{f"twocycles{a}": ["twocycles", "--a1", str(a), "--a2", str(a), "--a3", str(a)] for a in (20, 40, 80)},
-    **{f"tree{h}": ["tree", "--h", str(h), "--m", "2"] for h in (12, 14, 16)},
-    "comb80": ["comb", "--m", "80", "--n", "80", "--k", "40"],
-    "comb200": ["comb", "--m", "200", "--n", "200", "--k", "100"],
-    "torus2000": ["torus", "--n", "2000"],
+    **{f"twocycles{a}": ["count", "twocycles", "--a1", str(a), "--a2", str(a), "--a3", str(a)]
+       for a in (20, 40, 80)},
+    **{f"tree{h}": ["count", "tree", "--h", str(h), "--m", "2"] for h in (12, 14, 16)},
+    "comb80": ["count", "comb", "--m", "80", "--n", "80", "--k", "40"],
+    "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],
+    "torus2000": ["count", "torus", "--n", "2000"],
+    **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80)},
 }
 
 
-def count_one(name: str) -> dict:
-    argv = ["count", *POINTS[name]]
+def run_one(name: str) -> dict:
+    argv = POINTS[name]
     started = time.perf_counter()
     result = cli.run(argv)
     seconds = time.perf_counter() - started
@@ -54,7 +58,7 @@ def count_one(name: str) -> dict:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
-        print(json.dumps(count_one(argv[1])), flush=True)
+        print(json.dumps(run_one(argv[1])), flush=True)
         return 0
     names = argv or list(POINTS)
     unknown = [name for name in names if name not in POINTS]

@@ -12,6 +12,7 @@ mutates them in this package.
 
 from __future__ import annotations
 
+import io
 from collections import deque
 
 __all__ = [
@@ -236,6 +237,25 @@ def _quote(line: str, limit: int = 60) -> str:
     return repr(line) if len(line) <= limit else repr(line[:limit]) + "..."
 
 
+_MAX_LINE = 1 << 16  # characters in one input line
+
+
+def _lines(source):
+    """The str.splitlines() lines of source, a string or an open text file,
+    read one line at a time; a line longer than _MAX_LINE characters raises."""
+    # a string reads like a text file opened with universal newlines
+    readline = io.StringIO(source, newline=None).readline if isinstance(source, str) else source.readline
+    count = 0
+    while chunk := readline(_MAX_LINE + 1):
+        if len(chunk.rstrip("\r\n")) > _MAX_LINE:
+            raise ValueError(f"line {count + 1}: longer than {_MAX_LINE} characters")
+        # a file line may hold several str.splitlines() lines (form feeds and
+        # the like); splitting it again numbers lines as for the whole text
+        pieces = chunk.splitlines()
+        count += len(pieces)
+        yield from pieces
+
+
 def parse_edge_list(source, check_n=None) -> Graph:
     """Parse the plain edge-list format from a string or an open text file.
 
@@ -245,20 +265,17 @@ def parse_edge_list(source, check_n=None) -> Graph:
     consumer here counts walk labelings, which only exist on connected
     graphs. check_n, if given, is called with the vertex count as soon as
     it is read, so that a size limit raises before the graph is built.
-    A file is read one line at a time, and repeated edges are kept once,
-    so memory follows the graph rather than the input.
+    Input is read one line at a time, and a line longer than 65,536
+    characters is an error. Repeated edges are kept once, so for a file,
+    memory follows the graph plus one line of bounded length.
     """
     n = None
     edges = set()
-    # a file line may hold several str.splitlines() lines (form feeds and
-    # the like); splitting it again numbers lines as for the whole text
-    chunks = (source,) if isinstance(source, str) else source
-    lines = (line for chunk in chunks for line in chunk.splitlines())
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = line.split(None, 2)  # a third field is already an error
         if n is None:
             if len(fields) != 1:
                 raise ValueError(f"line {lineno}: expected the vertex count, got {_quote(raw)}")

@@ -5,10 +5,11 @@ x^a1 y^a2 z^a3 is rational: 16 x^2 y^2 z^2 f(x, y, z) over
 (1-2x)^3 (1-2y)^3 (1-2z)^3 (1-2x-2y)(1-2x-2z)(1-2y-2z)(1-x-y-z).
 
 Polynomials and truncated series are sparse dicts mapping exponent triples
-(e1, e2, e3) to nonzero int coefficients. RationalGF packages a numerator
-with denominator factors (each with constant term 1, so division is a
-well-defined series operation); expand_rational produces the truncated
-expansion by repeated series division.
+(e1, e2, e3) to nonzero int coefficients. A rational function is the pair
+(numerator, [(factor, multiplicity), ...]), each factor with constant term
+1 so that division is a well-defined series operation; expand_rational
+truncates the numerator and divides it by each factor in place, one sweep
+over the exponents in lexicographic order per division.
 
 The numerator data f_numerator() was entered by hand from a typeset source
 whose display joins two blocks without an operator sign; recover_numerator
@@ -21,14 +22,9 @@ fixes the ambiguous sign to '+'; with that reading the two agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 from .twocycles import count_two_cycles
 
 __all__ = [
-    "RationalGF",
-    "coefficient",
     "expand_rational",
     "export_coefficients",
     "f_numerator",
@@ -65,19 +61,6 @@ def poly_mul(a: dict, b: dict, max_degree: int | None = None) -> dict:
     return _clean(out)
 
 
-def _scale(c: int, p: dict) -> dict:
-    return {e: c * v for e, v in p.items()} if c else {}
-
-
-def _truncate(p: dict, max_degree: int) -> dict:
-    return {e: c for e, c in p.items() if e[0] + e[1] + e[2] <= max_degree}
-
-
-def coefficient(p: dict, exponents: tuple[int, int, int]) -> int:
-    """Coefficient of x^e1 y^e2 z^e3 in a polynomial or truncated series."""
-    return p.get(tuple(exponents), 0)
-
-
 def export_coefficients(p: dict) -> list[tuple[int, int, int, int]]:
     """Rows (a1, a2, a3, coefficient) sorted by total degree, then
     lexicographically by exponents; zero coefficients are not stored."""
@@ -87,68 +70,39 @@ def export_coefficients(p: dict) -> list[tuple[int, int, int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    """Numerator polynomial over a product of polynomial factors, each with
-    constant term 1 (multiplicity given per factor)."""
+def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dict:
+    """Truncated expansion of numerator / prod factor^multiplicity up to
+    the given total degree, for gf = (numerator, [(factor, multiplicity)]).
 
-    numerator: tuple[tuple[tuple[int, int, int], int], ...]
-    denominator_factors: tuple[tuple[tuple[tuple[tuple[int, int, int], int], ...], int], ...]
-
-    @staticmethod
-    def make(numerator: dict, factors: list[tuple[dict, int]]) -> "RationalGF":
-        for fac, mult in factors:
-            if fac.get(_ZERO, 0) != 1:
-                raise ValueError("denominator factor must have constant term 1")
-            if mult < 1:
-                raise ValueError("denominator factor multiplicity must be >= 1")
-        return RationalGF(
-            tuple(sorted(_clean(numerator).items())),
-            tuple((tuple(sorted(_clean(f).items())), m) for f, m in factors),
-        )
-
-    def numerator_poly(self) -> dict:
-        return dict(self.numerator)
-
-    def factor_polys(self) -> list[tuple[dict, int]]:
-        return [(dict(f), m) for f, m in self.denominator_factors]
-
-
-def _divide_once(p: dict, factor: dict, max_degree: int) -> dict:
-    """Series division of p by factor (constant term 1), truncated.
-
-    With factor = 1 - g, the quotient r satisfies r = p + g r, which is
-    solvable degree by degree because every monomial of g has positive
-    total degree.
+    Each division by a factor 1 + sum over d of a_d x^d runs in place:
+    visiting the exponents e in lexicographic order, r[e] becomes
+    r[e] - sum over d of a_d r[e - d]. Every e - d comes before e in that
+    order, so it already holds the quotient's coefficient. A coefficient
+    that cancels to 0 is removed. No quotient term has a lower power of a
+    variable than every numerator term, so the sweep starts at those
+    least powers.
     """
-    g = {e: -c for e, c in factor.items() if e != _ZERO}
-    out: dict = {}
-    for total in range(max_degree + 1):
-        for e1 in range(total + 1):
-            for e2 in range(total - e1 + 1):
-                e = (e1, e2, total - e1 - e2)
-                acc = p.get(e, 0)
-                for (g1, g2, g3), gc in g.items():
-                    d = (e1 - g1, e2 - g2, e[2] - g3)
-                    if d[0] >= 0 and d[1] >= 0 and d[2] >= 0:
-                        prev = out.get(d)
-                        if prev is not None:
-                            acc += gc * prev
-                if acc:
-                    out[e] = acc
-    return out
-
-
-def expand_rational(gf: RationalGF, degree: int) -> dict:
-    """Truncated expansion of gf up to the given total degree."""
-    if degree < 0:
-        raise ValueError("parameter out of range: degree must be >= 0")
-    r = _truncate(gf.numerator_poly(), degree)
-    for factor, mult in gf.factor_polys():
+    numerator, factors = gf
+    for factor, _ in factors:
         if factor.get(_ZERO, 0) != 1:
             raise ValueError("denominator factor must have constant term 1")
+    r = {e: c for e, c in numerator.items() if c and sum(e) <= degree}
+    if not r:
+        return r
+    lo1, lo2, lo3 = (min(e[i] for e in r) for i in range(3))
+    for factor, mult in factors:
+        terms = [(d, a) for d, a in factor.items() if d != _ZERO]
         for _ in range(mult):
-            r = _divide_once(r, factor, degree)
+            for e1 in range(lo1, degree - lo2 - lo3 + 1):
+                for e2 in range(lo2, degree - e1 - lo3 + 1):
+                    for e3 in range(lo3, degree - e1 - e2 + 1):
+                        acc = r.get((e1, e2, e3), 0)
+                        for (d1, d2, d3), a in terms:
+                            acc -= a * r.get((e1 - d1, e2 - d2, e3 - d3), 0)
+                        if acc:
+                            r[e1, e2, e3] = acc
+                        else:
+                            r.pop((e1, e2, e3), None)
     return r
 
 
@@ -194,12 +148,13 @@ def f_numerator() -> dict:
     """The degree-10 polynomial f in the closed form of the generating
     function, as a sparse dict."""
     return poly_add(*(
-        _scale(c, poly_mul(ypart, xzpart)) for c, ypart, xzpart in _F_BLOCKS
+        poly_mul({_ZERO: c}, poly_mul(ypart, xzpart)) for c, ypart, xzpart in _F_BLOCKS
     ))
 
 
-def two_cycles_gf() -> RationalGF:
-    """The closed form of F(x, y, z) as numerator and denominator factors."""
+def two_cycles_gf() -> tuple[dict, list[tuple[dict, int]]]:
+    """The closed form of F(x, y, z) as the pair (numerator, [(factor,
+    multiplicity), ...]) that expand_rational takes."""
     shift = {(2, 2, 2): 16}
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     factors = [
@@ -211,34 +166,31 @@ def two_cycles_gf() -> RationalGF:
         ({_ZERO: 1, y: -2, z: -2}, 1),
         ({_ZERO: 1, x: -1, y: -1, z: -1}, 1),
     ]
-    return RationalGF.make(poly_mul(shift, f_numerator()), factors)
+    return poly_mul(shift, f_numerator()), factors
 
 
 _SHIFT_DEGREE = 6   # the 16 x^2 y^2 z^2 prefactor
 _F_DEGREE_BOUND = 10
+_RECOVERY_DEGREE = _SHIFT_DEGREE + _F_DEGREE_BOUND + 2
 
 
-def recover_numerator(degree: int = 18) -> dict:
+def recover_numerator() -> dict:
     """Rebuild f directly from the counting formulas.
 
-    Multiplies the truncated count series sum count_two_cycles(a) x^a1 y^a2
-    z^a3 (exact up to the requested total degree) by the full denominator
-    polynomial; if F is the stated rational function, the product is the
-    polynomial 16 x^2 y^2 z^2 f plus nothing, so every term above degree 16
-    must vanish (the margin the degree >= 18 floor guarantees), and what
-    remains must shift and scale down to f exactly.
+    Multiplies the count series sum count_two_cycles(a) x^a1 y^a2 z^a3,
+    exact up to total degree 18, by the full denominator polynomial; if F
+    is the stated rational function, the product is the polynomial
+    16 x^2 y^2 z^2 f plus nothing, so every term of degree 17 and 18 must
+    vanish, and what remains must shift and scale down to f exactly.
     """
-    if degree < _SHIFT_DEGREE + _F_DEGREE_BOUND + 2:
-        raise ValueError(
-            f"parameter out of range: recovery needs degree >= {_SHIFT_DEGREE + _F_DEGREE_BOUND + 2}"
-        )
+    degree = _RECOVERY_DEGREE
     counts: dict = {}
     for a1 in range(2, degree - 3):
         for a2 in range(2, degree - a1 - 1):
             for a3 in range(2, degree - a1 - a2 + 1):
                 counts[(a1, a2, a3)] = count_two_cycles(a1, a2, a3)
     den = {_ZERO: 1}
-    for factor, mult in two_cycles_gf().factor_polys():
+    for factor, mult in two_cycles_gf()[1]:
         for _ in range(mult):
             den = poly_mul(den, factor)
     shifted = poly_mul(counts, den, max_degree=degree)
@@ -256,11 +208,11 @@ def recover_numerator(degree: int = 18) -> dict:
     return out
 
 
-def transcription_diff(degree: int = 18) -> dict:
+def transcription_diff() -> dict:
     """Terms where the hand-entered numerator and the recovered one differ
     (exponent triple -> (hand-entered, recovered)); empty when they agree."""
     entered = f_numerator()
-    recovered = recover_numerator(degree)
+    recovered = recover_numerator()
     out = {}
     for e in sorted(set(entered) | set(recovered)):
         a, b = entered.get(e, 0), recovered.get(e, 0)

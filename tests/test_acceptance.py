@@ -145,7 +145,7 @@ def test_acceptance_6_generating_function():
     expansion = series.expand_rational(series.two_cycles_gf(), 12)
     printed_match = {e: c for e, c in expansion.items() if sum(e) <= 11} == PRINTED_F_TERMS
     counts_match = all(
-        series.coefficient(expansion, (a1, a2, a3)) == twocycles.count_two_cycles(a1, a2, a3)
+        expansion.get((a1, a2, a3)) == twocycles.count_two_cycles(a1, a2, a3)
         for a1 in range(2, 9)
         for a2 in range(2, 9)
         for a3 in range(2, 9)

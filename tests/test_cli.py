@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import subprocess
+import time
 import tracemalloc
 
 import pytest
@@ -191,10 +192,27 @@ def test_oracle_memory_follows_the_graph_not_the_file(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_oracle_memory_does_not_follow_a_long_line(tmp_path, capsys):
+    # path(24) with its first edge padded by 4 M spaces: the line is read
+    # with a bounded length and rejected
+    f = tmp_path / "padded.txt"
+    f.write_text("24\n0" + " " * 4_000_000 + "1\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 23)))
+    tracemalloc.start()
+    try:
+        result = run(["oracle", "--input", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert peak < 2 * 2**20
+    assert capsys.readouterr().err == "error: line 2: longer than 65536 characters\n"
+
+
 def test_oracle_error_quotes_only_the_start_of_a_huge_line(tmp_path, capsys):
-    # a malformed 1 MB edge line must not be copied whole into the message
+    # a malformed 64 kB edge line, just inside the line length limit, must
+    # not be copied whole into the message
     f = tmp_path / "long.txt"
-    f.write_text("3\n0 1\n" + "1 2 " * 250_000 + "\n")
+    f.write_text("3\n0 1\n" + "1 2 " * 16_000 + "\n")
     result = run(["oracle", "--input", str(f)])
     err = capsys.readouterr().err
     assert (result.exit_code, result.stdout) == (1, "")
@@ -232,6 +250,16 @@ def test_verify_subcommand_small():
     assert report["ok"] is True and report["failed"] == 0 and report["total"] > 0
 
 
+GRID_FLAGS = [(family.name, flag) for family in cli._FAMILIES for flag, _, _ in family.grid]
+
+
+@pytest.mark.parametrize("family, flag", GRID_FLAGS)
+def test_verify_rejects_a_negative_grid_flag(family, flag, capsys):
+    result = run(["--quiet", "verify", "--family", family, flag, "-1"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err == f"error: parameter out of range: {flag} must be >= 0\n"
+
+
 def test_series_csv():
     result = run(["series", "--degree", "7"])
     assert result.exit_code == 0
@@ -250,6 +278,14 @@ def test_series_json():
 
 def test_series_rejects_negative_degree():
     assert run(["series", "--degree", "-1"]).exit_code == 1
+
+
+def test_series_rejects_a_degree_above_the_bound_at_once(capsys):
+    started = time.perf_counter()
+    result = run(["series", "--degree", "400"])
+    assert time.perf_counter() - started < 1
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err.startswith("error: instance too large: ")
 
 
 def test_oeis_bfile_format():

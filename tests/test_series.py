@@ -1,8 +1,6 @@
 import pytest
 
 from walklabel.series import (
-    RationalGF,
-    coefficient,
     expand_rational,
     export_coefficients,
     f_numerator,
@@ -31,43 +29,37 @@ def test_poly_mul_truncates_at_max_degree():
     assert poly_mul(cubic, cubic, max_degree=5) == {}
 
 
-def test_coefficient_lookup():
-    p = {(1, 2, 3): 7}
-    assert coefficient(p, (1, 2, 3)) == 7
-    assert coefficient(p, (0, 0, 0)) == 0
-
-
 def test_export_ordering():
     p = {(0, 0, 2): 1, (1, 0, 0): 2, (0, 1, 1): 3}
     assert export_coefficients(p) == [(1, 0, 0, 2), (0, 0, 2, 1), (0, 1, 1, 3)]
 
 
 def test_geometric_series():
-    gf = RationalGF.make(ONE, [(poly_add(ONE, {(1, 0, 0): -1}), 1)])  # 1 / (1 - x)
-    expansion = expand_rational(gf, 5)
+    expansion = expand_rational((ONE, [(poly_add(ONE, {(1, 0, 0): -1}), 1)]), 5)  # 1 / (1 - x)
     assert expansion == {(d, 0, 0): 1 for d in range(6)}
 
 
 def test_two_variable_rational():
     # (1) / ((1 - x)(1 - y)) = sum x^i y^j
-    gf = RationalGF.make(
-        ONE,
-        [(poly_add(ONE, {(1, 0, 0): -1}), 1), (poly_add(ONE, {(0, 1, 0): -1}), 1)],
-    )
-    expansion = expand_rational(gf, 3)
-    assert all(coefficient(expansion, (i, j, 0)) == 1 for i in range(3) for j in range(3 - i))
+    factors = [(poly_add(ONE, {(1, 0, 0): -1}), 1), (poly_add(ONE, {(0, 1, 0): -1}), 1)]
+    expansion = expand_rational((ONE, factors), 3)
+    assert all(expansion.get((i, j, 0)) == 1 for i in range(3) for j in range(3 - i))
+
+
+def test_expansion_drops_terms_that_cancel():
+    # (1 - x) / (1 - x) = 1: every higher coefficient cancels to 0 in place
+    one_minus_x = poly_add(ONE, {(1, 0, 0): -1})
+    assert expand_rational((one_minus_x, [(one_minus_x, 1)]), 5) == {(0, 0, 0): 1}
 
 
 def test_rational_gf_requires_unit_constant_terms():
     with pytest.raises(ValueError, match="constant term"):
-        RationalGF.make(ONE, [(X, 1)])
-    with pytest.raises(ValueError, match="multiplicity"):
-        RationalGF.make(ONE, [(poly_add(ONE, X), 0)])
+        expand_rational((ONE, [(X, 1)]), 3)
 
 
 def test_numerator_shape():
     f = f_numerator()
-    assert coefficient(f, (0, 0, 0)) == 13
+    assert f.get((0, 0, 0)) == 13
     assert max(sum(e) for e in f) == 10
     assert len(f) == 166
     # symmetric under swapping the two outer variables
@@ -81,7 +73,7 @@ def test_expansion_matches_counts():
                if a1 + a2 + a3 <= 21]
     triples += [(2, 2, 41), (2, 41, 2), (41, 2, 2), (15, 15, 15)]
     for a1, a2, a3 in triples:
-        assert coefficient(expansion, (a1, a2, a3)) == count_two_cycles(a1, a2, a3)
+        assert expansion.get((a1, a2, a3)) == count_two_cycles(a1, a2, a3)
 
 
 def test_expansion_has_no_low_degree_terms():
@@ -96,10 +88,8 @@ def test_recovered_numerator_matches_transcription():
 
 def test_recover_numerator_directly():
     assert recover_numerator() == f_numerator()
-    with pytest.raises(ValueError, match="parameter out of range"):
-        recover_numerator(10)
 
 
 def test_smallest_coefficient():
     expansion = expand_rational(two_cycles_gf(), 6)
-    assert coefficient(expansion, (2, 2, 2)) == 208
+    assert expansion.get((2, 2, 2)) == 208
