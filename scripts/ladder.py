@@ -1,31 +1,38 @@
 """Time the CLI on a size ladder per family, one fresh interpreter per
 point.
 
-    python scripts/ladder.py [NAME ...]
+    python scripts/ladder.py [--out PATH] [NAME ...]
 
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40) and
 (80,80,80), perfect trees (h, m) = (12,2), (14,2) and (16,2), combs
-(m, n, k) = (80,80,40) and (200,200,100), and the torus n = 2000, and
-`walklabel series` at degrees 45 and 80. For each point the script prints
-one JSON line: the CLI argv, the seconds `cli.run` takes (argument
+(m, n, k) = (80,80,40) and (200,200,100), and the torus n = 2000,
+`walklabel series` at degrees 45 and 80, and `walklabel --quiet verify
+--family all` at its default grids (verifyall). For each point the script
+prints one JSON line: the CLI argv, the seconds `cli.run` takes (argument
 parsing, the work and its decimal conversion), the child's peak RSS
 (ru_maxrss) in MB, the length of the stripped stdout (the digit count of
 a count) and the sha256 of the CLI's stdout, so two checkouts can be
 compared for both speed and output. Points run one after another, so at
-most one holds memory at a time.
+most one holds memory at a time. --out PATH also writes one JSON file:
+the environment (python version, processor count, the checkout's git
+commit) and the records of every point.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import platform
 import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from walklabel import cli  # noqa: E402
 
@@ -37,6 +44,7 @@ POINTS = {
     "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],
     "torus2000": ["count", "torus", "--n", "2000"],
     **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80)},
+    "verifyall": ["--quiet", "verify", "--family", "all"],
 }
 
 
@@ -56,22 +64,41 @@ def run_one(name: str) -> dict:
     }
 
 
+def environment() -> dict:
+    try:
+        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                                text=True).stdout.strip() or None
+    except OSError:
+        commit = None
+    return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit}
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
         print(json.dumps(run_one(argv[1])), flush=True)
         return 0
-    names = argv or list(POINTS)
+    parser = argparse.ArgumentParser(description="Time the CLI on a size ladder per family.")
+    parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"points to run (default all): {', '.join(POINTS)}")
+    args = parser.parse_args(argv)
+    names = args.names or list(POINTS)
     unknown = [name for name in names if name not in POINTS]
     if unknown:
         print(f"unknown point {unknown[0]!r}; choose from {', '.join(POINTS)}", file=sys.stderr)
         return 2
+    records = []
     for name in names:
         child = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
         if child.returncode:
-            print(json.dumps({"point": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}))
+            record = {"point": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
         else:
-            sys.stdout.write(child.stdout)
-        sys.stdout.flush()
+            record = json.loads(child.stdout)
+        records.append(record)
+        print(json.dumps(record), flush=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"environment": environment(), "points": records}, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

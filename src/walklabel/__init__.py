@@ -3,6 +3,7 @@
 from .graphs import Graph, parse_edge_list, vertex_at
 from .oracle import (
     count_completions,
+    count_completions_each,
     count_labelings,
     count_labelings_from,
     count_labelings_from_before,
@@ -15,6 +16,7 @@ __all__ = [
     "Graph",
     "__version__",
     "count_completions",
+    "count_completions_each",
     "count_labelings",
     "count_labelings_from",
     "count_labelings_from_before",

@@ -1,5 +1,6 @@
 """The oracle's DP kernels: dp_connected and dp_first_gap, two call
-patterns of one failure sum.
+patterns of one failure sum, and dp_completions, one backward table for
+many queries of one graph.
 
 An ordering of the f free vertices (those outside the labeled set L) that
 is not a labeling has a first gap w, with no neighbour in L or earlier.
@@ -7,52 +8,50 @@ The k free vertices before w extend L to a connected set S whose closed
 neighbourhood N[S] misses w, and the r = f - 1 - k after w come in any
 order, so the count is f! minus count(S) r! over such S and w. _failed
 sums that by a forward DP over connected sets; dp_connected runs it once
-over the graph, dp_first_gap once per w. The tests check both against a
-subset DP over all 2^n vertex sets and against permutation filtering.
+over the graph, dp_first_gap once per w. These two answer one
+unconstrained query each.
+
+dp_completions instead stores every connected set reachable from a batch
+of labeled sets, then counts each set's completions from the widest sets
+down: one table answers every source at once, and it alone takes an
+order constraint "u before v". The tests check all three against a subset
+DP over all 2^n vertex sets and against permutation filtering.
 """
 
 from __future__ import annotations
 
-__all__ = ["dp_connected", "dp_first_gap"]
+__all__ = ["dp_completions", "dp_connected", "dp_first_gap"]
 
-# Most sets one layer of _failed may hold, checked once per source set (a
-# layer may end up to n sets past it): about 250 MB at about 240 bytes per
-# set and two live layers. The widest layer within DP_LIMIT found so far,
-# C(21, 10) = 352,716 sets of the hub joined to K1,21 and one more vertex,
-# fits (192 MB peak on a 2-core x86 machine); dp_connected on K1,23 with
-# one more vertex joined to a leaf, C(22, 11) = 705,432 sets, does not.
+# Most sets one layer of _failed, or one whole table of dp_completions, may
+# hold, checked once per stored set (so up to n sets past it): about
+# 250 MB at about 240 bytes per set. The widest layer within DP_LIMIT found
+# so far, C(21, 10) = 352,716 sets of the hub joined to K1,21 and one more
+# vertex, fits (192 MB peak on a 2-core x86 machine); dp_connected on
+# K1,23 with one more vertex joined to a leaf, C(22, 11) = 705,432 sets,
+# does not.
 LAYER_LIMIT = 1 << 19
 
 
-def _orderings(free: int, require_u: int, forbid_v: int):
-    """Factorials 0! to f! of the f free vertices, the count of their
-    orderings and the constraint on them: require_u before forbid_v halves
-    the count when both are free, and binds nothing (-1, -1) when either
-    is labeled (a labeled u precedes v; a labeled v is never added)."""
+def _factorials(f: int) -> list[int]:
+    """0! to f!."""
     fact = [1]
-    for i in range(1, free.bit_count() + 1):
+    for i in range(1, f + 1):
         fact.append(fact[-1] * i)
-    if forbid_v < 0 or not free >> require_u & 1 or not free >> forbid_v & 1:
-        return fact, fact[-1], -1, -1
-    return fact, fact[-1] // 2, require_u, forbid_v
+    return fact
 
 
-def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int,
-            require_u: int, forbid_v: int, fact) -> int:
+def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int, fact) -> int:
     """Orderings of the free vertices whose first gap lies in targets.
 
     A forward DP over the connected sets S inside allowed that extend
-    labeled_mask (0: nonempty sets, started anywhere but forbid_v). A layer
-    maps each S of one size to [count, near], near being S and its allowed
-    neighbours; S pushes its count to S | v for each v in near - S and adds
+    labeled_mask (0: nonempty sets, started anywhere). A layer maps each S
+    of one size to [count, near], near being S and its allowed neighbours;
+    S pushes its count to S | v for each v in near - S and adds
     count(S) (f - 1 - k)! per target outside near, k being the free
     vertices in S. Every target lies in allowed or has no neighbour there,
     so near misses the targets N[S] misses. S | v is not stored when its
-    near covers targets: neither it nor a superset has a gap. With
-    require_u before forbid_v, v is never added while u is missing, and a
-    gap weighs in halves of r!: 2 when S holds u or the gap is u, 0 when it
-    is v, else 1 (u and v both follow it). A layer past LAYER_LIMIT sets
-    raises ValueError.
+    near covers targets: neither it nor a superset has a gap. A layer past
+    LAYER_LIMIT sets raises ValueError.
     """
     nbr = {1 << v: masks[v] & allowed for v in range(n)}
     if labeled_mask:
@@ -63,29 +62,20 @@ def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int,
         layer = {labeled_mask: [1, near]}
         r = len(fact) - 2
     else:
-        layer = {1 << v: [1, nbr[1 << v] | 1 << v] for v in range(n) if allowed >> v & 1 and v != forbid_v}
+        layer = {1 << v: [1, nbr[1 << v] | 1 << v] for v in range(n) if allowed >> v & 1}
         r = len(fact) - 3
-    # with no constraint every set counts as holding u and blocked keeps every bit
-    req = 1 << require_u if forbid_v >= 0 else -1
-    late = 1 << forbid_v if forbid_v >= 0 else 0
-    blocked = ~late
     limit = LAYER_LIMIT
-    halves = 0
+    failed = 0
     while layer:
         nxt = {}
         get = nxt.get
-        whole = half = 0
+        gaps = 0
         for s, (c, near) in layer.items():
             if len(nxt) > limit:
                 raise ValueError(f"instance too large: more than {limit} connected "
                                  f"vertex sets of {s.bit_count() + 1} vertices")
-            gaps = targets & ~near
-            if s & req:
-                whole += c * gaps.bit_count()
-                rem = near ^ s
-            else:
-                half += c * (gaps.bit_count() + (gaps & req > 0) - (gaps & late > 0))
-                rem = (near ^ s) & blocked
+            gaps += c * (targets & ~near).bit_count()
+            rem = near ^ s
             while rem:
                 low = rem & -rem
                 rem ^= low
@@ -97,32 +87,121 @@ def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int,
                         nxt[t] = [c, cover]
                 else:
                     entry[0] += c
-        halves += (2 * whole + half) * fact[r]
+        failed += gaps * fact[r]
         r -= 1
         layer = nxt
-    return halves // 2
+    return failed
 
 
-def dp_connected(masks, n: int, labeled_mask: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
+def dp_connected(masks, n: int, labeled_mask: int = 0) -> int:
     """Orderings of the vertices outside labeled_mask, each adjacent to the
     labeled set or an earlier pick; labeled_mask 0 means every start (the
-    total). With forbid_v set, v is never added while require_u is
-    missing, nor used as a start. One pass of _failed over the graph.
+    total). One pass of _failed over the graph.
     """
     free = ((1 << n) - 1) & ~labeled_mask
-    fact, total, require_u, forbid_v = _orderings(free, require_u, forbid_v)
-    return total - _failed(masks, n, labeled_mask, (1 << n) - 1, free, require_u, forbid_v, fact)
+    fact = _factorials(free.bit_count())
+    return fact[-1] - _failed(masks, n, labeled_mask, (1 << n) - 1, free, fact)
 
 
-def dp_first_gap(masks, n: int, labeled_mask: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
+def dp_first_gap(masks, n: int, labeled_mask: int = 0) -> int:
     """dp_connected's count by one pass of _failed per free w with no
     labeled neighbour, inside the labeled set and w's free non-neighbours.
     A vertex adjacent to all others never enters another's pass.
     """
     free = ((1 << n) - 1) & ~labeled_mask
-    fact, total, require_u, forbid_v = _orderings(free, require_u, forbid_v)
+    fact = _factorials(free.bit_count())
+    total = fact[-1]
     for w in range(n):
         if free >> w & 1 and not masks[w] & labeled_mask:
             allowed = labeled_mask | (free & ~masks[w] & ~(1 << w))
-            total -= _failed(masks, n, labeled_mask, allowed, 1 << w, require_u, forbid_v, fact)
+            total -= _failed(masks, n, labeled_mask, allowed, 1 << w, fact)
     return total
+
+
+def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = -1) -> list[int]:
+    """Orderings of the vertices outside each source, a nonempty connected
+    vertex mask, each adjacent to the source or an earlier pick; with
+    forbid_v set, only those in which require_u comes before forbid_v.
+
+    The forward sweep stores, one size at a time, every connected set S
+    that extends a source, with near = N[S]. A set whose near is every
+    vertex is not stored: each order of its f free vertices is a labeling,
+    and with the constraint, a set that lacks u lacks v too and finishes
+    in f!/2 ways. A set that lacks u never adds v. The backward sweep then
+    gives each set the sum of its allowed supersets S | w, w in near - S,
+    from the widest sets down. A source that holds u gets the
+    unconstrained count, one that holds v but not u gets 0. The table,
+    all of it live until the backward sweep, raises ValueError past
+    LAYER_LIMIT sets.
+    """
+    full = (1 << n) - 1
+    fact = _factorials(n)
+    # with no constraint every set counts as holding u and nothing is blocked
+    req = 1 << require_u if forbid_v >= 0 else -1
+    late = 1 << forbid_v if forbid_v >= 0 else 0
+    nbr = {1 << v: masks[v] | 1 << v for v in range(n)}
+    entering: dict[int, list[int]] = {}
+    for s in sources:
+        if s & req or not s & late:
+            entering.setdefault(s.bit_count(), []).append(s)
+    if not entering:
+        return [0] * len(sources)
+    smallest = k = min(entering)
+    widest = max(entering)
+    limit = LAYER_LIMIT
+    layers = []  # layers[i] maps each stored set of smallest + i vertices to its near
+    layer: dict[int, int] = {}
+    stored = 0
+    while layer or k <= widest:
+        for s in entering.get(k, ()):
+            near = s
+            rem = s
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                near |= nbr[low]
+            if near != full:
+                layer[s] = near
+        layers.append(layer)
+        stored += len(layer)
+        nxt: dict[int, int] = {}
+        for s, near in layer.items():
+            if stored + len(nxt) > limit:
+                raise ValueError(f"instance too large: more than {limit} connected "
+                                 f"vertex sets in one completion table")
+            rem = near ^ s if s & req else (near ^ s) & ~late
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                t = s | low
+                if t not in nxt:
+                    cover = near | nbr[low]
+                    if cover != full:
+                        nxt[t] = cover
+        layer = nxt
+        k += 1
+    found = {}
+    values: dict[int, int] = {}
+    while layers:
+        layer = layers.pop()
+        k = smallest + len(layers)
+        get = values.get
+        after = fact[n - k - 1] if layer else 0  # orders after a dominating S | w
+        half = after // 2
+        cur = {}
+        for s, near in layer.items():
+            acc = 0
+            rem = near ^ s if s & req else (near ^ s) & ~late
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                t = s | low
+                value = get(t)
+                acc += (after if t & req else half) if value is None else value
+            cur[s] = acc
+        values = cur
+        whole = fact[n - k]
+        for s in entering.get(k, ()):
+            # a source missing from the table dominates the graph
+            found[s] = cur[s] if s in cur else (whole if s & req else whole // 2)
+    return [found.get(s, 0) for s in sources]

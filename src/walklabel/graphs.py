@@ -240,13 +240,36 @@ def _quote(line: str, limit: int = 60) -> str:
 _MAX_LINE = 1 << 16  # characters in one input line
 
 
+def _string_chunks(text: str):
+    """The lines of text as readline(_MAX_LINE + 1) gives them on a file
+    opened with universal newlines. The text is read through io.StringIO
+    (4 bytes a character) in blocks of about two line lengths, each cut
+    after a line end, so memory follows the longest line, not the text; a
+    block without a line end holds a line that is too long and gives up
+    its first _MAX_LINE + 1 characters."""
+    pos, end = 0, len(text)
+    while pos < end:
+        cut = pos + 2 * (_MAX_LINE + 1)
+        if cut < end:
+            cut = max(text.rfind("\n", pos, cut), text.rfind("\r", pos, cut)) + 1 or pos + _MAX_LINE + 1
+            if text.startswith("\r\n", cut - 1):
+                cut += 1
+        readline = io.StringIO(text[pos:cut], newline=None).readline
+        while chunk := readline(_MAX_LINE + 1):
+            yield chunk
+        pos = cut
+
+
 def _lines(source):
     """The str.splitlines() lines of source, a string or an open text file,
     read one line at a time; a line longer than _MAX_LINE characters raises."""
-    # a string reads like a text file opened with universal newlines
-    readline = io.StringIO(source, newline=None).readline if isinstance(source, str) else source.readline
+    if isinstance(source, str):
+        chunks = _string_chunks(source)
+    else:
+        readline = source.readline
+        chunks = iter(lambda: readline(_MAX_LINE + 1), "")
     count = 0
-    while chunk := readline(_MAX_LINE + 1):
+    for chunk in chunks:
         if len(chunk.rstrip("\r\n")) > _MAX_LINE:
             raise ValueError(f"line {count + 1}: longer than {_MAX_LINE} characters")
         # a file line may hold several str.splitlines() lines (form feeds and
@@ -266,8 +289,9 @@ def parse_edge_list(source, check_n=None) -> Graph:
     graphs. check_n, if given, is called with the vertex count as soon as
     it is read, so that a size limit raises before the graph is built.
     Input is read one line at a time, and a line longer than 65,536
-    characters is an error. Repeated edges are kept once, so for a file,
-    memory follows the graph plus one line of bounded length.
+    characters is an error. Repeated edges are kept once, so memory
+    follows the graph plus one line of bounded length, for a string as for
+    a file.
     """
     n = None
     edges = set()

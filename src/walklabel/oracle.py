@@ -19,8 +19,9 @@ w, and those after it come in any order, so
 
 where P(U) counts the labelings of U. A forward DP over connected vertex
 sets, one popcount layer at a time, gives P(U) and adds up the sum; a
-labeled set or an order constraint changes only the weights. Every DP
-entry point below picks one of two call patterns through engine(g):
+labeled set changes only the weights. A single unconstrained query
+(count_labelings, count_labelings_from, count_completions) picks one of
+two call patterns through engine(g):
 
 - connected-set: one pass over the whole graph, every vertex a possible
   w. A set U with N[U] = V has no w, nor has any superset, so it is never
@@ -30,7 +31,7 @@ entry point below picks one of two call patterns through engine(g):
 - first-gap: one pass per w, inside w's non-neighbourhood, which on the
   denser graphs that go here is small.
 
-Neither builds a table over all 2^n vertex subsets. Peak memory is two
+Neither builds a table over all 2^n vertex subsets, and each keeps two
 adjacent layers of stored sets. Each call pattern's worst case is a graph
 with many connected sets where it looks. On a 2-core x86 machine
 (scripts/sweep24.py), the slowest 24-vertex graphs found are a random
@@ -41,6 +42,18 @@ sets holding the star's center dominate all but that vertex: 16 s,
 (13 s, 160 MB). _core_py.LAYER_LIMIT caps one layer at 2^19 sets; past it
 the count ends in an "instance too large" ValueError at about 250 MB.
 
+The third call pattern answers many queries of one graph at once
+(count_completions_each) and is the only one that takes an order
+constraint (count_labelings_from_before): a backward completion table.
+It stores every non-dominating connected set that extends one of the
+labeled sets, then counts each set's completions from the widest sets
+down, so every labeled set reads its count off the one table. Its memory
+is every stored set, not two layers, and LAYER_LIMIT caps the table as a
+whole. A batch of every start costs 1.3 to 1.7 times one connected-set
+pass over the whole graph on perfect_tree(2, 4), torus(8) and
+two_cycles(6, 7, 5) (2-core x86), where per-start forward calls cost one
+pass each: 7 to 12 times as much.
+
 The permutation oracle just filters all n! orderings and exists to check
 the DPs, not to be fast.
 """
@@ -49,7 +62,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from ._core_py import dp_connected, dp_first_gap
+from ._core_py import dp_completions, dp_connected, dp_first_gap
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -58,6 +71,7 @@ __all__ = [
     "backend",
     "check_size",
     "count_completions",
+    "count_completions_each",
     "count_labelings",
     "count_labelings_from",
     "count_labelings_from_before",
@@ -101,11 +115,11 @@ def engine(g: Graph) -> str:
     return "first-gap"
 
 
-def _dp(g: Graph, labeled: int = 0, require_u: int = -1, forbid_v: int = -1) -> int:
-    """Orderings of g extending the labeled mask (0: from every start),
-    optionally with require_u placed before forbid_v, by engine(g)."""
+def _dp(g: Graph, labeled: int = 0) -> int:
+    """Orderings of g extending the labeled mask (0: from every start), by
+    engine(g)."""
     dp = dp_connected if engine(g) == "connected-set" else dp_first_gap
-    return dp(g.masks, g.n, labeled, require_u, forbid_v)
+    return dp(g.masks, g.n, labeled)
 
 
 def check_size(n: int) -> None:
@@ -139,13 +153,9 @@ def count_labelings_from(g: Graph, start: int) -> int:
     return _dp(g, 1 << start)
 
 
-def count_completions(g: Graph, labeled) -> int:
-    """Ways to extend a partial labeling to all of g.
-
-    labeled is the set of already-labeled vertices; it must induce a
-    connected subgraph, because a walk's visited set is always connected.
-    """
-    _check(g)
+def _labeled_mask(g: Graph, labeled) -> int:
+    """The mask of a labeled vertex set, checked to be in range, nonempty
+    and connected, as a walk's visited set always is."""
     vs = sorted(set(labeled))
     if not vs:
         raise ValueError("labeled set not connected: it is empty")
@@ -163,28 +173,52 @@ def count_completions(g: Graph, labeled) -> int:
                 frontier.append(u)
     if len(seen) != len(vs):
         raise ValueError("labeled set not connected")
-    return _dp(g, mask)
+    return mask
 
 
-def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
-    """Labelings starting at start in which u gets a smaller label than v.
-
-    Implemented by forbidding the DP transition that labels v while u is
-    still unlabeled. Two starts need no DP at all: if u is the start it is
-    labeled first and the constraint is vacuous, and if v is the start the
-    constraint is unsatisfiable.
-    """
-    _check(g)
-    _check_vertex(g, start, "start")
+def _check_order(g: Graph, u: int, v: int) -> None:
     _check_vertex(g, u, "u")
     _check_vertex(g, v, "v")
     if u == v:
         raise ValueError("order constraint needs two distinct vertices")
-    if u == start:
-        return _dp(g, 1 << start)
-    if v == start:
-        return 0
-    return _dp(g, 1 << start, u, v)
+
+
+def count_completions(g: Graph, labeled) -> int:
+    """Ways to extend a partial labeling to all of g.
+
+    labeled is the set of already-labeled vertices; it must induce a
+    connected subgraph, because a walk's visited set is always connected.
+    """
+    _check(g)
+    return _dp(g, _labeled_mask(g, labeled))
+
+
+def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
+    """count_completions of each labeled set, from one backward table.
+
+    With before=(u, v), count only the completions in which u gets a
+    smaller label than v: a set that holds u gets its plain count, and
+    one that holds v but not u gets 0.
+    """
+    _check(g)
+    sources = [_labeled_mask(g, labeled) for labeled in labeled_sets]
+    u = v = -1
+    if before is not None:
+        u, v = before
+        _check_order(g, u, v)
+    return dp_completions(g.masks, g.n, sources, u, v)
+
+
+def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
+    """Labelings starting at start in which u gets a smaller label than v:
+    a one-source completion table that never labels v while u is still
+    unlabeled. A start at u leaves the count unconstrained, and a start
+    at v makes it 0.
+    """
+    _check(g)
+    _check_vertex(g, start, "start")
+    _check_order(g, u, v)
+    return dp_completions(g.masks, g.n, [1 << start], u, v)[0]
 
 
 def count_labelings_perm(g: Graph) -> int:

@@ -41,7 +41,10 @@ it on every non-degenerate start (640 checks, see the tests).
 
 A block depends on q but not on s, so count_two_cycles takes each block
 once, times its prefixes summed over s: 2^(q - 2) for term_B and 2^(q - 1)
-for term_C. That is O(a) blocks.
+for term_C. That is O(a) blocks. Each block is computed once per process
+(functools.cache on three small ints, as torus.a_rec and trees.t_rec are):
+neighbouring terms, count_two_cycles and its mirror image share them, and
+when a1 = a3 the term_C and swapped term_C blocks coincide.
 
 Each block is three row sums, and a row sum is a double sum over k and l,
 the labeled vertices of the two partial rows. Its summand is
@@ -70,6 +73,8 @@ empty by design).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .bigmath import binomial, exact_div, factorial, multinomial
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
@@ -96,6 +101,7 @@ def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
     return exact_div(total, 4 * factorial(full) * factorial(a) * factorial(b), "two-cycle row sum")
 
 
+@cache
 def _block(x: int, r: int, z: int) -> int:
     """Ways to finish a labeling once the left junction is labeled and x
     top-row, r middle-interior and z bottom-row vertices are not, split by

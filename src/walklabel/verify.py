@@ -30,11 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Check:
+    """One comparison; expected and actual keep the values compared (ints,
+    tuples, bools), which report() prints only for failures."""
     family: str
     instance: str
     kind: str
-    expected: str
-    actual: str
+    expected: object
+    actual: object
     ok: bool
 
 
@@ -43,7 +45,7 @@ def _text(value) -> str:
 
 
 def _check(out: list[Check], family: str, instance: str, kind: str, expected, actual) -> None:
-    out.append(Check(family, instance, kind, _text(expected), _text(actual), expected == actual))
+    out.append(Check(family, instance, kind, expected, actual, expected == actual))
 
 
 def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, progress=None) -> list[Check]:
@@ -64,11 +66,12 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
                 g = perfect_tree(h, m)
                 _check(out, "tree", inst, "count_perfect_tree == oracle",
                        oracle.count_labelings(g), trees.count_perfect_tree(h, m))
+                from_each = oracle.count_completions_each(g, [[v] for v in range(g.n)])
                 by_depth: dict[int, list[int]] = {}
                 for v, (d, _) in g.coords.items():
                     by_depth.setdefault(d, []).append(v)
                 for d, vs in sorted(by_depth.items()):
-                    counts = {oracle.count_labelings_from(g, v) for v in vs}
+                    counts = {from_each[v] for v in vs}
                     _check(out, "tree", f"{inst} depth={d}", "per-start counts equal across a depth",
                            1, len(counts))
                     _check(out, "tree", f"{inst} k={d}", "t_rec == oracle per-start",
@@ -147,15 +150,16 @@ def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) ->
                oracle.count_labelings(torus_graph(n)), torus.count_torus(n))
         if n < 2:
             continue
+        states = [("a", k) for k in range(1, n + 1)] + [("b", s, t) for s in range(n) for t in range(n - s)]
+        labeled = [torus.torus_partial_state_graph(n, state)[1] for state in states]
+        completions = dict(zip(states, oracle.count_completions_each(torus_graph(n), labeled)))
         for k in range(1, n + 1):
-            g, labeled = torus.torus_partial_state_graph(n, ("a", k))
             _check(out, "torus", f"{inst} k={k}", "a_rec == oracle completions",
-                   oracle.count_completions(g, labeled), torus.a_rec(n, k))
+                   completions["a", k], torus.a_rec(n, k))
         for s in range(n):
             for t in range(n - s):
-                g, labeled = torus.torus_partial_state_graph(n, ("b", s, t))
                 _check(out, "torus", f"{inst} s={s} t={t}", "b_rec == oracle completions",
-                       oracle.count_completions(g, labeled), torus.b_rec(n, s, t))
+                       completions["b", s, t], torus.b_rec(n, s, t))
     _check(out, "torus", "(n=2)", "reference value", 16, torus.count_torus(2))
     _check(out, "torus", "(n=3)", "reference value", 360, torus.count_torus(3))
     return out
@@ -184,18 +188,19 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, lemma_total: int = 
                 right = vertex_at(g, "right_junction")
                 _check(out, "twocycles", inst, "term_A == oracle from left junction",
                        oracle.count_labelings_from(g, left), twocycles.term_A(a1, a2, a3))
+                starts = [(2, s) for s in range(2, a2)]
+                starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
+                constrained = dict(zip(starts, oracle.count_completions_each(
+                    g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
                 for s in range(2, a2):
                     _check(out, "twocycles", f"{inst} s={s}", "term_B == constrained oracle",
-                           oracle.count_labelings_from_before(g, vertex_at(g, (2, s)), left, right),
-                           twocycles.term_B(a1, a2, a3, s))
+                           constrained[2, s], twocycles.term_B(a1, a2, a3, s))
                 for s in range(1, a1 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "term_C == constrained oracle",
-                           oracle.count_labelings_from_before(g, vertex_at(g, (1, s)), left, right),
-                           twocycles.term_C(a1, a2, a3, s))
+                           constrained[1, s], twocycles.term_C(a1, a2, a3, s))
                 for s in range(1, a3 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "swapped term_C == constrained oracle",
-                           oracle.count_labelings_from_before(g, vertex_at(g, (3, s)), left, right),
-                           twocycles.term_C(a3, a2, a1, s))
+                           constrained[3, s], twocycles.term_C(a3, a2, a1, s))
     return out
 
 
@@ -206,5 +211,5 @@ def report(checks: list[Check]) -> dict:
         "total": len(checks),
         "failed": len(failed),
         "ok": not failed,
-        "failures": [asdict(c) for c in failed],
+        "failures": [{**asdict(c), "expected": _text(c.expected), "actual": _text(c.actual)} for c in failed],
     }

@@ -250,6 +250,27 @@ def test_verify_subcommand_small():
     assert report["ok"] is True and report["failed"] == 0 and report["total"] > 0
 
 
+def test_verify_prints_the_values_of_a_failing_check_in_decimal(monkeypatch):
+    # the report converts the values of failures only, past the
+    # interpreter's 4,300-digit int/str cap too
+    big = 7 * 10**5000 + 3
+    checks = []
+    verify._check(checks, "tree", "(h=0, m=2)", "passes", 10**6000, 10**6000)
+    verify._check(checks, "tree", "(h=1, m=2)", "huge", big, big + 1)
+    verify._check(checks, "tree", "(h=2, m=2)", "small", 42, -1)
+    verify._check(checks, "tree", "(m=2)", "tuple", (4, 8, False), (4, 8, True))
+    monkeypatch.setattr(verify, "verify_trees", lambda **kw: checks)
+    result = run(["--quiet", "verify", "--family", "tree"])
+    assert result.exit_code == 1
+    report = json.loads(result.stdout)
+    assert (report["total"], report["failed"], report["ok"]) == (4, 3, False)
+    assert [(f["kind"], f["expected"], f["actual"], f["ok"]) for f in report["failures"]] == [
+        ("huge", "7" + "0" * 4999 + "3", "7" + "0" * 4999 + "4", False),
+        ("small", "42", "-1", False),
+        ("tuple", "(4, 8, False)", "(4, 8, True)", False),
+    ]
+
+
 GRID_FLAGS = [(family.name, flag) for family in cli._FAMILIES for flag, _, _ in family.grid]
 
 

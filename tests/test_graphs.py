@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from walklabel import graphs
@@ -156,6 +158,24 @@ def test_parse_edge_list_reads_a_file_as_its_text(tmp_path):
         f.write_text(text, newline="")
         with open(f, encoding="utf-8") as fh:
             assert _parsed(fh) == _parsed(f.read_text(encoding="utf-8"))
+
+
+def test_parse_edge_list_memory_does_not_follow_a_string():
+    # path(24), then 8 MB of comment lines of 64,001 characters and copies
+    # of one of its edges: read a bounded block at a time, with the repeated
+    # edge kept once (a parse of 2,000,000 short lines under tracemalloc
+    # takes about a minute; long lines show the same memory in a second)
+    head = "24\n" + "".join(f"{i} {i + 1}\n" for i in range(23))
+    text = head + ("#" + " 0 1" * 16_000 + "\n" + "0 1\n" * 100) * 125
+    assert len(text) > 8_000_000
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.masks == path(24).masks == parse_edge_list(head).masks
+    assert peak < 2 * 2**20
 
 
 def test_parse_edge_list_rejects_disconnected():

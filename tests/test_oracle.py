@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from subset_dp import dp_resume, dp_total
 
 from walklabel import _core_py, oracle
-from walklabel._core_py import dp_connected, dp_first_gap
+from walklabel._core_py import dp_completions, dp_connected, dp_first_gap
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -45,6 +45,8 @@ def _filtered_orderings(g, labeled, before=None):
     """Orderings of the vertices outside the labeled mask in which each is
     adjacent to the labeled set or an earlier one, and with before=(u, v)
     u is labeled or placed ahead of v: a filter over all permutations."""
+    if before and labeled >> before[1] & 1 and not labeled >> before[0] & 1:
+        return 0  # v is labeled already and u is not
     free = [w for w in range(g.n) if not labeled >> w & 1]
     count = 0
     for order in permutations(free):
@@ -74,32 +76,36 @@ def test_connected_set_kernel_matches_subset_kernel_and_permutations(g, rng):
     masks, n = g.masks, g.n
     total = dp_connected(masks, n)
     assert total == dp_first_gap(masks, n) == dp_total(masks, n) == oracle.count_labelings_perm(g)
+    labeled = _grow_connected(g, rng, rng.randrange(1, n + 1))
+    # one table for every start and the labeled set, whatever its size
+    each = dp_completions(masks, n, [1 << v for v in range(n)] + [labeled])
     for v in range(n):
         assert (
             dp_connected(masks, n, 1 << v)
             == dp_first_gap(masks, n, 1 << v)
             == dp_resume(masks, n, 1 << v)
             == _filtered_orderings(g, 1 << v)
+            == each[v]
         )
-    labeled = _grow_connected(g, rng, rng.randrange(1, n + 1))
     assert (
         dp_connected(masks, n, labeled)
         == dp_first_gap(masks, n, labeled)
         == dp_resume(masks, n, labeled)
         == _filtered_orderings(g, labeled)
+        == each[n]
     )
     if n >= 3:
         start, u, v = rng.sample(range(n), 3)
         assert (
-            dp_connected(masks, n, 1 << start, u, v)
-            == dp_first_gap(masks, n, 1 << start, u, v)
-            == dp_resume(masks, n, 1 << start, u, v)
-            == _filtered_orderings(g, 1 << start, (u, v))
+            dp_completions(masks, n, [1 << start], u, v)
+            == [dp_resume(masks, n, 1 << start, u, v)]
+            == [_filtered_orderings(g, 1 << start, (u, v))]
         )
-        # labeled mask 0: every start except v itself
-        assert dp_connected(masks, n, 0, u, v) == dp_first_gap(masks, n, 0, u, v) == sum(
-            dp_connected(masks, n, 1 << s, u, v) for s in range(n) if s != v
-        )
+        # every start except v itself, which the constraint rules out
+        others = [s for s in range(n) if s != v]
+        assert dp_completions(masks, n, [1 << s for s in others], u, v) == [
+            dp_resume(masks, n, 1 << s, u, v) if s != u else dp_resume(masks, n, 1 << s) for s in others
+        ]
 
 
 def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
@@ -110,8 +116,44 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
         start, u, v = rng.sample(range(n), 3)
         for labeled, before in ((1 << start, ()), (1 << start, (u, v)), (_grow_connected(g, rng, n // 2), ())):
             expected = dp_resume(masks, n, labeled, *before)
-            assert dp_connected(masks, n, labeled, *before) == dp_first_gap(masks, n, labeled, *before) == expected
-        assert dp_connected(masks, n, 0, u, v) == dp_first_gap(masks, n, 0, u, v)
+            assert dp_completions(masks, n, [labeled], *before) == [expected]
+            if not before:
+                assert dp_connected(masks, n, labeled) == dp_first_gap(masks, n, labeled) == expected
+        # every start: u before v and v before u split each per-start count
+        starts = [1 << s for s in range(n)]
+        pairs = zip(dp_completions(masks, n, starts, u, v), dp_completions(masks, n, starts, v, u))
+        assert [a + b for a, b in pairs] == [dp_connected(masks, n, s) for s in starts]
+
+
+def test_completion_table_matches_single_queries_on_family_graphs():
+    rng = random.Random(5)
+    for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2)):
+        starts = [[s] for s in range(g.n)]
+        u, v = rng.sample(range(g.n), 2)
+        masks = [_grow_connected(g, rng, size) for size in (2, g.n // 2, g.n)]
+        sets = [[w for w in range(g.n) if mask >> w & 1] for mask in masks]
+        assert oracle.count_completions_each(g, starts) == [oracle.count_labelings_from(g, s) for s in range(g.n)]
+        assert oracle.count_completions_each(g, starts, before=(u, v)) == [
+            oracle.count_labelings_from_before(g, s, u, v) for s in range(g.n)
+        ]
+        assert oracle.count_completions_each(g, sets) == [oracle.count_completions(g, vs) for vs in sets]
+        assert oracle.count_completions_each(g, []) == []
+
+
+def test_completion_table_validates_its_input():
+    g = path(5)
+    with pytest.raises(ValueError, match="labeled set not connected"):
+        oracle.count_completions_each(g, [[1], [0, 2]])
+    with pytest.raises(ValueError, match="labeled set not connected"):
+        oracle.count_completions_each(g, [[]])
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.count_completions_each(g, [[4, 5]])
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.count_completions_each(g, [[0]], before=(0, 5))
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        oracle.count_completions_each(g, [[0]], before=(2, 2))
+    with pytest.raises(ValueError, match="graph not connected"):
+        oracle.count_completions_each(Graph(4, [(0, 1), (2, 3)]), [[0]])
 
 
 def test_engine_follows_density():
@@ -137,14 +179,14 @@ def test_pure_kernel_counts_the_widest_stars():
 
 
 def test_kernels_drop_a_constraint_whose_vertex_is_labeled():
-    # a labeled u already precedes v, and a labeled v is never added, so
-    # either way the count is the unconstrained one
+    # a labeled u already precedes v, so the count is the unconstrained
+    # one; a labeled v has come before an unlabeled u, so the count is 0
     for g in (path(3), cycle(5), perfect_tree(2, 2)):
         masks, n = g.masks, g.n
         for u, v in permutations(range(n), 2):
-            for labeled in (1 << u, 1 << v):
-                expected = dp_resume(masks, n, labeled)
-                assert dp_connected(masks, n, labeled, u, v) == dp_first_gap(masks, n, labeled, u, v) == expected
+            assert dp_completions(masks, n, [1 << u, 1 << v], u, v) == [
+                dp_resume(masks, n, 1 << u), 0
+            ] == [_filtered_orderings(g, 1 << u, (u, v)), _filtered_orderings(g, 1 << v, (u, v))]
 
 
 def test_backend_reports_selected_kernel():
@@ -260,6 +302,22 @@ def test_size_limits(monkeypatch):
         dp_first_gap(hub.masks, hub.n)
     monkeypatch.setattr(_core_py, "LAYER_LIMIT", 4)
     assert dp_first_gap(hub.masks, hub.n) == dp_total(hub.masks, hub.n)
+    # a completion table counts all its sets: the per-start table of the
+    # 8-cycle stores the 8 arcs of each length 1 to 5, 40 sets in all, and
+    # with 0 before 4 it leaves out the 13 arcs that hold 4 but not 0
+    starts = [[v] for v in range(ring.n)]
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 39)
+    with pytest.raises(ValueError, match="instance too large"):
+        oracle.count_completions_each(ring, starts)
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 40)
+    assert oracle.count_completions_each(ring, starts) == [dp_resume(ring.masks, ring.n, 1 << v) for v in range(8)]
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 26)
+    with pytest.raises(ValueError, match="instance too large"):
+        oracle.count_completions_each(ring, starts, before=(0, 4))
+    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 27)
+    assert oracle.count_completions_each(ring, starts, before=(0, 4)) == [
+        _filtered_orderings(ring, 1 << v, (0, 4)) for v in range(8)
+    ]
 
 
 def test_oracle_rejects_disconnected_graphs():
