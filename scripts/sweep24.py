@@ -1,6 +1,6 @@
 """Time the oracle on 24-vertex graphs, one fresh interpreter per graph.
 
-    python scripts/sweep24.py [NAME ...]
+    python scripts/sweep24.py [--out PATH] [NAME ...]
 
 The graphs are seeded random connected graphs of average degree d = 3, 4,
 5, 6, 8 and 12 (a random spanning tree plus random edges up to 12d
@@ -9,11 +9,14 @@ vertex of K1,21 and to one more vertex. For each graph the script prints
 one JSON line: the engine oracle.engine picks, the seconds
 oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
 the count or the error. Graphs run one after another, so at most one
-count holds memory at a time.
+count holds memory at a time. --out PATH also writes one JSON file: the
+environment (as scripts/ladder.py records it) and the records of every
+graph.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import resource
@@ -72,18 +75,31 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
         print(json.dumps(count_one(argv[1])), flush=True)
         return 0
-    names = argv or list(GRAPHS)
+    parser = argparse.ArgumentParser(description="Time the oracle on 24-vertex graphs.")
+    parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"graphs to run (default all): {', '.join(GRAPHS)}")
+    args = parser.parse_args(argv)
+    names = args.names or list(GRAPHS)
     unknown = [name for name in names if name not in GRAPHS]
     if unknown:
         print(f"unknown graph {unknown[0]!r}; choose from {', '.join(GRAPHS)}", file=sys.stderr)
         return 2
+    records = []
     for name in names:
         child = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
         if child.returncode:
-            print(json.dumps({"graph": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}))
+            record = {"graph": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
         else:
-            sys.stdout.write(child.stdout)
-        sys.stdout.flush()
+            record = json.loads(child.stdout)
+        records.append(record)
+        print(json.dumps(record), flush=True)
+    if args.out:
+        # imported here, so that the timed children do not load walklabel.cli
+        from ladder import environment
+
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"environment": environment(), "graphs": records}, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

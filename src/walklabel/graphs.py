@@ -1,19 +1,21 @@
 """Concrete graph construction for every family the counting modules handle.
 
-Vertices are 0-based ints internally. Each family builder also attaches
-1-based coordinate labels matching the conventions of the closed-form
-modules (depth/position for trees, tooth/position for combs, row/column for
-tori and two-cycle graphs), so tests can address "the" vertex a formula
-talks about without knowing the numbering. Each builder checks its own
-parameters and raises ValueError("invalid family parameters: ...") on a
-bad one. Graphs are immutable after construction by convention; nothing
-mutates them in this package.
+Vertices are 0-based ints internally. Each family builder declares its
+vertices by 1-based coordinate labels matching the conventions of the
+closed-form modules (depth/position for trees, tooth/position for combs,
+row/column for tori and two-cycle graphs), and its edges and aliases by
+those labels, so tests can address "the" vertex a formula talks about
+without knowing the numbering. One rule numbers every family: the builder
+lists its labels in index order, and vertex v is the v-th label. Each
+builder checks its own parameters and raises
+ValueError("invalid family parameters: ...") on a bad one. Graphs are
+immutable after construction by convention; nothing mutates them in this
+package.
 """
 
 from __future__ import annotations
 
 import io
-from collections import deque
 
 __all__ = [
     "Graph",
@@ -87,81 +89,69 @@ def vertex_at(g: Graph, coordinate) -> int:
         raise ValueError(f"unknown coordinate: {coordinate!r}") from None
 
 
-def is_connected(g: Graph) -> bool:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in seen:
+def is_connected(g: Graph, within: int | None = None) -> bool:
+    """Whether g is connected; with within, a vertex bitmask, whether the
+    vertices of within induce a connected subgraph (an empty set does not).
+    A whole-graph check is one O(n + m) search."""
+    if within is None:
+        start, size = 0, g.n
+    elif within:
+        start, size = (within & -within).bit_length() - 1, within.bit_count()
+    else:
+        return False
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if u not in seen and (within is None or within >> u & 1):
                 seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+                stack.append(u)
+    return len(seen) == size
+
+
+def _numbered(labels, edges, aliases=None) -> Graph:
+    """The graph whose vertex v is named labels[v], the one numbering rule
+    of every family builder; edges and aliases name vertices by label."""
+    index = {label: v for v, label in enumerate(labels)}
+    return Graph(
+        len(labels),
+        [(index[a], index[b]) for a, b in edges],
+        dict(enumerate(labels)),
+        {name: index[label] for name, label in (aliases or {}).items()},
+    )
+
+
+def _tree(h: int, m: int, k: int, aliases) -> Graph:
+    """Perfect tree of height h and arity m without the subtree of the last
+    vertex of depth k + 1, which holds the last m^(d-k-1) vertices of each
+    depth d > k; k = h drops nothing. Vertex (d, j) is the j-th of depth d."""
+    labels = [(d, j) for d in range(h + 1) for j in range(m**d - (m ** (d - k - 1) if d > k else 0))]
+    return _numbered(labels, [((d - 1, j // m), (d, j)) for d, j in labels if d], aliases)
 
 
 def perfect_tree(h: int, m: int) -> Graph:
     """Rooted tree of height h where every internal vertex has m children."""
     if h < 0 or m < 2:
         raise ValueError("invalid family parameters: PerfectTree needs h >= 0, m >= 2")
-    # BFS numbering: depth d occupies a contiguous block of m^d indices
-    offsets = [0]
-    for d in range(h + 1):
-        offsets.append(offsets[-1] + m**d)
-    n = offsets[-1]
-    edges = []
-    coords = {}
-    for d in range(h + 1):
-        for j in range(m**d):
-            v = offsets[d] + j
-            coords[v] = (d, j)
-            if d > 0:
-                edges.append((offsets[d - 1] + j // m, v))
-    return Graph(n, edges, coords, {"root": 0})
+    return _tree(h, m, h, {"root": (0, 0)})
 
 
 def tree_minus_child(h: int, m: int, k: int) -> Graph:
-    """Perfect tree with one depth-(k+1) subtree removed.
-
-    The surviving parent at depth k is addressable via the "bereaved" alias.
-    """
+    """Perfect tree with one depth-(k+1) subtree removed: the last child of
+    the last vertex of depth k, which the "bereaved" alias names."""
     if h < 1 or m < 2 or not 0 <= k <= h - 1:
         raise ValueError("invalid family parameters: TreeMinusChild needs h >= 1, m >= 2, 0 <= k <= h-1")
-    # drop the last child of the last depth-k vertex, i.e. the subtree rooted
-    # at the last vertex of depth k+1; survivors at depth d > k are the first
-    # m^d - m^(d-k-1) of that depth
-    survivors_at = [m**d if d <= k else m**d - m ** (d - k - 1) for d in range(h + 1)]
-    new_index = {}
-    coords = {}
-    nxt = 0
-    for d in range(h + 1):
-        for j in range(survivors_at[d]):
-            new_index[(d, j)] = nxt
-            coords[nxt] = (d, j)
-            nxt += 1
-    edges = []
-    for d in range(1, h + 1):
-        for j in range(survivors_at[d]):
-            edges.append((new_index[(d - 1, j // m)], new_index[(d, j)]))
-    bereaved = new_index[(k, m**k - 1)]
-    return Graph(nxt, edges, coords, {"root": 0, "bereaved": bereaved})
+    return _tree(h, m, k, {"root": (0, 0), "bereaved": (k, m**k - 1)})
 
 
 def comb(m: int, n: int, k: int) -> Graph:
     """m teeth of n vertices each, adjacent teeth joined at position k."""
     if m < 1 or n < 2 or not 1 <= k <= n:
         raise ValueError("invalid family parameters: Comb needs m >= 1, n >= 2, 1 <= k <= n")
-    def idx(i, j):  # 1-based tooth i, position j
-        return (i - 1) * n + (j - 1)
-    edges = []
-    coords = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            coords[idx(i, j)] = (i, j)
-            if j < n:
-                edges.append((idx(i, j), idx(i, j + 1)))
-        if i < m:
-            edges.append((idx(i, k), idx(i + 1, k)))
-    return Graph(m * n, edges, coords)
+    labels = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    edges = [((i, j), (i, j + 1)) for i, j in labels if j < n]
+    edges += [((i, k), (i + 1, k)) for i in range(1, m)]
+    return _numbered(labels, edges)
 
 
 def torus(n: int) -> Graph:
@@ -172,19 +162,10 @@ def torus(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError("invalid family parameters: Torus needs n >= 1")
-    def idx(r, c):  # 1-based row r in {1, 2}, column c
-        return (r - 1) * n + (c - 1)
-    edges = set()
-    coords = {}
-    for r in (1, 2):
-        for c in range(1, n + 1):
-            coords[idx(r, c)] = (r, c)
-            nxt = c % n + 1
-            if nxt != c:
-                edges.add((idx(r, c), idx(r, nxt)))
-    for c in range(1, n + 1):
-        edges.add((idx(1, c), idx(2, c)))
-    return Graph(2 * n, sorted(edges), coords)
+    labels = [(r, c) for r in (1, 2) for c in range(1, n + 1)]
+    edges = [((r, c), (r, c % n + 1)) for r, c in labels if n > 1]
+    edges += [((1, c), (2, c)) for c in range(1, n + 1)]
+    return _numbered(labels, edges)
 
 
 def two_cycles(a1: int, a2: int, a3: int) -> Graph:
@@ -192,43 +173,24 @@ def two_cycles(a1: int, a2: int, a3: int) -> Graph:
     junction columns; rows 1 and 3 attach to the ends of row 2."""
     if min(a1, a2, a3) < 2:
         raise ValueError("invalid family parameters: TwoCycles needs a1, a2, a3 >= 2")
-    starts = {1: 0, 2: a1, 3: a1 + a2}
     lengths = {1: a1, 2: a2, 3: a3}
-    def idx(row, pos):  # 1-based position along the row
-        return starts[row] + pos - 1
-    edges = []
-    coords = {}
-    for row in (1, 2, 3):
-        for pos in range(1, lengths[row] + 1):
-            coords[idx(row, pos)] = (row, pos)
-            if pos < lengths[row]:
-                edges.append((idx(row, pos), idx(row, pos + 1)))
+    labels = [(row, pos) for row in (1, 2, 3) for pos in range(1, lengths[row] + 1)]
+    edges = [((row, pos), (row, pos + 1)) for row, pos in labels if pos < lengths[row]]
     # junction columns: rows 1 and 3 hang off both ends of the middle row
-    edges += [
-        (idx(1, 1), idx(2, 1)),
-        (idx(3, 1), idx(2, 1)),
-        (idx(1, a1), idx(2, a2)),
-        (idx(3, a3), idx(2, a2)),
-    ]
-    return Graph(
-        a1 + a2 + a3,
-        edges,
-        coords,
-        {"left_junction": idx(2, 1), "right_junction": idx(2, a2)},
-    )
+    edges += [((1, 1), (2, 1)), ((3, 1), (2, 1)), ((1, a1), (2, a2)), ((3, a3), (2, a2))]
+    return _numbered(labels, edges, {"left_junction": (2, 1), "right_junction": (2, a2)})
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("invalid family parameters: Path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], {i: i + 1 for i in range(n)})
+    return _numbered(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("invalid family parameters: Cycle needs n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, {i: i + 1 for i in range(n)})
+    return _numbered(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def _quote(line: str, limit: int = 60) -> str:

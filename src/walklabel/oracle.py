@@ -163,15 +163,7 @@ def _labeled_mask(g: Graph, labeled) -> int:
     for v in vs:
         _check_vertex(g, v, "labeled vertex")
         mask |= 1 << v
-    seen = {vs[0]}
-    frontier = [vs[0]]
-    while frontier:
-        v = frontier.pop()
-        for u in g.adj[v]:
-            if mask >> u & 1 and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    if len(seen) != len(vs):
+    if not is_connected(g, mask):
         raise ValueError("labeled set not connected")
     return mask
 

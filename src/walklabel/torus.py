@@ -18,9 +18,10 @@ total is count_torus(n) = 2n a(n, 1) for n >= 2, computed from its closed
 form so that no n runs into the recursion of a_rec; n = 1 degenerates to
 a single edge with exactly 2 labelings.
 
-torus_partial_state_graph builds the concrete labeled configuration each
-state quantity describes, so the brute-force oracle can check a and b
-directly via count_completions.
+torus_state names the labeled vertices of the configuration each state
+quantity describes by their (row, column) coordinates in graphs.torus(n),
+so the brute-force oracle can check a and b directly as completions of
+that labeled set.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from functools import cache
 
 from .bigmath import binomial, exact_div, factorial
 
-from .graphs import Graph, torus, vertex_at
-
 __all__ = [
     "a_closed",
     "a_rec",
     "b_closed",
     "b_rec",
     "count_torus",
-    "torus_partial_state_graph",
+    "torus_state",
 ]
 
 
@@ -166,8 +165,8 @@ def count_torus(n: int) -> int:
     return n * (n + 2) * factorial(2 * n - 2) // factorial(n - 2)
 
 
-def torus_partial_state_graph(n: int, shape) -> tuple[Graph, frozenset[int]]:
-    """Concrete (graph, labeled set) pair realizing a state quantity.
+def torus_state(n: int, shape) -> list[tuple[int, int]]:
+    """The (row, column) coordinates of the labeled set of a state quantity.
 
     shape is ("a", k) for the single-row arc of k vertices, or ("b", s, t)
     for the two-row configuration with arcs of s + 1 and t + 1 vertices
@@ -175,13 +174,11 @@ def torus_partial_state_graph(n: int, shape) -> tuple[Graph, frozenset[int]]:
     column 1, which loses no generality: the graph's automorphisms act
     transitively on positions of an arc.
     """
-    g = torus(n)
     kind = shape[0]
     if kind == "a":
         _, k = shape
         _check_a(n, k)
-        labeled = frozenset(vertex_at(g, (1, c)) for c in range(1, k + 1))
-        return g, labeled
+        return [(1, c) for c in range(1, k + 1)]
     if kind == "b":
         _, s, t = shape
         if n < 2:
@@ -189,7 +186,5 @@ def torus_partial_state_graph(n: int, shape) -> tuple[Graph, frozenset[int]]:
         _check_b(n, s, t)
         if s + t > n - 1:
             raise ValueError(f"parameter out of range: arcs of {s + 1} and {t + 1} vertices cannot overlap in one column of a row of {n}")
-        top = [vertex_at(g, (1, c)) for c in range(1, s + 2)]
-        bottom = [vertex_at(g, (2, c)) for c in [1] + list(range(n, n - t, -1))]
-        return g, frozenset(top + bottom)
+        return [(1, c) for c in range(1, s + 2)] + [(2, c) for c in [1, *range(n, n - t, -1)]]
     raise ValueError(f"unknown state shape: {shape!r}")

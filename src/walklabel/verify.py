@@ -77,8 +77,9 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
                     _check(out, "tree", f"{inst} k={d}", "t_rec == oracle per-start",
                            counts.pop(), trees.t_rec(h, m, d))
             for k in range(h):
-                g = tree_minus_child(h, m, k)
-                if g.n <= oracle_vertex_limit:
+                # the subtree tree_minus_child drops has height h - k - 1
+                if n - (m ** (h - k) - 1) // (m - 1) <= oracle_vertex_limit:
+                    g = tree_minus_child(h, m, k)
                     _check(out, "tree", f"{inst} k={k}", "s_rec == oracle from bereaved parent",
                            oracle.count_labelings_from(g, vertex_at(g, "bereaved")),
                            trees.s_rec(h, m, k))
@@ -146,13 +147,14 @@ def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) ->
         inst = f"(n={n})"
         if progress:
             progress(f"torus {inst} oracle")
+        g = torus_graph(n)
         _check(out, "torus", inst, "count_torus == oracle",
-               oracle.count_labelings(torus_graph(n)), torus.count_torus(n))
+               oracle.count_labelings(g), torus.count_torus(n))
         if n < 2:
             continue
         states = [("a", k) for k in range(1, n + 1)] + [("b", s, t) for s in range(n) for t in range(n - s)]
-        labeled = [torus.torus_partial_state_graph(n, state)[1] for state in states]
-        completions = dict(zip(states, oracle.count_completions_each(torus_graph(n), labeled)))
+        labeled = [[vertex_at(g, c) for c in torus.torus_state(n, state)] for state in states]
+        completions = dict(zip(states, oracle.count_completions_each(g, labeled)))
         for k in range(1, n + 1):
             _check(out, "torus", f"{inst} k={k}", "a_rec == oracle completions",
                    completions["a", k], torus.a_rec(n, k))

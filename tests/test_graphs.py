@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -192,8 +193,62 @@ def test_is_connected():
     assert is_connected(cycle(6))
     assert not is_connected(Graph(3, [(0, 1)]))
     assert is_connected(Graph(1, []))
+    # restricted to a vertex mask: the induced subgraph on those vertices
+    assert is_connected(path(5), 0b01110)
+    assert not is_connected(path(5), 0b10101)
+    assert is_connected(path(5), 0b00100)
+    assert not is_connected(path(5), 0)
 
 
 def test_graphs_module_exports_exist():
     for name in graphs.__all__:
         assert hasattr(graphs, name)
+
+
+def _numbering_cases():
+    for m in range(2, 5):
+        for h in range(6):
+            if m**h < 2000:
+                yield "perfect_tree", (h, m)
+                for k in range(h):
+                    yield "tree_minus_child", (h, m, k)
+    for m in range(1, 7):
+        for n in range(2, 8):
+            for k in range(1, n + 1):
+                yield "comb", (m, n, k)
+    for n in range(1, 15):
+        yield "torus", (n,)
+    for a1 in range(2, 7):
+        for a2 in range(2, 7):
+            for a3 in range(2, 7):
+                yield "two_cycles", (a1, a2, a3)
+    for n in range(1, 12):
+        yield "path", (n,)
+    for n in range(3, 12):
+        yield "cycle", (n,)
+
+
+# sha256 over each builder's grid of (args, adj, sorted coords, sorted
+# aliases); a digest that changes means the builder renumbered its vertices
+_NUMBERING_DIGESTS = {
+    "perfect_tree": "dc28e723eee72707b1aedec61cf88082e763ba5b0384388ac07e3fb237cfb0f0",
+    "tree_minus_child": "fcdbf0b6d10371987514d8284f2827b201946f5adfffba606b9132a601dfde40",
+    "comb": "ae152ab6dd92e6a2f8cf7e1b4ec330bf83ef118e3f185c5d63c5ff5b526ee47a",
+    "torus": "910badeb83466e63548a59f9bb30375370b17c4d4d89d6418b1f593599664ade",
+    "two_cycles": "80383f2bb6442344c805a4faed4f6de2b157e01953f8eee46ebb387e1790d388",
+    "path": "6838cc51c5c917bb7f564b96cf25dd1019d29533ca88c642c60c722bfd2db487",
+    "cycle": "abf053f39c2982d25e1431dfa1570e9bc406589edce96b317a05d77658df1cea",
+}
+
+
+def test_family_vertex_numbering_is_pinned():
+    # counts do not depend on the numbering, but per-vertex queries that
+    # pick vertices by index (perfbench's dp-sparse starts) do
+    digests = {}
+    for name, args in _numbering_cases():
+        g = getattr(graphs, name)(*args)
+        labels = set(g.coords.values())
+        aliases = sorted((k, v) for k, v in g._lookup.items() if k not in labels)
+        digests.setdefault(name, hashlib.sha256()).update(
+            repr((args, g.adj, sorted(g.coords.items()), aliases)).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == _NUMBERING_DIGESTS

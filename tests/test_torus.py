@@ -84,14 +84,17 @@ def test_b_states_match_completion_oracle():
                 assert b_rec(n, s, t) == oracle.count_completions(g, labeled)
 
 
-def test_partial_state_graph_matches_definitions():
-    g, labeled = torus_mod.torus_partial_state_graph(5, ("b", 2, 1))
-    assert g.n == 10
-    assert b_rec(5, 2, 1) == oracle.count_completions(g, list(labeled))
-    g, labeled = torus_mod.torus_partial_state_graph(5, ("a", 3))
-    assert a_rec(5, 3) == oracle.count_completions(g, list(labeled))
+def test_torus_state_matches_definitions():
+    g = torus(5)
+    labeled = [vertex_at(g, c) for c in torus_mod.torus_state(5, ("b", 2, 1))]
+    assert b_rec(5, 2, 1) == oracle.count_completions(g, labeled)
+    labeled = [vertex_at(g, c) for c in torus_mod.torus_state(5, ("a", 3))]
+    assert a_rec(5, 3) == oracle.count_completions(g, labeled)
     with pytest.raises(ValueError, match="unknown state shape"):
-        torus_mod.torus_partial_state_graph(5, ("c", 1))
+        torus_mod.torus_state(5, ("c", 1))
+    # arcs of s + 1 and t + 1 vertices meet in more than one column
+    with pytest.raises(ValueError, match="cannot overlap in one column"):
+        torus_mod.torus_state(5, ("b", 3, 2))
 
 
 def test_parameter_validation():
