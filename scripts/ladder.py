@@ -5,7 +5,7 @@ point.
 
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40) and
 (80,80,80), perfect trees (h, m) = (12,2), (14,2) and (16,2), combs
-(m, n, k) = (80,80,40) and (200,200,100), and the torus n = 2000,
+(m, n, k) = (80,80,40) and (200,200,100), the torus n = 2000 and 100000,
 `walklabel series` at degrees 45 and 80, and `walklabel --quiet verify
 --family all` at its default grids (verifyall). For each point the script
 prints one JSON line: the CLI argv, the seconds `cli.run` takes (argument
@@ -42,7 +42,7 @@ POINTS = {
     **{f"tree{h}": ["count", "tree", "--h", str(h), "--m", "2"] for h in (12, 14, 16)},
     "comb80": ["count", "comb", "--m", "80", "--n", "80", "--k", "40"],
     "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],
-    "torus2000": ["count", "torus", "--n", "2000"],
+    **{f"torus{n}": ["count", "torus", "--n", str(n)] for n in (2000, 100000)},
     **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80)},
     "verifyall": ["--quiet", "verify", "--family", "all"],
 }

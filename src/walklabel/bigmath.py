@@ -3,8 +3,8 @@
 Counts are plain Python ints (arbitrary precision), and no intermediate is
 ever a rational: a closed form whose integrality rests on the formula
 divides through exact_div, which raises instead of flooring when the
-division leaves a remainder. Divisions that are exact by structure (falling
-factorials, geometric sums) keep a plain //. The factorial cache below is
+division leaves a remainder. Divisions that are exact by structure (geometric
+sums) keep a plain //. The factorial cache below is
 unbounded and monotone (it only ever gains entries); under free threading
 concurrent misses may compute a value twice, but both writes store the same
 int, so results are identical to sequential execution. Call

@@ -23,7 +23,7 @@ so callers see the disagreement instead of inheriting it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
 
@@ -137,10 +137,7 @@ def lemma_pac_check(m: int, n: int, k: int) -> bool:
     return factorial(m) * factorial(n) ** m * lhs == rhs
 
 
-class CorollaryComparison(NamedTuple):
-    value: int
-    closed_form: int
-    agrees: bool
+CorollaryComparison = namedtuple("CorollaryComparison", "value closed_form agrees")
 
 
 def corollary_comb(m: int) -> CorollaryComparison:

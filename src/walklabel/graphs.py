@@ -15,7 +15,7 @@ package.
 
 from __future__ import annotations
 
-import io
+import re
 
 __all__ = [
     "Graph",
@@ -46,17 +46,12 @@ class Graph:
     def __init__(self, n, edges, coords=None, aliases=None):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
         neighbor_sets = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
         self.n = n
@@ -202,31 +197,16 @@ def _quote(line: str, limit: int = 60) -> str:
 _MAX_LINE = 1 << 16  # characters in one input line
 
 
-def _string_chunks(text: str):
-    """The lines of text as readline(_MAX_LINE + 1) gives them on a file
-    opened with universal newlines. The text is read through io.StringIO
-    (4 bytes a character) in blocks of about two line lengths, each cut
-    after a line end, so memory follows the longest line, not the text; a
-    block without a line end holds a line that is too long and gives up
-    its first _MAX_LINE + 1 characters."""
-    pos, end = 0, len(text)
-    while pos < end:
-        cut = pos + 2 * (_MAX_LINE + 1)
-        if cut < end:
-            cut = max(text.rfind("\n", pos, cut), text.rfind("\r", pos, cut)) + 1 or pos + _MAX_LINE + 1
-            if text.startswith("\r\n", cut - 1):
-                cut += 1
-        readline = io.StringIO(text[pos:cut], newline=None).readline
-        while chunk := readline(_MAX_LINE + 1):
-            yield chunk
-        pos = cut
-
-
 def _lines(source):
     """The str.splitlines() lines of source, a string or an open text file,
-    read one line at a time; a line longer than _MAX_LINE characters raises."""
+    read one line at a time; a line longer than _MAX_LINE characters raises.
+    One pattern cuts a string into pieces of up to _MAX_LINE + 1 characters
+    and the line end after them, as readline(_MAX_LINE + 1) cuts a file
+    opened with universal newlines, so memory follows the longest line, not
+    the text. The pattern's last match is empty and yields no line."""
     if isinstance(source, str):
-        chunks = _string_chunks(source)
+        pattern = rf"[^\r\n]{{0,{_MAX_LINE + 1}}}(?:\r\n|\r|\n)?"
+        chunks = (match.group() for match in re.finditer(pattern, source))
     else:
         readline = source.readline
         chunks = iter(lambda: readline(_MAX_LINE + 1), "")

@@ -10,13 +10,14 @@ State quantities, both for the simple graph with rows of length n >= 2:
               s + t <= n - 1; the count is 0 once s + t >= n).
 
 Each comes as a recurrence (a_rec, b_rec, mutually defined, memoized) and a
-closed form (a_closed, b_closed). The closed forms are factorial quotients
-whose integrality rests on the formula, so they divide through
-bigmath.exact_div, which raises on a remainder; falling factorials, exact by
-structure, divide with a plain //. The
-total is count_torus(n) = 2n a(n, 1) for n >= 2, computed from its closed
-form so that no n runs into the recursion of a_rec; n = 1 degenerates to
-a single edge with exactly 2 labelings.
+closed form (a_closed, b_closed). The closed forms are factorial quotients.
+Those exact by structure, (2n-k)!/(n-k+1)! and the like, are falling
+factorials computed directly as math.perm, with no big division; only the
+small divisors 2 and 4 that remain, whose integrality rests on the formula,
+divide through bigmath.exact_div, which raises on a remainder. The total is
+count_torus(n) = 2n a(n, 1) for n >= 2, computed from its closed form as
+C(2n-2, n) n!, so that no n runs into the recursion of a_rec; n = 1
+degenerates to a single edge with exactly 2 labelings.
 
 torus_state names the labeled vertices of the configuration each state
 quantity describes by their (row, column) coordinates in graphs.torus(n),
@@ -26,6 +27,7 @@ that labeled set.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 from .bigmath import binomial, exact_div, factorial
@@ -127,9 +129,8 @@ def a_closed(n: int, k: int) -> int:
     if k == n:
         return factorial(n)
     if k == 1:
-        return exact_div((n + 2) * factorial(2 * n - 2), 2 * factorial(n - 2), f"a_closed({n}, 1)")
-    return exact_div(binomial(n - k + 2, 2) * factorial(2 * n - k), 2 * factorial(n - k + 1),
-                     f"a_closed({n}, {k})")
+        return exact_div((n + 2) * math.perm(2 * n - 2, n), 2, f"a_closed({n}, 1)")
+    return exact_div(binomial(n - k + 2, 2) * math.perm(2 * n - k, n - 1), 2, f"a_closed({n}, {k})")
 
 
 def b_closed(n: int, s: int, t: int) -> int:
@@ -141,28 +142,27 @@ def b_closed(n: int, s: int, t: int) -> int:
     if s == 0 or t == 0:
         w = max(s, t)
         if w == 0:
-            return factorial(2 * n - 2) // factorial(n - 2) if n >= 2 else 0
+            return math.perm(2 * n - 2, n)
         if w == n - 1:
             return factorial(n - 1)
-        return exact_div(factorial(2 * n - 2 - w) * (n - w), 2 * factorial(n - 1 - w),
-                         f"b_closed({n}, {s}, {t})")
+        return exact_div(math.perm(2 * n - 2 - w, n - 1) * (n - w), 2, f"b_closed({n}, {s}, {t})")
     if s + t == n - 1:
         return factorial(n - 1)
     u = n - s - t
-    return exact_div(factorial(2 * n - 2 - s - t) * (u * (u + 1) + 2), 4 * factorial(u),
-                     f"b_closed({n}, {s}, {t})")
+    return exact_div(math.perm(2 * n - 2 - s - t, n - 2) * (u * (u + 1) + 2), 4, f"b_closed({n}, {s}, {t})")
 
 
 def count_torus(n: int) -> int:
     """Total labelings: every vertex is an equivalent start, and a walk that
     has labeled only its start sits in state a(n, 1), so the total is
-    2n a(n, 1) = n (n + 2) (2n - 2)! / (n - 2)! for n >= 2. The closed form
-    is what is computed; verify_torus checks it against 2n a_rec(n, 1)."""
+    2n a(n, 1) = n (n + 2) (2n - 2)! / (n - 2)! for n >= 2, computed as
+    n (n + 2) C(2n - 2, n) n!. The closed form is what is computed;
+    verify_torus checks it against 2n a_rec(n, 1)."""
     if n < 1:
         raise ValueError(f"parameter out of range: n = {n} must be >= 1")
     if n == 1:
         return 2
-    return n * (n + 2) * factorial(2 * n - 2) // factorial(n - 2)
+    return n * (n + 2) * binomial(2 * n - 2, n) * factorial(n)
 
 
 def torus_state(n: int, shape) -> list[tuple[int, int]]:

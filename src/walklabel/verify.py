@@ -3,7 +3,8 @@ and every formula against the brute-force oracle, over configurable grids.
 
 Each family function returns a list of Check records; report() folds them
 into a JSON-friendly dict. The CLI exposes these through the verify
-subcommand, whose grid defaults are the signature defaults here, and the
+subcommand, whose grid flags name the keywords here (--max-vertices is
+max_vertices) and whose grid defaults are the signature defaults, and the
 acceptance tests run them with the grids pinned to the
 package's guarantees. Progress (one line per instance group) goes through
 an optional callback so the CLI can stream it to stderr and tests can keep
@@ -12,7 +13,7 @@ it silent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import combs, oracle, torus, trees, twocycles
 from .bigmath import to_decimal
@@ -28,16 +29,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Check:
-    """One comparison; expected and actual keep the values compared (ints,
-    tuples, bools), which report() prints only for failures."""
-    family: str
-    instance: str
-    kind: str
-    expected: object
-    actual: object
-    ok: bool
+# One comparison; expected and actual keep the values compared (ints,
+# tuples, bools), which report() prints only for failures.
+Check = namedtuple("Check", "family instance kind expected actual ok")
 
 
 def _text(value) -> str:
@@ -48,7 +42,7 @@ def _check(out: list[Check], family: str, instance: str, kind: str, expected, ac
     out.append(Check(family, instance, kind, expected, actual, expected == actual))
 
 
-def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, progress=None) -> list[Check]:
+def verify_trees(max_h: int = 4, max_m: int = 4, max_vertices: int = 22, progress=None) -> list[Check]:
     out: list[Check] = []
     for m in range(2, max_m + 1):
         for h in range(max_h + 1):
@@ -62,7 +56,7 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
                 _check(out, "tree", f"{inst} k={k}", "s_rec == s_closed",
                        trees.s_rec(h, m, k), trees.s_closed(h, m, k))
             n = (m ** (h + 1) - 1) // (m - 1)
-            if n <= oracle_vertex_limit:
+            if n <= max_vertices:
                 g = perfect_tree(h, m)
                 _check(out, "tree", inst, "count_perfect_tree == oracle",
                        oracle.count_labelings(g), trees.count_perfect_tree(h, m))
@@ -78,7 +72,7 @@ def verify_trees(max_h: int = 4, max_m: int = 4, oracle_vertex_limit: int = 22, 
                            counts.pop(), trees.t_rec(h, m, d))
             for k in range(h):
                 # the subtree tree_minus_child drops has height h - k - 1
-                if n - (m ** (h - k) - 1) // (m - 1) <= oracle_vertex_limit:
+                if n - (m ** (h - k) - 1) // (m - 1) <= max_vertices:
                     g = tree_minus_child(h, m, k)
                     _check(out, "tree", f"{inst} k={k}", "s_rec == oracle from bereaved parent",
                            oracle.count_labelings_from(g, vertex_at(g, "bereaved")),
@@ -125,9 +119,9 @@ def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
     return out
 
 
-def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[Check]:
+def verify_torus(max_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[Check]:
     out: list[Check] = []
-    for n in range(2, max_exact_n + 1):
+    for n in range(2, max_n + 1):
         inst = f"(n={n})"
         if progress:
             progress(f"torus {inst} exact")
@@ -167,7 +161,7 @@ def verify_torus(max_exact_n: int = 12, max_oracle_n: int = 8, progress=None) ->
     return out
 
 
-def verify_twocycles(max_total: int = 16, max_part: int = 8, lemma_total: int = 12, progress=None) -> list[Check]:
+def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: int = 12, progress=None) -> list[Check]:
     out: list[Check] = []
     for a1 in range(2, max_part + 1):
         for a2 in range(2, max_part + 1):
@@ -184,7 +178,7 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, lemma_total: int = 
                        oracle.count_labelings(g), count)
                 _check(out, "twocycles", inst, "a1 <-> a3 symmetry",
                        twocycles.count_two_cycles(a3, a2, a1), count)
-                if total > lemma_total:
+                if total > max_lemma_total:
                     continue
                 left = vertex_at(g, "left_junction")
                 right = vertex_at(g, "right_junction")
@@ -213,5 +207,5 @@ def report(checks: list[Check]) -> dict:
         "total": len(checks),
         "failed": len(failed),
         "ok": not failed,
-        "failures": [{**asdict(c), "expected": _text(c.expected), "actual": _text(c.actual)} for c in failed],
+        "failures": [{**c._asdict(), "expected": _text(c.expected), "actual": _text(c.actual)} for c in failed],
     }

@@ -5,6 +5,8 @@ fast evaluations in src/ are checked against.
   twocycles._rows collapses by Vandermonde's identity.
 - count_comb: the comb total through exact rationals, one Fraction per
   summand, that combs.count_comb evaluates over one common denominator.
+- a_closed, b_closed, count_torus: the torus closed forms as quotients of
+  whole factorials, which torus.py evaluates as math.perm falling factorials.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 
-__all__ = ["count_comb", "rows"]
+__all__ = ["a_closed", "b_closed", "count_comb", "count_torus", "rows"]
 
 
 def _ends(p: int) -> int:
@@ -52,3 +54,41 @@ def count_comb(m: int, n: int, k: int) -> int:
     )
     value = prefactor * bracket
     return exact_div(value.numerator, value.denominator, f"count_comb({m}, {n}, {k})")
+
+
+def a_closed(n: int, k: int) -> int:
+    """torus.a_closed for 1 <= k <= n by whole-factorial quotients."""
+    if n == 1:
+        return 1
+    if k == n:
+        return factorial(n)
+    if k == 1:
+        return exact_div((n + 2) * factorial(2 * n - 2), 2 * factorial(n - 2), f"a_closed({n}, 1)")
+    return exact_div(binomial(n - k + 2, 2) * factorial(2 * n - k), 2 * factorial(n - k + 1),
+                     f"a_closed({n}, {k})")
+
+
+def b_closed(n: int, s: int, t: int) -> int:
+    """torus.b_closed for 0 <= s, t <= n - 1 by whole-factorial quotients."""
+    if s + t >= n or n == 1:
+        return 0
+    if s == 0 or t == 0:
+        w = max(s, t)
+        if w == 0:
+            return factorial(2 * n - 2) // factorial(n - 2)
+        if w == n - 1:
+            return factorial(n - 1)
+        return exact_div(factorial(2 * n - 2 - w) * (n - w), 2 * factorial(n - 1 - w),
+                         f"b_closed({n}, {s}, {t})")
+    if s + t == n - 1:
+        return factorial(n - 1)
+    u = n - s - t
+    return exact_div(factorial(2 * n - 2 - s - t) * (u * (u + 1) + 2), 4 * factorial(u),
+                     f"b_closed({n}, {s}, {t})")
+
+
+def count_torus(n: int) -> int:
+    """torus.count_torus for n >= 1 as n (n + 2) (2n - 2)! / (n - 2)!."""
+    if n == 1:
+        return 2
+    return n * (n + 2) * factorial(2 * n - 2) // factorial(n - 2)

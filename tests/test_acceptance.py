@@ -86,7 +86,7 @@ def test_acceptance_1_tree_reference_values():
 
 
 def test_acceptance_2_tree_dual_path_and_oracle():
-    report = verify.report(verify.verify_trees(max_h=4, max_m=4, oracle_vertex_limit=22))
+    report = verify.report(verify.verify_trees(max_h=4, max_m=4, max_vertices=22))
     extra_ok = True
     for h, m in _tree_instances_up_to(22):
         if m <= 4 and h <= 4:
@@ -127,7 +127,7 @@ def test_acceptance_3_combs():
 
 def test_acceptance_4_torus():
     started = time.perf_counter()
-    report = verify.report(verify.verify_torus(max_exact_n=12, max_oracle_n=9))
+    report = verify.report(verify.verify_torus(max_n=12, max_oracle_n=9))
     elapsed = time.perf_counter() - started
     ok = report["ok"] and elapsed < 120.0
     assert record_acceptance(4, ok, f"{report['total']} checks in {elapsed:.1f}s")
@@ -135,7 +135,7 @@ def test_acceptance_4_torus():
 
 def test_acceptance_5_twocycles():
     report = verify.report(
-        verify.verify_twocycles(max_total=20, max_part=16, lemma_total=12)
+        verify.verify_twocycles(max_total=20, max_part=16, max_lemma_total=12)
     )
     ok = report["ok"]
     assert record_acceptance(5, ok, f"{report['total']} checks, totals up to a1+a2+a3 = 20")

@@ -88,7 +88,9 @@ def test_exact_div_raises_on_non_integer():
 
 
 def test_cli_import_loads_no_rational_or_decimal_module():
-    code = "import sys, walklabel.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    # dataclasses and inspect cost about 15 ms per interpreter and no record needs them
+    unwanted = "{'fractions', 'decimal', 'dataclasses', 'inspect'}"
+    code = f"import sys, walklabel.cli; print(sorted({unwanted} & set(sys.modules)))"
     src = str(Path(walklabel.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})

@@ -119,7 +119,10 @@ def test_verify_flags_default_to_the_verify_functions(monkeypatch):
         calls.clear()
         run(["--quiet", "verify", "--family", family.name])
         assert calls == [(family.name, defaults[family.name])]
-        for flag, keyword, _ in family.grid:
+        for flag, _ in family.grid:
+            # the flag's argparse dest is the verify function's keyword
+            keyword = flag[2:].replace("-", "_")
+            assert keyword in defaults[family.name]
             calls.clear()
             run(["--quiet", "verify", "--family", family.name, flag, "3"])
             assert calls == [(family.name, {**defaults[family.name], keyword: 3})]
@@ -144,11 +147,18 @@ def test_oracle_subcommand(tmp_path):
     assert run(["oracle", "--input", str(f), "--completions", "0,1"]).stdout == "2\n"
 
 
-def test_oracle_flag_conflicts(tmp_path):
+def test_oracle_flag_conflicts(tmp_path, capsys):
     f = tmp_path / "p2.txt"
     f.write_text("2\n0 1\n")
     assert run(["oracle", "--input", str(f), "--from", "0", "--completions", "1"]).exit_code == 1
     assert run(["oracle", "--input", str(f), "--alg", "perm", "--from", "0"]).exit_code == 1
+    capsys.readouterr()
+    # a conflict is an error before the input is read: no file is needed
+    missing = str(tmp_path / "missing.txt")
+    assert run(["oracle", "--input", missing, "--from", "0", "--completions", "1"]) == (1, "")
+    assert capsys.readouterr().err == "error: --from and --completions are mutually exclusive\n"
+    assert run(["oracle", "--input", missing, "--alg", "perm", "--completions", "1"]) == (1, "")
+    assert capsys.readouterr().err == "error: the permutation oracle only counts totals\n"
 
 
 def test_oracle_missing_file():
@@ -271,7 +281,7 @@ def test_verify_prints_the_values_of_a_failing_check_in_decimal(monkeypatch):
     ]
 
 
-GRID_FLAGS = [(family.name, flag) for family in cli._FAMILIES for flag, _, _ in family.grid]
+GRID_FLAGS = [(family.name, flag) for family in cli._FAMILIES for flag, _ in family.grid]
 
 
 @pytest.mark.parametrize("family, flag", GRID_FLAGS)

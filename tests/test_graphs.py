@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -151,7 +152,7 @@ def _parsed(source):
         return str(exc)
 
 
-def test_parse_edge_list_reads_a_file_as_its_text(tmp_path):
+def test_parse_edge_list_reads_a_file_as_its_text(tmp_path, monkeypatch):
     # a file is read a line at a time, yet str.splitlines() also breaks
     # lines at form feeds and the like, which file iteration does not
     f = tmp_path / "g.txt"
@@ -159,6 +160,21 @@ def test_parse_edge_list_reads_a_file_as_its_text(tmp_path):
         f.write_text(text, newline="")
         with open(f, encoding="utf-8") as fh:
             assert _parsed(fh) == _parsed(f.read_text(encoding="utf-8"))
+    # random texts at a line cap of 1-8 characters: a string and a file give
+    # the same graph, or the same error with the same line number
+    rng = random.Random(13)
+    lines = ("3", "0 1", "1 2", "2 0", "# c", "", "  ", "1\x0c2", "0 1 2", "a b", "0  1")
+    ends = ("\n", "\r", "\r\n", "\x0c", "\x85")
+    for _ in range(500):
+        monkeypatch.setattr(graphs, "_MAX_LINE", rng.randint(1, 8))
+        if rng.random() < 0.5:
+            text = "".join(rng.choice(lines) + rng.choice(ends) for _ in range(rng.randint(0, 8)))
+            text = rng.choice(("3\n", "3\r\n", "")) + text
+        else:
+            text = "".join(rng.choice(("0", "1", " ", "#", *ends)) for _ in range(rng.randint(0, 24)))
+        f.write_text(text, encoding="utf-8", newline="")
+        with open(f, encoding="utf-8") as fh:
+            assert _parsed(fh) == _parsed(text), (graphs._MAX_LINE, text)
 
 
 def test_parse_edge_list_memory_does_not_follow_a_string():

@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+from closed_forms_ref import a_closed as a_closed_ref
+from closed_forms_ref import b_closed as b_closed_ref
+from closed_forms_ref import count_torus as count_torus_ref
 from walklabel import oracle, torus as torus_mod
 from walklabel.graphs import torus, vertex_at
 from walklabel.torus import a_closed, a_rec, b_closed, b_rec, count_torus
@@ -109,7 +112,12 @@ def test_parameter_validation():
 
 
 def test_closed_forms_are_integral_for_larger_n():
-    # exact_div inside the closed forms raises if any division fails
-    for n in range(2, 30):
-        assert a_closed(n, 1) > 0
-        assert b_closed(n, 1, 1) >= 0
+    # exact_div inside the closed forms raises if any division fails; the
+    # falling factorials must equal the whole-factorial quotients they replace
+    for n in range(1, 61):
+        assert count_torus(n) == count_torus_ref(n)
+        for k in range(1, n + 1):
+            assert a_closed(n, k) == a_closed_ref(n, k) > 0
+        for s in range(n):
+            for t in range(n - s):
+                assert b_closed(n, s, t) == b_closed_ref(n, s, t)
