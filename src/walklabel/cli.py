@@ -181,7 +181,8 @@ def _cmd_series(args) -> tuple[int, str]:
                 for a1, a2, a3, c in rows
             ],
         }) + "\n"
-    return 0, "a1,a2,a3,coefficient\n" + "".join(f"{a1},{a2},{a3},{to_decimal(c)}\n" for a1, a2, a3, c in rows)
+    lines = "".join(f"{a1},{a2},{a3},{to_decimal(c)}\n" for a1, a2, a3, c in rows)
+    return 0, "a1,a2,a3,coefficient\n" + lines
 
 
 def _cmd_oeis(args) -> tuple[int, str]:
