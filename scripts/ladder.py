@@ -6,16 +6,17 @@ point.
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40) and
 (80,80,80), perfect trees (h, m) = (12,2), (14,2) and (16,2), combs
 (m, n, k) = (80,80,40) and (200,200,100), the torus n = 2000 and 100000,
-`walklabel series` at degrees 45 and 80, and `walklabel --quiet verify
---family all` at its default grids (verifyall). For each point the script
-prints one JSON line: the CLI argv, the seconds `cli.run` takes (argument
-parsing, the work and its decimal conversion), the child's peak RSS
-(ru_maxrss) in MB, the length of the stripped stdout (the digit count of
-a count) and the sha256 of the CLI's stdout, so two checkouts can be
-compared for both speed and output. Points run one after another, so at
-most one holds memory at a time. --out PATH also writes one JSON file:
-the environment (python version, processor count, the checkout's git
-commit) and the records of every point.
+`walklabel series` at degrees 45, 80 and 100 (the CLI's top degree), and
+`walklabel --quiet verify --family all` at its default grids (verifyall).
+For each point the script prints one JSON line: the CLI argv, the
+seconds `cli.run` takes (argument parsing, the work and its decimal
+conversion), the child's peak RSS (ru_maxrss) in MB, the length of the
+stripped stdout (the digit count of a count) and the sha256 of the CLI's
+stdout, so two checkouts can be compared for both speed and output.
+Points run one after another, so at most one holds memory at a time.
+--out PATH also writes one JSON file: the environment (python version,
+processor count, the checkout's git commit) and the records of every
+point.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ POINTS = {
     "comb80": ["count", "comb", "--m", "80", "--n", "80", "--k", "40"],
     "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],
     **{f"torus{n}": ["count", "torus", "--n", str(n)] for n in (2000, 100000)},
-    **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80)},
+    **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80, 100)},
     "verifyall": ["--quiet", "verify", "--family", "all"],
 }
 

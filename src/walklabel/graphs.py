@@ -194,6 +194,14 @@ def _quote(line: str, limit: int = 60) -> str:
     return repr(line) if len(line) <= limit else repr(line[:limit]) + "..."
 
 
+def _natural(field: str) -> int:
+    """A field of ASCII digits as an int. int() alone would also take a
+    sign, underscores between digits and digits of other scripts."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 _MAX_LINE = 1 << 16  # characters in one input line
 
 
@@ -225,11 +233,12 @@ def parse_edge_list(source, check_n=None) -> Graph:
     """Parse the plain edge-list format from a string or an open text file.
 
     First data line is the vertex count; every following line is one edge
-    "u v" with 0-based endpoints. Lines whose first non-blank character is
-    '#' are comments. The parsed graph must be connected because every
-    consumer here counts walk labelings, which only exist on connected
-    graphs. check_n, if given, is called with the vertex count as soon as
-    it is read, so that a size limit raises before the graph is built.
+    "u v" with 0-based endpoints, all written in ASCII digits alone. Lines
+    whose first non-blank character is '#' are comments. The parsed graph
+    must be connected because every consumer here counts walk labelings,
+    which only exist on connected graphs. check_n, if given, is called
+    with the vertex count as soon as it is read, so that a size limit
+    raises before the graph is built.
     Input is read one line at a time, and a line longer than 65,536
     characters is an error. Repeated edges are kept once, so memory
     follows the graph plus one line of bounded length, for a string as for
@@ -246,7 +255,7 @@ def parse_edge_list(source, check_n=None) -> Graph:
             if len(fields) != 1:
                 raise ValueError(f"line {lineno}: expected the vertex count, got {_quote(raw)}")
             try:
-                n = int(fields[0])
+                n = _natural(fields[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: vertex count is not an integer") from None
             if n < 1:
@@ -257,7 +266,7 @@ def parse_edge_list(source, check_n=None) -> Graph:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {_quote(raw)}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _natural(fields[0]), _natural(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
         if u == v:

@@ -7,9 +7,13 @@ x^a1 y^a2 z^a3 is rational: 16 x^2 y^2 z^2 f(x, y, z) over
 Polynomials and truncated series are sparse dicts mapping exponent triples
 (e1, e2, e3) to nonzero int coefficients. A rational function is the pair
 (numerator, [(factor, multiplicity), ...]), each factor with constant term
-1 so that division is a well-defined series operation; expand_rational
-truncates the numerator and divides it by each factor in place, one sweep
-over the exponents in lexicographic order per division.
+1 so that division is a well-defined series operation. expand_rational
+works on dense rows instead: one list of coefficients over the power of z
+for each pair of powers of x and y, from the numerator's least powers up
+to the truncation degree. It divides by each factor in place, row by row
+in lexicographic order; a term with a power of x or y updates the whole
+row from an earlier row that is already final, and one loop along the row
+then applies the terms in z alone. Only the result goes back to a dict.
 
 The numerator data f_numerator() was entered by hand from a typeset source
 whose display joins two blocks without an operator sign; recover_numerator
@@ -74,36 +78,56 @@ def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dic
     """Truncated expansion of numerator / prod factor^multiplicity up to
     the given total degree, for gf = (numerator, [(factor, multiplicity)]).
 
-    Each division by a factor 1 + sum over d of a_d x^d runs in place:
-    visiting the exponents e in lexicographic order, r[e] becomes
-    r[e] - sum over d of a_d r[e - d]. Every e - d comes before e in that
-    order, so it already holds the quotient's coefficient. A coefficient
-    that cancels to 0 is removed. No quotient term has a lower power of a
-    variable than every numerator term, so the sweep starts at those
-    least powers.
+    No quotient term has a lower power of a variable than every numerator
+    term, so the series starts at those least powers (lo1, lo2, lo3) and,
+    with top = degree - lo1 - lo2 - lo3, is held as rows: r[i][j][k] is
+    the coefficient of x^(lo1+i) y^(lo2+j) z^(lo3+k), for
+    i + j + k <= top. Each division by a factor 1 + sum over d of a_d x^d
+    runs in place, visiting the rows in lexicographic (i, j) order: r[e]
+    becomes r[e] - sum over d of a_d r[e - d]. A term with (d1, d2) other
+    than (0, 0) reads an earlier row, which already holds the quotient, so
+    it updates the whole row at once; the pure-z terms then run along the
+    row in increasing k. Coefficients that end at 0 are left out of the
+    returned dict.
     """
     numerator, factors = gf
     for factor, _ in factors:
         if factor.get(_ZERO, 0) != 1:
             raise ValueError("denominator factor must have constant term 1")
-    r = {e: c for e, c in numerator.items() if c and sum(e) <= degree}
-    if not r:
-        return r
-    lo1, lo2, lo3 = (min(e[i] for e in r) for i in range(3))
+    terms = [(e, c) for e, c in numerator.items() if c and sum(e) <= degree]
+    if not terms:
+        return {}
+    lo1, lo2, lo3 = (min(e[i] for e, _ in terms) for i in range(3))
+    top = degree - lo1 - lo2 - lo3
+    r = [[[0] * (top - i - j + 1) for j in range(top - i + 1)] for i in range(top + 1)]
+    for (e1, e2, e3), c in terms:
+        r[e1 - lo1][e2 - lo2][e3 - lo3] = c
     for factor, mult in factors:
-        terms = [(d, a) for d, a in factor.items() if d != _ZERO]
+        # terms that read an earlier row, and terms in z alone, by degree
+        across = [(d1, d2, d3, a) for (d1, d2, d3), a in factor.items() if a and (d1 or d2)]
+        along = sorted((d3, a) for (d1, d2, d3), a in factor.items() if a and not (d1 or d2) and d3)
         for _ in range(mult):
-            for e1 in range(lo1, degree - lo2 - lo3 + 1):
-                for e2 in range(lo2, degree - e1 - lo3 + 1):
-                    for e3 in range(lo3, degree - e1 - e2 + 1):
-                        acc = r.get((e1, e2, e3), 0)
-                        for (d1, d2, d3), a in terms:
-                            acc -= a * r.get((e1 - d1, e2 - d2, e3 - d3), 0)
-                        if acc:
-                            r[e1, e2, e3] = acc
-                        else:
-                            r.pop((e1, e2, e3), None)
-    return r
+            for i, plane in enumerate(r):
+                for j, row in enumerate(plane):
+                    for d1, d2, d3, a in across:
+                        if d1 <= i and d2 <= j:
+                            src = r[i - d1][j - d2]
+                            row[d3:] = [v - a * s for v, s in zip(row[d3:], src)]
+                    if along:
+                        for k in range(along[0][0], len(row)):
+                            acc = row[k]
+                            for d3, a in along:
+                                if d3 > k:
+                                    break
+                                acc -= a * row[k - d3]
+                            row[k] = acc
+    return {
+        (lo1 + i, lo2 + j, lo3 + k): c
+        for i, plane in enumerate(r)
+        for j, row in enumerate(plane)
+        for k, c in enumerate(row)
+        if c
+    }
 
 
 def _xz_sym(e1: int, e3: int) -> dict:

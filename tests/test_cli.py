@@ -165,6 +165,19 @@ def test_oracle_missing_file():
     assert run(["oracle", "--input", "/no/such/file"]).exit_code == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\u0663\n0 1\n1 2\n", "line 1: vertex count is not an integer"),  # an Arabic-Indic 3
+    ("3\n0 1\n1 +2\n", "line 3: edge endpoints must be integers"),
+    ("11\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "0 1_0\n", "line 11: edge endpoints must be integers"),
+])
+def test_oracle_accepts_only_ascii_digits(tmp_path, capsys, text, message):
+    # int() alone reads each of these as a number
+    f = tmp_path / "g.txt"
+    f.write_text(text, encoding="utf-8")
+    assert run(["oracle", "--input", str(f)]) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oracle_rejects_disconnected_input(tmp_path):
     f = tmp_path / "discon.txt"
     f.write_text("4\n0 1\n2 3\n")

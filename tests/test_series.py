@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from series_ref import expand_rational as expand_rational_ref
 
 from walklabel.series import (
     expand_rational,
@@ -50,6 +53,56 @@ def test_expansion_drops_terms_that_cancel():
     # (1 - x) / (1 - x) = 1: every higher coefficient cancels to 0 in place
     one_minus_x = poly_add(ONE, {(1, 0, 0): -1})
     assert expand_rational((one_minus_x, [(one_minus_x, 1)]), 5) == {(0, 0, 0): 1}
+
+
+# factor terms: pure x and y, mixed terms with z to the power 1 or 2, pure z
+# of degrees 1-3
+_FACTOR_TERMS = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 0, 1),
+                 (1, 0, 2), (0, 1, 2), (0, 0, 1), (0, 0, 2), (0, 0, 3))
+
+
+def test_expansion_matches_the_dict_sweep_on_random_rational_functions():
+    rng = random.Random(14)
+    seen = set()
+    for case in range(300):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            factor = {(0, 0, 0): 1}
+            for d in rng.sample(_FACTOR_TERMS, rng.randint(1, 3)):
+                factor[d] = rng.choice((-3, -2, -1, 1, 2, 3))
+            factors.append((factor, rng.randint(0, 3)))
+            seen.update(("pure z", "pure z above 1")[d[2] > 1] for d in factor if d[:2] == (0, 0) < d)
+            seen.update("mixed" for d in factor if d[2] and d[:2] != (0, 0))
+        low = tuple(rng.randint(0, 2) for _ in range(3))
+        numerator = {}
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(lo + rng.randint(0, 3) for lo in low)
+            numerator[e] = numerator.get(e, 0) + rng.choice((-2, -1, 1, 3))
+        if case % 4 == 0:
+            # a multiple of the first factor: the quotient is a polynomial,
+            # so all but finitely many coefficients cancel to 0
+            numerator = poly_mul(numerator, factors[0][0])
+            factors[0] = (factors[0][0], max(factors[0][1], 1))
+        if case % 5 == 0:
+            numerator[(0, 0, 0)] = 0  # a stored zero sets no least power
+        terms = [e for e, c in numerator.items() if c]
+        least = min(map(sum, terms), default=0)
+        seen.update(f"multiplicity {m}" for _, m in factors)
+        if terms and all(min(e[i] for e in terms) for i in range(3)):
+            seen.add("least powers above 0")
+        degree = rng.randint(0, 12)
+        gf = (numerator, factors)
+        got = expand_rational(gf, degree)
+        assert got == expand_rational_ref(gf, degree), (numerator, factors, degree)
+        if degree < least:
+            assert got == {}
+            seen.add("below the numerator")
+    assert seen >= {"pure z", "pure z above 1", "mixed", "least powers above 0", "below the numerator",
+                    *(f"multiplicity {m}" for m in range(4))}
+
+
+def test_expansion_matches_the_dict_sweep_on_the_two_cycle_series():
+    assert expand_rational(two_cycles_gf(), 24) == expand_rational_ref(two_cycles_gf(), 24)
 
 
 def test_rational_gf_requires_unit_constant_terms():
