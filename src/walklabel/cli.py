@@ -66,7 +66,7 @@ _FAMILIES = (
 
 
 # series --degree 100 takes 1.0 s and 79 MB ru_maxrss (2 cores, Python
-# 3.11.7; scripts/ladder.py point series100), about half of it in the
+# 3.11.7; scripts/ladder.py point series100), about 0.6 s of it in the
 # expansion; the work grows as the cube of the degree
 _MAX_SERIES_DEGREE = 100
 
