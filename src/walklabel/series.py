@@ -68,10 +68,11 @@ def poly_mul(a: dict, b: dict, max_degree: int | None = None) -> dict:
 def export_coefficients(p: dict) -> list[tuple[int, int, int, int]]:
     """Rows (a1, a2, a3, coefficient) sorted by total degree, then
     lexicographically by exponents; zero coefficients are not stored."""
-    return [
-        (e[0], e[1], e[2], p[e])
-        for e in sorted(p, key=lambda e: (e[0] + e[1] + e[2], e))
-    ]
+    # two sorts with no Python key function: the second is stable and keeps
+    # the exponents' order within each total degree
+    keys = sorted(p)
+    keys.sort(key=sum)
+    return [(a1, a2, a3, p[a1, a2, a3]) for a1, a2, a3 in keys]
 
 
 def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dict:

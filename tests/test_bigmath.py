@@ -88,8 +88,10 @@ def test_exact_div_raises_on_non_integer():
 
 
 def test_cli_import_loads_no_rational_or_decimal_module():
-    # dataclasses and inspect cost about 15 ms per interpreter and no record needs them
-    unwanted = "{'fractions', 'decimal', 'dataclasses', 'inspect'}"
+    # dataclasses and inspect cost about 15 ms per interpreter and no record
+    # needs them; argparse, with the gettext and locale it loads, cost about
+    # 4.5 ms per invocation, and the table-driven parser needs none of them
+    unwanted = "{'fractions', 'decimal', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
     code = f"import sys, walklabel.cli; print(sorted({unwanted} & set(sys.modules)))"
     src = str(Path(walklabel.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

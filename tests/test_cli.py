@@ -1,12 +1,18 @@
+import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
+import random
 import shutil
 import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
+from cli_ref import build_parser
 
 from walklabel import _core_py, cli, oracle, trees, verify
 from walklabel.cli import run
@@ -136,6 +142,203 @@ def test_usage_errors_exit_2():
 
 def test_help_exits_0():
     assert run(["--help"]).exit_code == 0
+
+
+def test_main_writes_the_payload_and_returns_the_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["walklabel", "count", "tree", "--h", "2", "--m", "2"])
+    assert cli.main() == 0
+    assert capsys.readouterr() == ("240\n", "")
+    monkeypatch.setattr(sys, "argv", ["walklabel", "--help"])
+    assert cli.main() == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: walklabel [-h] [--quiet] {count,oracle,verify,series,oeis} ...\n")
+    assert err == ""
+    monkeypatch.setattr(sys, "argv", ["walklabel", "count", "tree", "--h", "x", "--m", "2"])
+    assert cli.main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "usage: walklabel count tree [-h] --h H --m M [--json]",
+        "walklabel count tree: error: argument --h: invalid int value: 'x'",
+    ]
+
+
+def _reference_levels(parser, path=()):
+    """(argv prefix, parser) for the top parser and every subparser below it."""
+    yield list(path), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _reference_levels(sub, (*path, name))
+
+
+@pytest.mark.parametrize("path, parser", list(_reference_levels(build_parser())),
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_help_names_every_flag_and_choice(path, parser):
+    result = run([*path, "-h"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f"usage: {' '.join(['walklabel', *path])} [-h]")
+    for action in parser._actions:
+        for name in [*action.option_strings, *(action.choices or ())]:
+            assert name in result.stdout
+
+
+def test_an_option_given_only_as_double_dash_is_a_usage_error(capsys):
+    # argparse stores --degree=-- as [], and the series handler raised a TypeError on it
+    assert run(["series", "--degree=--"]) == (2, "")
+    assert capsys.readouterr().err.endswith("error: argument --degree: expected one argument\n")
+    assert run(["oracle", "--input=--"]) == (2, "")
+    assert capsys.readouterr().err.endswith("error: argument --input: expected one argument\n")
+    # given again, the last value wins as for any repeated flag
+    assert run(["series", "--degree=--", "--degree", "6"]).exit_code == 0
+
+
+_REFERENCE_FLAGS = sorted({
+    "-h", "--help", "--quiet", "--json", "--input", "--alg", "--from", "--completions", "--family",
+    "--degree", "--format", "--count", *(f"--{p}" for f in cli._FAMILIES for p in f.params),
+    *(flag for f in cli._FAMILIES for flag, _ in f.grid),
+})
+_WORDS = ("0", "2", "3", "7", "-1", "-3", "+4", " 5", "1_0", "\u0663", "1.5", "-1.5", "-.5", "x", "",
+          "-1 2", "-x", "--", "-h", "0,1", "dp", "perm", "csv", "json", "tree", "all", "tree-root",
+          "comb-row")
+_ODD = ("--bogus", "-x", "-", "", "-hh", "-hx", "-h=h", "-h=", "--help=1", "--quiet=1", "--json=",
+        "--=3", "---", "--", "count", "tree", "verify", "-5", "--max-=3", "--a=1", "--he")
+
+
+def _prefix(rng, flag):
+    return flag[:rng.randint(2, len(flag))] if flag.startswith("--") else flag
+
+
+def _option(rng, flag, value):
+    """One flag and its value as --flag value, --flag=value or a prefix of the flag."""
+    r = rng.random()
+    if r < 0.2:
+        return [f"{flag}={value}"]
+    if r < 0.35:
+        return [_prefix(rng, flag), value]
+    if r < 0.42:
+        return [f"{_prefix(rng, flag)}={value}"]
+    return [flag, value]
+
+
+_NUMBERS = ("2", "3", "1", "0", "-1", "4", "-2")
+
+
+def _valid_line(rng):
+    """A line argparse accepts, up to the values it reads."""
+    command = rng.choice(["count", "count", "oracle", "verify", "series", "oeis"])
+    head = ["--quiet"] * (rng.random() < 0.3) + [command]
+    if command == "count":
+        family = rng.choice(cli._FAMILIES)
+        options = [_option(rng, f"--{p}", rng.choice(_NUMBERS)) for p in family.params]
+        options += [["--json"]] * (rng.random() < 0.3)
+        head.append(family.name)
+    elif command == "oracle":
+        options = [_option(rng, "--input", rng.choice(["g.txt", "-5", "-x y"]))]
+        for flag, values in (("--alg", ["dp", "perm"]), ("--from", ["0", "2", "-1"]),
+                             ("--completions", ["0,1", "1", "-1"])):
+            options += [_option(rng, flag, rng.choice(values))] * (rng.random() < 0.4)
+    elif command == "verify":
+        options = [_option(rng, "--family", rng.choice(["tree", "comb", "torus", "twocycles", "all"]))]
+        grid = [flag for f in cli._FAMILIES for flag, _ in f.grid]
+        options += [_option(rng, flag, rng.choice(_NUMBERS)) for flag in rng.sample(grid, rng.randint(0, 3))]
+    elif command == "series":
+        options = [_option(rng, "--degree", rng.choice(_NUMBERS))]
+        options += [_option(rng, "--format", rng.choice(["csv", "json"]))] * (rng.random() < 0.4)
+    else:
+        # the positional goes anywhere among the options, or last with a
+        # "--" that ends the options just before or after it
+        sequence = rng.choice(["tree-root", "comb-row"])
+        if rng.random() < 0.3:
+            return [*head, *_option(rng, "--count", rng.choice(_NUMBERS)),
+                    *rng.choice([["--", sequence], [sequence, "--"]])]
+        options = [_option(rng, "--count", rng.choice(_NUMBERS)), [sequence]]
+    rng.shuffle(options)
+    return head + [t for o in options for t in o]
+
+
+def _token(rng):
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(_REFERENCE_FLAGS)
+    if r < 0.45:
+        return _prefix(rng, rng.choice(_REFERENCE_FLAGS))
+    if r < 0.6:
+        return f"{_prefix(rng, rng.choice(_REFERENCE_FLAGS))}={rng.choice(_WORDS)}"
+    if r < 0.8:
+        return rng.choice(_WORDS)
+    return rng.choice(_ODD)
+
+
+def _mutated(rng, argv):
+    """Up to three edits: a token inserted, deleted or replaced, a help flag
+    inserted, or a flag and value appended (a repeated or foreign flag)."""
+    for _ in range(rng.choice([0, 0, 1, 1, 1, 2, 3])):
+        r = rng.random()
+        at = rng.randint(0, len(argv))
+        if r < 0.4 or not argv:
+            argv.insert(at, _token(rng))
+        elif r < 0.55:
+            del argv[min(at, len(argv) - 1)]
+        elif r < 0.75:
+            argv[min(at, len(argv) - 1)] = _token(rng)
+        elif r < 0.85:
+            argv.insert(at, rng.choice(["-h", "--help", "--he", "-hh"]))
+        else:
+            argv += _option(rng, rng.choice(_REFERENCE_FLAGS), rng.choice(_WORDS))
+    return argv
+
+
+def _reference_outcome(parser, argv):
+    """0 for help, 2 for a rejected line, else the parsed fields."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    # argparse stores --flag=-- as [], which no handler reads; cli rejects it
+    return 2 if [] in fields.values() else fields
+
+
+def _outcome(argv):
+    try:
+        return vars(cli._parse(argv))
+    except cli._Stop as stop:
+        return stop.args[0]
+
+
+def test_parser_matches_argparse_on_generated_lines():
+    parser = build_parser()
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(2400):
+        argv = _mutated(rng, _valid_line(rng))
+        expected = _reference_outcome(parser, list(argv))
+        assert _outcome(list(argv)) == expected, argv
+        parsed = isinstance(expected, dict)
+        seen.add("parsed" if parsed else {0: "help", 2: "usage error"}[expected])
+        if "-h" in argv:
+            seen.add(f"-h at {argv.index('-h')}")
+        for token in argv:
+            flag = token.partition("=")[0]
+            if parsed and token.startswith("--") and "=" in token:
+                seen.add("parsed =value")
+            if parsed and flag not in _REFERENCE_FLAGS and any(f.startswith(flag) for f in _REFERENCE_FLAGS):
+                seen.add("parsed prefix")
+            if token in ("--a", "--m", "--ma", "--max-", "--max-m="):
+                seen.add("ambiguous prefix")
+        if parsed and "--" in argv:
+            seen.add("parsed --")
+        if parsed and any(type(v) is int and v < 0 for v in expected.values()):
+            seen.add("parsed negative int")
+        if parsed and len({t.partition("=")[0] for t in argv if t.startswith("--")}) < sum(
+                t.startswith("--") for t in argv):
+            seen.add("parsed repeated flag")
+        if any(t in ("x", "1.5", "-1.5", "", "-1 2") for t in argv):
+            seen.add("bad int")
+    assert seen >= {"help", "usage error", "parsed", "parsed =value", "parsed prefix", "ambiguous prefix",
+                    "parsed --", "parsed negative int", "parsed repeated flag", "bad int",
+                    *(f"-h at {i}" for i in range(8))}
 
 
 def test_oracle_subcommand(tmp_path):

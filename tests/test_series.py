@@ -35,6 +35,10 @@ def test_poly_mul_truncates_at_max_degree():
 def test_export_ordering():
     p = {(0, 0, 2): 1, (1, 0, 0): 2, (0, 1, 1): 3}
     assert export_coefficients(p) == [(1, 0, 0, 2), (0, 0, 2, 1), (0, 1, 1, 3)]
+    # the whole two-cycle series, against a sort on one (degree, exponents) key
+    p = expand_rational(two_cycles_gf(), 30)
+    keys = sorted(p, key=lambda e: (sum(e), e))
+    assert export_coefficients(p) == [(*e, p[e]) for e in keys]
 
 
 def test_geometric_series():
