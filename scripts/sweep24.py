@@ -4,8 +4,10 @@
 
 The graphs are seeded random connected graphs of average degree d = 3, 4,
 5, 6, 8 and 12 (a random spanning tree plus random edges up to 12d
-edges), torus(12), the 4x6 grid, the star K1,23 and a hub joined to every
-vertex of K1,21 and to one more vertex. For each graph the script prints
+edges), torus(12), the 4x6 grid, the star K1,23, a hub joined to every
+vertex of K1,21 and to one more vertex, the comb(4, 6, 3) and a seeded
+random tree (each vertex joined to a random earlier one); the star, the
+comb and the random tree are trees. For each graph the script prints
 one JSON line: the engine oracle.engine picks, the seconds
 oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
 the count or the error. Graphs run one after another, so at most one
@@ -28,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from walklabel import oracle  # noqa: E402
-from walklabel.graphs import Graph, perfect_tree, torus  # noqa: E402
+from walklabel.graphs import Graph, comb, perfect_tree, torus  # noqa: E402
 
 N = 24
 DEGREES = (3, 4, 5, 6, 8, 12)
@@ -40,6 +42,11 @@ def random_graph(d: int) -> Graph:
     rest = [(u, v) for v in range(N) for u in range(v) if (u, v) not in edges]
     edges.update(rng.sample(rest, N * d // 2 - len(edges)))
     return Graph(N, sorted(edges))
+
+
+def random_tree() -> Graph:
+    rng = random.Random(N)
+    return Graph(N, [(rng.randrange(v), v) for v in range(1, N)])
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -55,6 +62,8 @@ GRAPHS = {
     "star23": lambda: perfect_tree(1, 23),
     # vertex 0 is the hub, 1 the star's center, 2-22 its leaves
     "hub21": lambda: Graph(N, [(0, v) for v in range(1, N)] + [(1, v) for v in range(2, N - 1)]),
+    "comb4x6": lambda: comb(4, 6, 3),
+    "random-tree": random_tree,
 }
 
 

@@ -1,6 +1,6 @@
-"""The oracle's DP kernels: dp_connected and dp_first_gap, two call
-patterns of one failure sum, and dp_completions, one backward table for
-many queries of one graph.
+"""The oracle's kernels: dp_connected and dp_first_gap, two call patterns
+of one failure sum, dp_completions, one backward table for many queries of
+one graph, and tree_count, the hook-length formula on a tree.
 
 An ordering of the f free vertices (those outside the labeled set L) that
 is not a labeling has a first gap w, with no neighbour in L or earlier.
@@ -14,13 +14,20 @@ unconstrained query each.
 dp_completions instead stores every connected set reachable from a batch
 of labeled sets, then counts each set's completions from the widest sets
 down: one table answers every source at once, and it alone takes an
-order constraint "u before v". The tests check all three against a subset
+order constraint "u before v". The tests check all four against a subset
 DP over all 2^n vertex sets and against permutation filtering.
+
+On a tree no DP is needed: a labeling that extends L is an order of the
+free vertices in which each comes after its neighbour towards L, so
+tree_count reads the count off the subtree sizes in O(n) arithmetic
+operations.
 """
 
 from __future__ import annotations
 
-__all__ = ["dp_completions", "dp_connected", "dp_first_gap"]
+from .bigmath import exact_div, factorial
+
+__all__ = ["dp_completions", "dp_connected", "dp_first_gap", "tree_count"]
 
 # Most sets one layer of _failed, or one whole table of dp_completions, may
 # hold, checked once per stored set (so up to n sets past it): about
@@ -205,3 +212,47 @@ def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = 
             # a source missing from the table dominates the graph
             found[s] = cur[s] if s in cur else (whole if s & req else whole // 2)
     return [found.get(s, 0) for s in sources]
+
+
+def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
+    """dp_connected's count when the graph is a tree and labeled_mask is 0
+    or a connected set L.
+
+    A search outward from L (vertex 0 when L is empty) gives each free
+    vertex a parent, towards L. A labeling is an order of the free vertices
+    in which each comes after its parent, a linear extension of the tree
+    with L contracted to its root: (n - |L|)! over the product of the free
+    vertices' subtree sizes (Knuth, TAOCP vol. 3, 5.1.4). With L empty
+    that is the count from vertex 0, and the total sums it over every
+    root: moving the root from p to its child c multiplies the count by
+    size(c) / (n - size(c)).
+    """
+    root = labeled_mask or 1
+    parent = [-1] * n
+    order = [v for v in range(n) if root >> v & 1]
+    seen = root
+    for v in order:
+        rem = masks[v] & ~seen
+        seen |= rem
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            c = low.bit_length() - 1
+            parent[c] = v
+            order.append(c)
+    free = order[root.bit_count():]
+    size = [1] * n
+    for v in reversed(free):
+        size[parent[v]] += size[v]
+    hooks = 1
+    for v in free:
+        hooks *= size[v]
+    count = exact_div(factorial(len(free)), hooks, "tree hook-length count")
+    if labeled_mask:
+        return count
+    counts = [0] * n
+    counts[0] = total = count
+    for c in free:
+        counts[c] = exact_div(counts[parent[c]] * size[c], n - size[c], "rerooted tree count")
+        total += counts[c]
+    return total

@@ -137,15 +137,18 @@ def _cmd_series(args) -> tuple[int, str]:
         raise ValueError(f"instance too large: series degree {args.degree} is above {_MAX_SERIES_DEGREE}")
     expansion = series.expand_rational(series.two_cycles_gf(), args.degree)
     rows = series.export_coefficients(expansion)
+    # str is safe here: a coefficient counts the labelings of a graph of at
+    # most _MAX_SERIES_DEGREE vertices, so it is below 100! (158 digits),
+    # under 640, the lowest int/str digit limit the interpreter accepts
     if args.format == "json":
         return 0, json.dumps({
             "degree": args.degree,
             "terms": [
-                {"a1": a1, "a2": a2, "a3": a3, "coefficient": to_decimal(c)}
+                {"a1": a1, "a2": a2, "a3": a3, "coefficient": str(c)}
                 for a1, a2, a3, c in rows
             ],
         }) + "\n"
-    lines = "".join(f"{a1},{a2},{a3},{to_decimal(c)}\n" for a1, a2, a3, c in rows)
+    lines = "".join(f"{a1},{a2},{a3},{c}\n" for a1, a2, a3, c in rows)
     return 0, "a1,a2,a3,coefficient\n" + lines
 
 

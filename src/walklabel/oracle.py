@@ -21,18 +21,26 @@ where P(U) counts the labelings of U. A forward DP over connected vertex
 sets, one popcount layer at a time, gives P(U) and adds up the sum; a
 labeled set changes only the weights. A single unconstrained query
 (count_labelings, count_labelings_from, count_completions) picks one of
-two call patterns through engine(g):
+three call patterns through engine(g):
 
+- tree: no DP. On a tree (connected, n - 1 edges) a labeling that extends
+  L is an order of the free vertices in which each follows its neighbour
+  towards L, a linear extension of the tree with L contracted to its
+  root, so the count is (n - |L|)! over the product of the free subtree
+  sizes (hook lengths); the total sums it over every root by rerooting.
+  Perfect trees, combs, paths and stars go here, at O(n) arithmetic
+  operations a query.
 - connected-set: one pass over the whole graph, every vertex a possible
   w. A set U with N[U] = V has no w, nor has any superset, so it is never
   stored: the pass stops at a dominating set, and a star at its center.
-  Graphs of average degree at most 4 go here, every family graph among
-  them; only a few percent of their vertex subsets are connected.
+  Other graphs of average degree at most 4 go here, the tori and
+  two-cycle graphs among them; only a few percent of their vertex subsets
+  are connected.
 - first-gap: one pass per w, inside w's non-neighbourhood, which on the
   denser graphs that go here is small.
 
-Neither builds a table over all 2^n vertex subsets, and each keeps two
-adjacent layers of stored sets. Each call pattern's worst case is a graph
+Neither DP builds a table over all 2^n vertex subsets, and each keeps two
+adjacent layers of stored sets. Each DP's worst case is a graph
 with many connected sets where it looks. On a 2-core x86 machine
 (scripts/sweep24.py), the slowest 24-vertex graphs found are a random
 graph of average degree 5 under first-gap (19 s, 79 MB), a hub joined to
@@ -42,9 +50,12 @@ sets holding the star's center dominate all but that vertex: 16 s,
 (13 s, 160 MB). _core_py.LAYER_LIMIT caps one layer at 2^19 sets; past it
 the count ends in an "instance too large" ValueError at about 250 MB.
 
-The third call pattern answers many queries of one graph at once
-(count_completions_each) and is the only one that takes an order
-constraint (count_labelings_from_before): a backward completion table.
+Besides the three call patterns there is a backward completion table. It
+answers many queries of one graph at once (count_completions_each) and is
+the only way that takes an order constraint (count_labelings_from_before,
+count_completions_each with before): on a tree the hook lengths give no
+count of "u before v", so constrained queries build the table there too,
+while an unconstrained batch on a tree takes the formula once per set.
 It stores every non-dominating connected set that extends one of the
 labeled sets, then counts each set's completions from the widest sets
 down, so every labeled set reads its count off the one table. Its memory
@@ -54,15 +65,21 @@ pass over the whole graph on perfect_tree(2, 4), torus(8) and
 two_cycles(6, 7, 5) (2-core x86), where per-start forward calls cost one
 pass each: 7 to 12 times as much.
 
+DP_LIMIT bounds every query, trees included. The formula alone would
+count a tree of any size, but not in bounded time: each rerooting step
+divides a count as long as the result, and the total of a 40,000-vertex
+comb took 7.7 s (2-core x86). The cap stays until one work budget bounds
+the formula and the DPs alike.
+
 The permutation oracle just filters all n! orderings and exists to check
-the DPs, not to be fast.
+the DPs and the formula, not to be fast.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from ._core_py import dp_completions, dp_connected, dp_first_gap
+from ._core_py import dp_completions, dp_connected, dp_first_gap, tree_count
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -89,8 +106,8 @@ PERM_LIMIT = 10
 
 
 def backend() -> str:
-    """Name of the DP kernels: always "pure-python". engine(g) tells which
-    of the two engines a graph uses."""
+    """Name of the kernels: always "pure-python". engine(g) tells which of
+    the three engines a graph uses."""
     return "pure-python"
 
 
@@ -108,18 +125,27 @@ def backend() -> str:
 #   the 4x6 grid 0.75 and 3.7 s against 1.15 and 4.2 s.
 # So the cut-off stays at average degree 4.
 def engine(g: Graph) -> str:
-    """The DP engine that counts g: "connected-set" when g's average degree
-    is at most 4 (2|E| <= 4n), and "first-gap" when it is higher."""
-    if 2 * g.edge_count() <= 4 * g.n:
+    """The engine that counts g's unconstrained queries: "tree" when g is
+    connected with n - 1 edges (the hook-length formula, no DP),
+    "connected-set" when its average degree is otherwise at most 4
+    (2|E| <= 4n), and "first-gap" when it is higher. Constrained queries
+    build the completion table on every graph, and DP_LIMIT bounds all
+    three engines: the formula's cost grows with the length of its count."""
+    edges = g.edge_count()
+    if edges == g.n - 1 and is_connected(g):
+        return "tree"
+    if 2 * edges <= 4 * g.n:
         return "connected-set"
     return "first-gap"
+
+
+_KERNELS = {"tree": tree_count, "connected-set": dp_connected, "first-gap": dp_first_gap}
 
 
 def _dp(g: Graph, labeled: int = 0) -> int:
     """Orderings of g extending the labeled mask (0: from every start), by
     engine(g)."""
-    dp = dp_connected if engine(g) == "connected-set" else dp_first_gap
-    return dp(g.masks, g.n, labeled)
+    return _KERNELS[engine(g)](g.masks, g.n, labeled)
 
 
 def check_size(n: int) -> None:
@@ -186,7 +212,8 @@ def count_completions(g: Graph, labeled) -> int:
 
 
 def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
-    """count_completions of each labeled set, from one backward table.
+    """count_completions of each labeled set, from one backward table, or
+    on a tree without before from the formula, set by set.
 
     With before=(u, v), count only the completions in which u gets a
     smaller label than v: a set that holds u gets its plain count, and
@@ -198,6 +225,8 @@ def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
     if before is not None:
         u, v = before
         _check_order(g, u, v)
+    elif engine(g) == "tree":
+        return [tree_count(g.masks, g.n, s) for s in sources]
     return dp_completions(g.masks, g.n, sources, u, v)
 
 

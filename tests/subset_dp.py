@@ -1,15 +1,17 @@
 """The subset DP over all 2^n vertex sets: the reference the connected-set
-and first-gap engines are checked against, next to permutation filtering.
+and first-gap engines and the tree formula are checked against, next to
+permutation filtering.
 
 The oracle no longer runs it: its 2^n table is what the forward engines
 avoid. Subset iteration is popcount-ascending, then numerically ascending
 within a popcount layer (Gosper's hack), so the table for smaller sets is
-always complete before it is read.
+always complete before it is read; the backward completion table walks the
+layers the other way, widest first.
 """
 
 from __future__ import annotations
 
-__all__ = ["dp_resume", "dp_total"]
+__all__ = ["dp_completion_table", "dp_resume", "dp_total"]
 
 
 def _layer(popcount: int, nbits: int):
@@ -87,3 +89,30 @@ def dp_resume(masks, n: int, labeled_mask: int, require_u: int = -1, forbid_v: i
                     acc += table[prev]
             table[c] = acc
     return table[(1 << f) - 1]
+
+
+def dp_completion_table(masks, n: int) -> list[int]:
+    """table[S], for every vertex mask S: orderings of the vertices outside
+    S, each adjacent to S or an earlier pick. One backward pass, popcount
+    descending, answers every start (table[1 << v]) and every labeled set;
+    table[0] is left 0.
+    """
+    full = (1 << n) - 1
+    table = [0] * (full + 1)
+    table[full] = 1
+    for p in range(n - 1, 0, -1):
+        for c in _layer(p, n):
+            near = 0
+            rem = c
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                near |= masks[low.bit_length() - 1]
+            rem = near & ~c
+            acc = 0
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                acc += table[c | low]
+            table[c] = acc
+    return table

@@ -523,6 +523,19 @@ def test_series_json():
     assert record["terms"] == [{"a1": 2, "a2": 2, "a3": 2, "coefficient": "208"}]
 
 
+def test_series_prints_the_same_bytes_under_the_lowest_digit_limit():
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [run(["series", "--degree", "12", "--format", f]) for f in ("csv", "json")]
+        sys.set_int_max_str_digits(640)
+        got = [run(["series", "--degree", "12", "--format", f]) for f in ("csv", "json")]
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert got == expected
+    assert [r.exit_code for r in got] == [0, 0]
+
+
 def test_series_rejects_negative_degree():
     assert run(["series", "--degree", "-1"]).exit_code == 1
 

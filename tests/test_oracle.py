@@ -6,10 +6,10 @@ import pytest
 from conftest import random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from subset_dp import dp_resume, dp_total
+from subset_dp import dp_completion_table, dp_resume, dp_total
 
 from walklabel import _core_py, oracle
-from walklabel._core_py import dp_completions, dp_connected, dp_first_gap
+from walklabel._core_py import dp_completions, dp_connected, dp_first_gap, tree_count
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -156,16 +156,62 @@ def test_completion_table_validates_its_input():
         oracle.count_completions_each(Graph(4, [(0, 1), (2, 3)]), [[0]])
 
 
+def _prufer_tree(rng, n):
+    """A uniformly random tree on n vertices, decoded from a random Prüfer
+    sequence: each entry joins the smallest remaining leaf to it."""
+    if n == 1:
+        return Graph(1, [])
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] = 0
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return Graph(n, edges)
+
+
+def test_tree_formula_matches_the_dps_and_permutations():
+    rng = random.Random(16)
+    trees = [_prufer_tree(rng, n) for n in range(1, 19)]
+    trees += [path(12), perfect_tree(1, 12), comb(3, 5, 2), perfect_tree(3, 2)]
+    for g in trees:
+        masks, n = g.masks, g.n
+        assert oracle.engine(g) == "tree"
+        table = dp_completion_table(masks, n)
+        from_each = [table[1 << v] for v in range(n)]
+        total = tree_count(masks, n)
+        assert total == dp_connected(masks, n) == sum(from_each) == oracle.count_labelings(g)
+        if n <= 8:
+            assert total == oracle.count_labelings_perm(g)
+        assert [tree_count(masks, n, 1 << v) for v in range(n)] == [
+            dp_connected(masks, n, 1 << v) for v in range(n)] == from_each
+        labeled = [_grow_connected(g, rng, rng.randint(1, min(4, n))) for _ in range(4)]
+        for s in labeled:
+            assert tree_count(masks, n, s) == dp_connected(masks, n, s) == table[s]
+        sets = [[w for w in range(n) if s >> w & 1] for s in labeled]
+        starts = [[v] for v in range(n)]
+        assert oracle.count_completions_each(g, sets) == dp_completions(masks, n, labeled) == [
+            table[s] for s in labeled]
+        assert oracle.count_completions_each(g, starts) == from_each
+
+
 def test_engine_follows_density():
     n = 12
     complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     rng = random.Random(3)
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     half = Graph(n, sorted({(rng.randrange(v), v) for v in range(1, n)} | set(rng.sample(pairs, len(pairs) // 2))))
-    # a star is sparse: its center dominates the graph, so no set holding it grows
     star = perfect_tree(1, 11)
-    sparse = (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2), perfect_tree(3, 2), path(6), cycle(7), star)
-    for g in sparse:
+    for g in (comb(3, 5, 2), perfect_tree(3, 2), path(6), star):
+        assert oracle.engine(g) == "tree"
+    # n - 1 edges but two components: a triangle and an edge
+    assert oracle.engine(Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])) == "connected-set"
+    for g in (torus(8), two_cycles(5, 6, 5), cycle(7)):
         assert oracle.engine(g) == "connected-set"
     for g in (complete, half):
         assert oracle.engine(g) == "first-gap"
@@ -175,7 +221,8 @@ def test_pure_kernel_counts_the_widest_stars():
     # a set holding the center covers every vertex, so the connected-set
     # engine never grows one, and K1,k costs one layer of k + 1 sets
     for k in (21, 22, 23):
-        assert oracle.count_labelings(perfect_tree(1, k)) == 2 * math.factorial(k)
+        star = perfect_tree(1, k)
+        assert dp_connected(star.masks, star.n) == 2 * math.factorial(k)
 
 
 def test_kernels_drop_a_constraint_whose_vertex_is_labeled():
