@@ -1,5 +1,5 @@
 """The oracle's kernels: dp_connected and dp_first_gap, two call patterns
-of one failure sum, dp_completions, one backward table for many queries of
+of one failure sum, dp_completions, one memoized search for many queries of
 one graph, and tree_count, the hook-length formula on a tree.
 
 An ordering of the f free vertices (those outside the labeled set L) that
@@ -11,11 +11,11 @@ sums that by a forward DP over connected sets; dp_connected runs it once
 over the graph, dp_first_gap once per w. These two answer one
 unconstrained query each.
 
-dp_completions instead stores every connected set reachable from a batch
-of labeled sets, then counts each set's completions from the widest sets
-down: one table answers every source at once, and it alone takes an
-order constraint "u before v". The tests check all four against a subset
-DP over all 2^n vertex sets and against permutation filtering.
+dp_completions instead counts completions directly: those of a connected
+set S are the sum of those of S | w over the w next to S, and one memo of
+the sets reached answers every source of a batch at once. It alone takes
+an order constraint "u before v". The tests check all four against a
+subset DP over all 2^n vertex sets and against permutation filtering.
 
 On a tree no DP is needed: a labeling that extends L is an order of the
 free vertices in which each comes after its neighbour towards L, so
@@ -29,13 +29,17 @@ from .bigmath import exact_div, factorial
 
 __all__ = ["dp_completions", "dp_connected", "dp_first_gap", "tree_count"]
 
-# Most sets one layer of _failed, or one whole table of dp_completions, may
-# hold, checked once per stored set (so up to n sets past it): about
-# 250 MB at about 240 bytes per set. The widest layer within DP_LIMIT found
-# so far, C(21, 10) = 352,716 sets of the hub joined to K1,21 and one more
-# vertex, fits (192 MB peak on a 2-core x86 machine); dp_connected on
-# K1,23 with one more vertex joined to a leaf, C(22, 11) = 705,432 sets,
-# does not.
+# Most sets one layer of _failed, or the memo of one dp_completions call,
+# may hold. A layer is checked once per stored set (so up to n sets past
+# it) and costs about 240 bytes a set, about 250 MB in all. The widest
+# layer within DP_LIMIT found so far, C(21, 10) = 352,716 sets of the hub
+# joined to K1,21 and one more vertex, fits (192 MB peak on a 2-core x86
+# machine); dp_connected on K1,23 with one more vertex joined to a leaf,
+# C(22, 11) = 705,432 sets, does not. The memo is checked before each
+# insert and costs 96 to 141 bytes a set, about 75 MB when full: ru_maxrss
+# of a fresh process grew by 25.6 MB over the 189,948 sets of torus(12)'s
+# per-start batch, and by 14.8 and 29.5 MB over the 161,884 and 313,231
+# sets of random 20- and 21-vertex graphs of average degree 4.
 LAYER_LIMIT = 1 << 19
 
 
@@ -130,16 +134,17 @@ def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = 
     vertex mask, each adjacent to the source or an earlier pick; with
     forbid_v set, only those in which require_u comes before forbid_v.
 
-    The forward sweep stores, one size at a time, every connected set S
-    that extends a source, with near = N[S]. A set whose near is every
-    vertex is not stored: each order of its f free vertices is a labeling,
-    and with the constraint, a set that lacks u lacks v too and finishes
-    in f!/2 ways. A set that lacks u never adds v. The backward sweep then
-    gives each set the sum of its allowed supersets S | w, w in near - S,
-    from the widest sets down. A source that holds u gets the
-    unconstrained count, one that holds v but not u gets 0. The table,
-    all of it live until the backward sweep, raises ValueError past
-    LAYER_LIMIT sets.
+    A memoized search: the completions of a connected set S are the sum of
+    those of S | w over the allowed w in N[S] - S, and near = N[S] is
+    passed down as S grows. A set whose near is every vertex is never
+    searched: each order of its f free vertices is a labeling, and with
+    the constraint, a set that lacks u lacks v too and finishes in f!/2
+    ways. A set that lacks u never adds v. A source that holds u gets the
+    unconstrained count, one that holds v but not u gets 0. One memo of
+    the non-dominating sets serves every source of the batch and lives
+    only for this call; past LAYER_LIMIT sets it raises ValueError. The
+    search recurses at most n - |source| deep, which DP_LIMIT keeps at 23
+    or less; lifting the cap needs an iterative search first.
     """
     full = (1 << n) - 1
     fact = _factorials(n)
@@ -147,71 +152,52 @@ def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = 
     req = 1 << require_u if forbid_v >= 0 else -1
     late = 1 << forbid_v if forbid_v >= 0 else 0
     nbr = {1 << v: masks[v] | 1 << v for v in range(n)}
-    entering: dict[int, list[int]] = {}
-    for s in sources:
-        if s & req or not s & late:
-            entering.setdefault(s.bit_count(), []).append(s)
-    if not entering:
-        return [0] * len(sources)
-    smallest = k = min(entering)
-    widest = max(entering)
     limit = LAYER_LIMIT
-    layers = []  # layers[i] maps each stored set of smallest + i vertices to its near
-    layer: dict[int, int] = {}
-    stored = 0
-    while layer or k <= widest:
-        for s in entering.get(k, ()):
+    memo: dict[int, int] = {}
+    get = memo.get
+
+    def completions(s: int, near: int) -> int:
+        after = fact[n - s.bit_count() - 1]  # orders after a dominating S | w
+        acc = 0
+        rem = near ^ s if s & req else (near ^ s) & ~late
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            t = s | low
+            value = get(t)
+            if value is None:
+                cover = near | nbr[low]
+                if cover == full:
+                    value = after if t & req else after // 2
+                else:
+                    value = completions(t, cover)
+            acc += value
+        if len(memo) >= limit:
+            raise ValueError(f"instance too large: more than {limit} connected "
+                             f"vertex sets in one completion table")
+        memo[s] = acc
+        return acc
+
+    counts = []
+    for s in sources:
+        if not s & req and s & late:
+            counts.append(0)
+            continue
+        value = get(s)
+        if value is None:
             near = s
             rem = s
             while rem:
                 low = rem & -rem
                 rem ^= low
                 near |= nbr[low]
-            if near != full:
-                layer[s] = near
-        layers.append(layer)
-        stored += len(layer)
-        nxt: dict[int, int] = {}
-        for s, near in layer.items():
-            if stored + len(nxt) > limit:
-                raise ValueError(f"instance too large: more than {limit} connected "
-                                 f"vertex sets in one completion table")
-            rem = near ^ s if s & req else (near ^ s) & ~late
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                t = s | low
-                if t not in nxt:
-                    cover = near | nbr[low]
-                    if cover != full:
-                        nxt[t] = cover
-        layer = nxt
-        k += 1
-    found = {}
-    values: dict[int, int] = {}
-    while layers:
-        layer = layers.pop()
-        k = smallest + len(layers)
-        get = values.get
-        after = fact[n - k - 1] if layer else 0  # orders after a dominating S | w
-        half = after // 2
-        cur = {}
-        for s, near in layer.items():
-            acc = 0
-            rem = near ^ s if s & req else (near ^ s) & ~late
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                t = s | low
-                value = get(t)
-                acc += (after if t & req else half) if value is None else value
-            cur[s] = acc
-        values = cur
-        whole = fact[n - k]
-        for s in entering.get(k, ()):
-            # a source missing from the table dominates the graph
-            found[s] = cur[s] if s in cur else (whole if s & req else whole // 2)
-    return [found.get(s, 0) for s in sources]
+            if near == full:
+                whole = fact[n - s.bit_count()]
+                value = whole if s & req else whole // 2
+            else:
+                value = completions(s, near)
+        counts.append(value)
+    return counts
 
 
 def tree_count(masks, n: int, labeled_mask: int = 0) -> int:

@@ -53,8 +53,6 @@ def t_spine(m: int, n: int, k: int) -> int:
     """Labelings of C(m, n, k) starting at spine vertex (1, k); the empty
     comb (m = 0) contributes the neutral factor 1."""
     _check_mnk(m, n, k, min_m=0)
-    if m == 0:
-        return 1
     value = binomial(n - 1, k - 1) ** m
     for tooth in range(1, m):
         value *= binomial((tooth + 1) * n - 1, n - 1)

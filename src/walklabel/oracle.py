@@ -50,20 +50,21 @@ sets holding the star's center dominate all but that vertex: 16 s,
 (13 s, 160 MB). _core_py.LAYER_LIMIT caps one layer at 2^19 sets; past it
 the count ends in an "instance too large" ValueError at about 250 MB.
 
-Besides the three call patterns there is a backward completion table. It
-answers many queries of one graph at once (count_completions_each) and is
-the only way that takes an order constraint (count_labelings_from_before,
+Besides the three call patterns there is a completion search. It answers
+many queries of one graph at once (count_completions_each) and is the
+only way that takes an order constraint (count_labelings_from_before,
 count_completions_each with before): on a tree the hook lengths give no
-count of "u before v", so constrained queries build the table there too,
-while an unconstrained batch on a tree takes the formula once per set.
-It stores every non-dominating connected set that extends one of the
-labeled sets, then counts each set's completions from the widest sets
-down, so every labeled set reads its count off the one table. Its memory
-is every stored set, not two layers, and LAYER_LIMIT caps the table as a
-whole. A batch of every start costs 1.3 to 1.7 times one connected-set
-pass over the whole graph on perfect_tree(2, 4), torus(8) and
-two_cycles(6, 7, 5) (2-core x86), where per-start forward calls cost one
-pass each: 7 to 12 times as much.
+count of "u before v", so constrained queries search there too, while an
+unconstrained batch on a tree takes the formula once per set. The
+completions of a connected set U are the sum of those of U | w over the w
+next to U, and a set that dominates the graph finishes in any order. One
+memo of the non-dominating sets reached serves every labeled set of the
+call, and ends with it. The memo holds every set it reached, not two
+layers, and LAYER_LIMIT caps it as a whole. The search recurses once per
+vertex added, fewer than DP_LIMIT times. A batch of every start costs
+0.6 to 1.0 times one connected-set pass over the whole graph on
+perfect_tree(2, 4), torus(8) and two_cycles(6, 7, 5) (2-core x86), where
+per-start forward calls cost one pass each: 8 to 13 times as much.
 
 DP_LIMIT bounds every query, trees included. The formula alone would
 count a tree of any size, but not in bounded time: each rerooting step
@@ -129,7 +130,7 @@ def engine(g: Graph) -> str:
     connected with n - 1 edges (the hook-length formula, no DP),
     "connected-set" when its average degree is otherwise at most 4
     (2|E| <= 4n), and "first-gap" when it is higher. Constrained queries
-    build the completion table on every graph, and DP_LIMIT bounds all
+    run the completion search on every graph, and DP_LIMIT bounds all
     three engines: the formula's cost grows with the length of its count."""
     edges = g.edge_count()
     if edges == g.n - 1 and is_connected(g):
@@ -212,7 +213,7 @@ def count_completions(g: Graph, labeled) -> int:
 
 
 def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
-    """count_completions of each labeled set, from one backward table, or
+    """count_completions of each labeled set, from one memoized search, or
     on a tree without before from the formula, set by set.
 
     With before=(u, v), count only the completions in which u gets a
@@ -232,7 +233,7 @@ def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
 
 def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
     """Labelings starting at start in which u gets a smaller label than v:
-    a one-source completion table that never labels v while u is still
+    a one-source completion search that never labels v while u is still
     unlabeled. A start at u leaves the count unconstrained, and a start
     at v makes it 0.
     """

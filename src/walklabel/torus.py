@@ -89,29 +89,13 @@ def b_rec(n: int, s: int, t: int) -> int:
         return 4 * b_rec(n, 1, 0)
     if s + t == n - 1:
         return factorial(n - 1)
-    if s == 0 and t == n - 2:
-        return (
-            b_rec(n, 1, n - 2)
-            + b_rec(n, 0, n - 1)
-            + sum(
-                binomial(n - 1, q - 1) * factorial(q - 1) * b_rec(n - q, 0, n - 2 - q)
-                for q in range(1, n - 1)
-            )
-        )
-    if s == 0 and 1 <= t <= n - 3:
-        return (
-            a_rec(n - 1, t + 1)
-            + b_rec(n, 1, t)
-            + b_rec(n, 0, t + 1)
-            + sum(
-                binomial(2 * n - (t + 3), q - 1) * factorial(q - 1) * b_rec(n - q, 0, t - q)
-                for q in range(1, t + 1)
-            )
-        )
     if t == 0:
         return b_rec(n, 0, s)  # mirror symmetry of the two rows
-    # interior: s, t >= 1 and s + t <= n - 2
+    # t >= 1 and s + t <= n - 2; with s == 0 the s-sum is empty, and
+    # a(n - 1, t + 1) joins the head while t <= n - 3
     head = b_rec(n, s + 1, t) + b_rec(n, s, t + 1)
+    if s == 0 and t <= n - 3:
+        head += a_rec(n - 1, t + 1)
     tail = sum(
         binomial(2 * n - (s + t + 3), q - 1) * factorial(q - 1) * b_rec(n - q, s - q, t)
         for q in range(1, s + 1)

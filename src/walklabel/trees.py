@@ -174,4 +174,4 @@ def oeis_tree_root_sequence(count: int) -> list[int]:
     A056972 (offset: term h here is candidate A056972(h + 1))."""
     if count < 0:
         raise ValueError("parameter out of range: count must be >= 0")
-    return [t_rec(h, 2, 0) for h in range(count)]
+    return list(_t0_table(count - 1, 2)) if count else []

@@ -5,8 +5,8 @@ permutation filtering.
 The oracle no longer runs it: its 2^n table is what the forward engines
 avoid. Subset iteration is popcount-ascending, then numerically ascending
 within a popcount layer (Gosper's hack), so the table for smaller sets is
-always complete before it is read; the backward completion table walks the
-layers the other way, widest first.
+always complete before it is read; dp_completion_table walks the layers
+the other way, widest first.
 """
 
 from __future__ import annotations

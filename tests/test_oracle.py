@@ -156,6 +156,49 @@ def test_completion_table_validates_its_input():
         oracle.count_completions_each(Graph(4, [(0, 1), (2, 3)]), [[0]])
 
 
+def _resumed(masks, n, labeled, before):
+    """dp_resume of labeled under before=(u, v) or (): a labeled u drops the
+    constraint, and a labeled v ahead of an unlabeled u leaves nothing."""
+    if before and labeled >> before[0] & 1:
+        before = ()
+    if before and labeled >> before[1] & 1:
+        return 0
+    return dp_resume(masks, n, labeled, *before)
+
+
+def test_completion_memo_serves_one_batch_and_ends_with_the_call():
+    # Each batch mixes overlapping sources of mixed sizes, duplicates,
+    # sources that hold v but not u and dominating ones. The two graphs of
+    # a round share their vertex numbers and are queried back to back, with
+    # and without the constraint, so a memo kept past one call would hand
+    # a later call counts of the wrong graph or the wrong constraint. On the
+    # second graph a hub outside u and v dominates, so every set that gains
+    # it lacking u must finish in half of the orders.
+    rng = random.Random(1717)
+    for _ in range(12):
+        n = rng.randint(5, 9)
+        first = random_connected_graph(rng, n)
+        hub = rng.randrange(n)
+        edges = {(a, b) for a in range(n) for b in first.adj[a] if a < b}
+        edges |= {(min(hub, w), max(hub, w)) for w in range(n) if w != hub}
+        second = Graph(n, sorted(edges))
+        u, v = rng.sample([w for w in range(n) if w != hub], 2)
+        for g in (first, second):
+            masks = g.masks
+            sources = [_grow_connected(g, rng, rng.randint(1, n)) for _ in range(5)]
+            late = 1 << v  # grown from v without u, so it counts 0 under the constraint
+            for _ in range(rng.randrange(n - 1)):
+                grow = [w for w in range(n) if w != u and not late >> w & 1 and masks[w] & late]
+                if grow:
+                    late |= 1 << rng.choice(grow)
+            sources += [late, 1 << hub, _grow_connected(g, rng, n - 1)]
+            sources += rng.sample(sources, 3)
+            rng.shuffle(sources)
+            for before in ((), (u, v)):
+                assert dp_completions(masks, n, sources, *before) == [
+                    _resumed(masks, n, s, before) for s in sources]
+
+
 def _prufer_tree(rng, n):
     """A uniformly random tree on n vertices, decoded from a random Prüfer
     sequence: each entry joins the smallest remaining leaf to it."""
