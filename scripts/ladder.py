@@ -35,8 +35,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from walklabel import cli  # noqa: E402
-
 POINTS = {
     **{f"twocycles{a}": ["count", "twocycles", "--a1", str(a), "--a2", str(a), "--a3", str(a)]
        for a in (20, 40, 80)},
@@ -50,6 +48,10 @@ POINTS = {
 
 
 def run_one(name: str) -> dict:
+    # imported here, so that scripts/sweep24.py, whose children import this
+    # module, never loads walklabel.cli
+    from walklabel import cli
+
     argv = POINTS[name]
     started = time.perf_counter()
     result = cli.run(argv)
@@ -74,31 +76,36 @@ def environment() -> dict:
     return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit}
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point") -> int:
+    """Run each named entry of table (default all) in a fresh interpreter
+    of the script that defines one, as `--one NAME`, and print its record;
+    scripts/sweep24.py runs its graphs through this too. Records and the
+    --out file name the entries by noun: "point" and "points"."""
     if argv[:1] == ["--one"]:
-        print(json.dumps(run_one(argv[1])), flush=True)
+        print(json.dumps(one(argv[1])), flush=True)
         return 0
-    parser = argparse.ArgumentParser(description="Time the CLI on a size ladder per family.")
+    script = sys.modules[one.__module__]
+    parser = argparse.ArgumentParser(description=script.__doc__.split("\n\n")[0])
     parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
-    parser.add_argument("names", nargs="*", metavar="NAME", help=f"points to run (default all): {', '.join(POINTS)}")
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"{noun}s to run (default all): {', '.join(table)}")
     args = parser.parse_args(argv)
-    names = args.names or list(POINTS)
-    unknown = [name for name in names if name not in POINTS]
+    names = args.names or list(table)
+    unknown = [name for name in names if name not in table]
     if unknown:
-        print(f"unknown point {unknown[0]!r}; choose from {', '.join(POINTS)}", file=sys.stderr)
+        print(f"unknown {noun} {unknown[0]!r}; choose from {', '.join(table)}", file=sys.stderr)
         return 2
     records = []
     for name in names:
-        child = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
+        child = subprocess.run([sys.executable, script.__file__, "--one", name], capture_output=True, text=True)
         if child.returncode:
-            record = {"point": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
+            record = {noun: name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
         else:
             record = json.loads(child.stdout)
         records.append(record)
         print(json.dumps(record), flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"environment": environment(), "points": records}, fh, indent=1)
+            json.dump({"environment": environment(), f"{noun}s": records}, fh, indent=1)
             fh.write("\n")
     return 0
 

@@ -18,17 +18,15 @@ graph.
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import resource
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from ladder import main  # noqa: E402
 from walklabel import oracle  # noqa: E402
 from walklabel.graphs import Graph, comb, perfect_tree, torus  # noqa: E402
 
@@ -80,37 +78,5 @@ def count_one(name: str) -> dict:
     return record
 
 
-def main(argv: list[str]) -> int:
-    if argv[:1] == ["--one"]:
-        print(json.dumps(count_one(argv[1])), flush=True)
-        return 0
-    parser = argparse.ArgumentParser(description="Time the oracle on 24-vertex graphs.")
-    parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
-    parser.add_argument("names", nargs="*", metavar="NAME", help=f"graphs to run (default all): {', '.join(GRAPHS)}")
-    args = parser.parse_args(argv)
-    names = args.names or list(GRAPHS)
-    unknown = [name for name in names if name not in GRAPHS]
-    if unknown:
-        print(f"unknown graph {unknown[0]!r}; choose from {', '.join(GRAPHS)}", file=sys.stderr)
-        return 2
-    records = []
-    for name in names:
-        child = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
-        if child.returncode:
-            record = {"graph": name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
-        else:
-            record = json.loads(child.stdout)
-        records.append(record)
-        print(json.dumps(record), flush=True)
-    if args.out:
-        # imported here, so that the timed children do not load walklabel.cli
-        from ladder import environment
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"environment": environment(), "graphs": records}, fh, indent=1)
-            fh.write("\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(sys.argv[1:], GRAPHS, count_one, "graph"))

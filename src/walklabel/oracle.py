@@ -1,4 +1,4 @@
-"""Ground-truth counting of random walk labelings by brute force.
+"""Ground-truth counting of random walk labelings by exact search.
 
 A random walk on a connected graph G labels vertices 1, 2, ... in the order
 it first visits them. The label sequences realizable this way are exactly
@@ -8,79 +8,89 @@ stepping off an already-visited one, so every realizable ordering has the
 prefix-adjacency property; conversely, given such an ordering, the walk
 that goes from vi's already-visited neighbor to vi (walking inside the
 visited set first, which is connected by induction) realizes it. Counting
-labelings therefore reduces to counting prefix-adjacent orderings.
+labelings therefore reduces to counting prefix-adjacent orderings. A
+labeled set L, the vertices a walk has visited so far, is connected for
+the same reason, and leaves the orderings of the f free vertices outside
+it (L empty: every start).
 
-One identity counts them, in pure Python. An ordering that is not a
-labeling has a first vertex w with no earlier neighbour; the vertices
-before w label a connected set U whose closed neighbourhood N[U] misses
-w, and those after it come in any order, so
+The first-gap identity. An ordering of the free vertices that is not a
+labeling has a first gap w, with no neighbour in L or earlier. The k free
+vertices before w extend L to a connected set S whose closed neighbourhood
+N[S] misses w, and the f - 1 - k after w come in any order, so
 
-    N(G) = n! - sum over U and w outside N[U] of (n - 1 - |U|)! P(U),
+    count(L) = f! - sum over such S and w of count(S) (f - 1 - k)!,
 
-where P(U) counts the labelings of U. A forward DP over connected vertex
-sets, one popcount layer at a time, gives P(U) and adds up the sum; a
-labeled set changes only the weights. A single unconstrained query
-(count_labelings, count_labelings_from, count_completions) picks one of
-three call patterns through engine(g):
+where count(S) counts the orderings of S's free vertices that reach S.
+_failed adds up the sum by a forward DP over connected sets, keeping two
+adjacent layers and never storing a set whose neighbourhood leaves no gap.
+No table over all 2^n vertex subsets is built.
 
-- tree: no DP. On a tree (connected, n - 1 edges) a labeling that extends
-  L is an order of the free vertices in which each follows its neighbour
-  towards L, a linear extension of the tree with L contracted to its
-  root, so the count is (n - |L|)! over the product of the free subtree
-  sizes (hook lengths); the total sums it over every root by rerooting.
-  Perfect trees, combs, paths and stars go here, at O(n) arithmetic
-  operations a query.
-- connected-set: one pass over the whole graph, every vertex a possible
-  w. A set U with N[U] = V has no w, nor has any superset, so it is never
-  stored: the pass stops at a dominating set, and a star at its center.
-  Other graphs of average degree at most 4 go here, the tori and
-  two-cycle graphs among them; only a few percent of their vertex subsets
-  are connected.
-- first-gap: one pass per w, inside w's non-neighbourhood, which on the
-  denser graphs that go here is small.
+engine(g) sends a single unconstrained query (count_labelings,
+count_labelings_from, count_completions) to one of three call patterns:
 
-Neither DP builds a table over all 2^n vertex subsets, and each keeps two
-adjacent layers of stored sets. Each DP's worst case is a graph
-with many connected sets where it looks. On a 2-core x86 machine
-(scripts/sweep24.py), the slowest 24-vertex graphs found are a random
-graph of average degree 5 under first-gap (19 s, 79 MB), a hub joined to
-every vertex of K1,21 and to one more vertex under connected-set (the
-sets holding the star's center dominate all but that vertex: 16 s,
-193 MB) and a random graph of average degree 4 under connected-set
-(13 s, 160 MB). _core_py.LAYER_LIMIT caps one layer at 2^19 sets; past it
-the count ends in an "instance too large" ValueError at about 250 MB.
+- "tree", for a connected graph with n - 1 edges (perfect trees, combs,
+  paths, stars): tree_count reads the count off hook lengths, with no DP,
+  at O(n) arithmetic operations a query.
+- "connected-set", for other graphs of average degree at most 4 (the tori
+  and two-cycle graphs, where only a few percent of the vertex subsets are
+  connected): dp_connected, one pass of _failed over the whole graph with
+  every vertex a possible w. A dominating set is never stored: neither it
+  nor a superset has a w.
+- "first-gap", for denser graphs: dp_first_gap, one pass per w inside w's
+  non-neighbourhood, which is small there.
 
-Besides the three call patterns there is a completion search. It answers
-many queries of one graph at once (count_completions_each) and is the
-only way that takes an order constraint (count_labelings_from_before,
-count_completions_each with before): on a tree the hook lengths give no
-count of "u before v", so constrained queries search there too, while an
-unconstrained batch on a tree takes the formula once per set. The
-completions of a connected set U are the sum of those of U | w over the w
-next to U, and a set that dominates the graph finishes in any order. One
-memo of the non-dominating sets reached serves every labeled set of the
-call, and ends with it. The memo holds every set it reached, not two
-layers, and LAYER_LIMIT caps it as a whole. The search recurses once per
-vertex added, fewer than DP_LIMIT times. A batch of every start costs
-0.6 to 1.0 times one connected-set pass over the whole graph on
-perfect_tree(2, 4), torus(8) and two_cycles(6, 7, 5) (2-core x86), where
-per-start forward calls cost one pass each: 8 to 13 times as much.
+The completion search, dp_completions, counts completions directly: those
+of a connected set S are the sum of those of S | w over the w next to S,
+and a set that dominates the graph finishes in any order. One memo of the
+sets reached answers every labeled set of a batch (count_completions_each:
+every start of torus(8) or two_cycles(6, 7, 5) costs 0.6 to 1.0 passes of
+dp_connected, not one pass per start) and is dropped when the call returns.
+It alone takes an order constraint "u before v"
+(count_labelings_from_before, count_completions_each with before), because
+it alone builds an ordering one vertex at a time and can refuse v while u
+is unlabeled: the first-gap sum lets the vertices after w come in any
+order, and hook lengths count no pair order. Constrained queries therefore
+search on trees too, while an unconstrained batch on a tree takes the
+formula once per set.
 
-DP_LIMIT bounds every query, trees included. The formula alone would
-count a tree of any size, but not in bounded time: each rerooting step
-divides a count as long as the result, and the total of a 40,000-vertex
-comb took 7.7 s (2-core x86). The cap stays until one work budget bounds
-the formula and the DPs alike.
+Three caps bound the work; past each a query raises ValueError("instance
+too large: ..."), which the CLI prints as a clean exit 1.
 
-The permutation oracle just filters all n! orderings and exists to check
-the DPs and the formula, not to be fast.
+- DP_LIMIT (24 vertices) bounds every query, trees included, and keeps the
+  completion search, which recurses once per vertex added, fewer than 24
+  calls deep. It is the only bound on long sparse inputs: a path of n
+  vertices has n(n+1)/2 connected sets but at most n in a layer, and with
+  the cap removed path(1000) took 1.7 s and path(2000) 11 s. Nor does the
+  tree formula run in bounded time: each rerooting step divides a count as
+  long as the result, and the total of a 40,000-vertex comb took 7.7 s. It
+  stays until one work budget per call bounds the formula and the DPs.
+- LAYER_LIMIT (2^19 sets) bounds one layer of _failed and the whole memo
+  of one dp_completions call. A layer is checked once per stored set, so
+  it may run up to n sets past the cap, at about 240 bytes a set: about
+  250 MB in all. The widest layer found within DP_LIMIT, C(21, 10) =
+  352,716 sets of the hub joined to K1,21 and one more vertex (hub21 of
+  scripts/sweep24.py), fits at a 192 MB peak; dp_connected on K1,23 with
+  one more vertex joined to a leaf, C(22, 11) = 705,432 sets, does not.
+  The memo, checked before each insert, costs 96 to 141 bytes a set, about
+  75 MB when full: a fresh process grew by 25.6 MB over the 189,948 sets
+  of torus(12)'s per-start batch.
+- PERM_LIMIT (10 vertices) bounds count_labelings_perm, which filters all
+  n! orderings to check the DPs and the formula, not to be fast.
+
+Each DP is worst on a graph with many connected sets where it looks. The
+slowest 24-vertex graphs of scripts/sweep24.py are a random graph of
+average degree 5 under first-gap (19 s, 79 MB), hub21 under connected-set
+(16 s, 193 MB) and a random graph of average degree 4 under connected-set
+(13 s, 160 MB). All figures here are from a 2-core x86 machine. The tests
+check every kernel against a subset DP over all 2^n vertex sets and
+against permutation filtering.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from ._core_py import dp_completions, dp_connected, dp_first_gap, tree_count
+from .bigmath import exact_div, factorial
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -97,13 +107,9 @@ __all__ = [
     "engine",
 ]
 
-# DP_LIMIT is the only bound on the work of long sparse inputs. A path
-# of n vertices has n(n+1)/2 connected sets but at most n in a layer, so
-# LAYER_LIMIT never stops it; with the cap removed, path(1000) took 1.7 s
-# over 500,500 sets and path(2000) 11 s over 2,001,000 sets on a 2-core
-# x86 machine. It stays until a work budget per call replaces it.
 DP_LIMIT = 24
 PERM_LIMIT = 10
+LAYER_LIMIT = 1 << 19
 
 
 def backend() -> str:
@@ -112,19 +118,214 @@ def backend() -> str:
     return "pure-python"
 
 
-# Measured on a 2-core x86 machine, calling dp_connected (the pruned
-# pass) and dp_first_gap directly on random connected graphs of a given
-# average degree and on family graphs.
-# - At n = 18 (median of three graphs) the pruned pass took 0.04, 0.10,
-#   0.17, 0.14 and 0.034 s at average degree 3, 4, 5, 6 and 8 and 0.035 s
-#   with half of all edges; first-gap took 0.08, 0.14, 0.14, 0.10, 0.027
-#   and 0.019 s. On path(18), two_cycles(6,7,5) and torus(9) the pruned
-#   pass took 0.0002, 0.002 and 0.028 s against 0.002, 0.007 and 0.046 s.
-# - At n = 24 (the graphs of scripts/sweep24.py) the pruned pass took 5.3,
-#   13.0, 19.4, 20.5, 9.9 and 0.62 s at average degree 3, 4, 5, 6, 8 and
-#   12, first-gap 7.8, 15.7, 19.5, 14.6, 5.0 and 0.28 s; on torus(12) and
-#   the 4x6 grid 0.75 and 3.7 s against 1.15 and 4.2 s.
-# So the cut-off stays at average degree 4.
+def _factorials(f: int) -> list[int]:
+    """0! to f!."""
+    fact = [1]
+    for i in range(1, f + 1):
+        fact.append(fact[-1] * i)
+    return fact
+
+
+def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int, fact) -> int:
+    """Orderings of the free vertices whose first gap lies in targets.
+
+    A forward DP over the connected sets S inside allowed that extend
+    labeled_mask (0: nonempty sets, started anywhere). A layer maps each S
+    of one size to [count, near], near being S and its allowed neighbours;
+    S pushes its count to S | v for each v in near - S and adds
+    count(S) (f - 1 - k)! per target outside near, k being the free
+    vertices in S. Every target lies in allowed or has no neighbour there,
+    so near misses the targets N[S] misses. S | v is not stored when its
+    near covers targets: neither it nor a superset has a gap. A layer past
+    LAYER_LIMIT sets raises ValueError.
+    """
+    nbr = {1 << v: masks[v] & allowed for v in range(n)}
+    if labeled_mask:
+        near = labeled_mask
+        for v in range(n):
+            if labeled_mask >> v & 1:
+                near |= nbr[1 << v]
+        layer = {labeled_mask: [1, near]}
+        r = len(fact) - 2
+    else:
+        layer = {1 << v: [1, nbr[1 << v] | 1 << v] for v in range(n) if allowed >> v & 1}
+        r = len(fact) - 3
+    limit = LAYER_LIMIT
+    failed = 0
+    while layer:
+        nxt = {}
+        get = nxt.get
+        gaps = 0
+        for s, (c, near) in layer.items():
+            if len(nxt) > limit:
+                raise ValueError(f"instance too large: more than {limit} connected "
+                                 f"vertex sets of {s.bit_count() + 1} vertices")
+            gaps += c * (targets & ~near).bit_count()
+            rem = near ^ s
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                t = s | low
+                entry = get(t)
+                if entry is None:
+                    cover = near | nbr[low]
+                    if targets & ~cover:
+                        nxt[t] = [c, cover]
+                else:
+                    entry[0] += c
+        failed += gaps * fact[r]
+        r -= 1
+        layer = nxt
+    return failed
+
+
+def dp_connected(masks, n: int, labeled_mask: int = 0) -> int:
+    """Orderings of the vertices outside labeled_mask, each adjacent to the
+    labeled set or an earlier pick; labeled_mask 0 means every start (the
+    total). One pass of _failed over the graph.
+    """
+    free = ((1 << n) - 1) & ~labeled_mask
+    fact = _factorials(free.bit_count())
+    return fact[-1] - _failed(masks, n, labeled_mask, (1 << n) - 1, free, fact)
+
+
+def dp_first_gap(masks, n: int, labeled_mask: int = 0) -> int:
+    """dp_connected's count by one pass of _failed per free w with no
+    labeled neighbour, inside the labeled set and w's free non-neighbours.
+    A vertex adjacent to all others never enters another's pass.
+    """
+    free = ((1 << n) - 1) & ~labeled_mask
+    fact = _factorials(free.bit_count())
+    total = fact[-1]
+    for w in range(n):
+        if free >> w & 1 and not masks[w] & labeled_mask:
+            allowed = labeled_mask | (free & ~masks[w] & ~(1 << w))
+            total -= _failed(masks, n, labeled_mask, allowed, 1 << w, fact)
+    return total
+
+
+def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = -1) -> list[int]:
+    """Orderings of the vertices outside each source, a nonempty connected
+    vertex mask, each adjacent to the source or an earlier pick; with
+    forbid_v set, only those in which require_u comes before forbid_v.
+
+    A memoized search: the completions of a connected set S are the sum of
+    those of S | w over the allowed w in N[S] - S, and near = N[S] is
+    passed down as S grows. A set whose near is every vertex is never
+    searched: each order of its f free vertices is a labeling, and with
+    the constraint, a set that lacks u lacks v too and finishes in f!/2
+    ways. A set that lacks u never adds v. A source that holds u gets the
+    unconstrained count, one that holds v but not u gets 0. One memo of
+    the non-dominating sets serves every source of the batch and lives
+    only for this call; past LAYER_LIMIT sets it raises ValueError. The
+    search recurses at most n - |source| deep, which DP_LIMIT keeps at 23
+    or less; lifting the cap needs an iterative search first.
+    """
+    full = (1 << n) - 1
+    fact = _factorials(n)
+    # with no constraint every set counts as holding u and nothing is blocked
+    req = 1 << require_u if forbid_v >= 0 else -1
+    late = 1 << forbid_v if forbid_v >= 0 else 0
+    nbr = {1 << v: masks[v] | 1 << v for v in range(n)}
+    limit = LAYER_LIMIT
+    memo: dict[int, int] = {}
+    get = memo.get
+
+    def completions(s: int, near: int) -> int:
+        after = fact[n - s.bit_count() - 1]  # orders after a dominating S | w
+        acc = 0
+        rem = near ^ s if s & req else (near ^ s) & ~late
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            t = s | low
+            value = get(t)
+            if value is None:
+                cover = near | nbr[low]
+                if cover == full:
+                    value = after if t & req else after // 2
+                else:
+                    value = completions(t, cover)
+            acc += value
+        if len(memo) >= limit:
+            raise ValueError(f"instance too large: more than {limit} connected "
+                             f"vertex sets in one completion table")
+        memo[s] = acc
+        return acc
+
+    counts = []
+    for s in sources:
+        if not s & req and s & late:
+            counts.append(0)
+            continue
+        value = get(s)
+        if value is None:
+            near = s
+            rem = s
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                near |= nbr[low]
+            if near == full:
+                whole = fact[n - s.bit_count()]
+                value = whole if s & req else whole // 2
+            else:
+                value = completions(s, near)
+        counts.append(value)
+    return counts
+
+
+def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
+    """dp_connected's count when the graph is a tree and labeled_mask is 0
+    or a connected set L.
+
+    A search outward from L (vertex 0 when L is empty) gives each free
+    vertex a parent, towards L. A labeling is an order of the free vertices
+    in which each comes after its parent, a linear extension of the tree
+    with L contracted to its root: (n - |L|)! over the product of the free
+    vertices' subtree sizes (Knuth, TAOCP vol. 3, 5.1.4). With L empty
+    that is the count from vertex 0, and the total sums it over every
+    root: moving the root from p to its child c multiplies the count by
+    size(c) / (n - size(c)).
+    """
+    root = labeled_mask or 1
+    parent = [-1] * n
+    order = [v for v in range(n) if root >> v & 1]
+    seen = root
+    for v in order:
+        rem = masks[v] & ~seen
+        seen |= rem
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            c = low.bit_length() - 1
+            parent[c] = v
+            order.append(c)
+    free = order[root.bit_count():]
+    size = [1] * n
+    for v in reversed(free):
+        size[parent[v]] += size[v]
+    hooks = 1
+    for v in free:
+        hooks *= size[v]
+    count = exact_div(factorial(len(free)), hooks, "tree hook-length count")
+    if labeled_mask:
+        return count
+    counts = [0] * n
+    counts[0] = total = count
+    for c in free:
+        counts[c] = exact_div(counts[parent[c]] * size[c], n - size[c], "rerooted tree count")
+        total += counts[c]
+    return total
+
+
+# A connected-set pass grows every connected set of the graph, few on a
+# sparse graph; a first-gap pass grows only sets inside one
+# non-neighbourhood, small on a dense graph. Timing both kernels on random
+# graphs of 18 and 24 vertices put the crossover near average degree 4.
+# Two graphs of scripts/sweep24.py sit near the cut-off: hub21 (44 edges)
+# goes to connected-set although first-gap counts it a little faster, and
+# on the random graph of average degree 5 the two take about as long.
 def engine(g: Graph) -> str:
     """The engine that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),

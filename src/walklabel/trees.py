@@ -40,11 +40,15 @@ __all__ = [
 ]
 
 
-def _check_hm(h: int, m: int, min_h: int = 0) -> None:
+def _check_hm(h: int, m: int, min_h: int = 0, k: int = 0) -> None:
+    """m >= 2, h >= min_h and k in [0, h - min_h]: a depth-k start for
+    min_h = 0, a bereaved depth-k parent for min_h = 1."""
     if m < 2:
         raise ValueError(f"parameter out of range: m = {m} must be >= 2")
     if h < min_h:
         raise ValueError(f"parameter out of range: h = {h} must be >= {min_h}")
+    if not 0 <= k <= h - min_h:
+        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h - min_h}]")
 
 
 def _geo(m: int, a: int, b: int = 0) -> int:
@@ -63,18 +67,14 @@ def beta(h: int, m: int, k: int) -> int:
     """Interleaving factor at the bereaved depth-k vertex of T(h, m):
     m - 1 intact child subtrees of height h - k - 1 against the block of
     vertices outside the depth-k subtree that are still unlabeled."""
-    _check_hm(h, m, min_h=1)
-    if not 0 <= k <= h - 1:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h - 1}]")
+    _check_hm(h, m, 1, k)
     return multinomial([_geo(m, h - k)] * (m - 1) + [_geo(m, h + 1, h - k + 1)])
 
 
 def gamma(h: int, m: int, k: int) -> int:
     """Positions of the depth-k start's subtree among all non-root vertices:
     C((m^(h+1) - m)/(m - 1), (m^(h+1-k) - m)/(m - 1))."""
-    _check_hm(h, m)
-    if not 0 <= k <= h:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h}]")
+    _check_hm(h, m, 0, k)
     return binomial(_geo(m, h + 1, 1), _geo(m, h + 1 - k, 1))
 
 
@@ -83,7 +83,7 @@ def _t0_table(h: int, m: int) -> tuple[int, ...]:
     """t(j, m, 0) for j = 0..h: root-started counts, built bottom-up."""
     values = [1]
     for j in range(1, h + 1):
-        values.append(values[j - 1] ** m * multinomial([_geo(m, j)] * m))
+        values.append(values[j - 1] ** m * alpha(j, m))
     return tuple(values)
 
 
@@ -91,42 +91,26 @@ def _t0_table(h: int, m: int) -> tuple[int, ...]:
 def s_rec(h: int, m: int, k: int) -> int:
     """Completion count after removing one depth-(k+1) subtree, by the
     mutual recurrence over the t(., m, 0) table: each k extends the cached
-    s(h, m, k - 1) by one level."""
-    _check_hm(h, m, min_h=1)
-    if not 0 <= k <= h - 1:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h - 1}]")
-    t0 = _t0_table(h, m)
-    if k == 0:
-        return t0[h - 1] ** (m - 1) * multinomial([_geo(m, h)] * (m - 1))
-    return (
-        t0[h - k - 1] ** (m - 1)
-        * s_rec(h, m, k - 1)
-        * multinomial([_geo(m, h - k)] * (m - 1) + [_geo(m, h + 1, h - k + 1)])
-    )
+    s(h, m, k - 1) by one level, with s(h, m, -1) = 1."""
+    _check_hm(h, m, 1, k)
+    below = s_rec(h, m, k - 1) if k else 1
+    return _t0_table(h, m)[h - k - 1] ** (m - 1) * below * beta(h, m, k)
 
 
 @cache
 def t_rec(h: int, m: int, k: int) -> int:
     """Labelings of T(h, m) started at a depth-k vertex, by recurrence."""
-    _check_hm(h, m)
-    if not 0 <= k <= h:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h}]")
+    _check_hm(h, m, 0, k)
     t0 = _t0_table(h, m)
     if k == 0:
         return t0[h]
-    return (
-        t0[h - k]
-        * s_rec(h, m, k - 1)
-        * binomial(_geo(m, h + 1) - 1, _geo(m, h - k + 1) - 1)
-    )
+    return t0[h - k] * s_rec(h, m, k - 1) * gamma(h, m, k)
 
 
 def s_closed(h: int, m: int, k: int) -> int:
     """Product form of s_rec: prod over j of beta(h, m, j) times the alpha
     powers contributed by the m - 1 intact subtrees at each level."""
-    _check_hm(h, m, min_h=1)
-    if not 0 <= k <= h - 1:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h - 1}]")
+    _check_hm(h, m, 1, k)
     value = 1
     for j in range(k + 1):
         value *= beta(h, m, j)
@@ -137,9 +121,7 @@ def s_closed(h: int, m: int, k: int) -> int:
 
 def t_closed(h: int, m: int, k: int) -> int:
     """Product form of t_rec."""
-    _check_hm(h, m)
-    if not 0 <= k <= h:
-        raise ValueError(f"parameter out of range: k = {k} must be in [0, {h}]")
+    _check_hm(h, m, 0, k)
     value = gamma(h, m, k)
     for j in range(1, h - k + 1):
         value *= alpha(j, m) ** (m ** (h - k - j))

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 from cli_ref import build_parser
 
-from walklabel import _core_py, cli, oracle, trees, verify
+from walklabel import cli, oracle, trees, verify
 from walklabel.cli import run
 
 
@@ -364,6 +364,13 @@ def test_oracle_flag_conflicts(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the permutation oracle only counts totals\n"
 
 
+def test_oracle_rejects_a_bad_labeled_set(tmp_path, capsys):
+    f = tmp_path / "p2.txt"
+    f.write_text("2\n0 1\n")
+    assert run(["oracle", "--input", str(f), "--completions", "0,x"]) == (1, "")
+    assert capsys.readouterr().err == "error: invalid labeled set: '0,x'\n"
+
+
 def test_oracle_missing_file():
     assert run(["oracle", "--input", "/no/such/file"]).exit_code == 1
 
@@ -459,11 +466,24 @@ def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
     f = tmp_path / "hub.txt"
     edges = [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)]
     f.write_text("8\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 3)
     result = run(["oracle", "--input", str(f)])
     assert (result.exit_code, result.stdout) == (1, "")
     assert capsys.readouterr().err.startswith(
         "error: instance too large: more than 3 connected vertex sets")
+
+
+def test_verify_streams_one_progress_line_per_group(capsys):
+    grid = ["verify", "--family", "all", "--max-h", "1", "--max-m", "2", "--max-mn", "2", "--max-n", "2",
+            "--max-oracle-n", "1", "--max-total", "6", "--max-lemma-total", "6"]
+    loud = run(grid)
+    assert loud.exit_code == 0 and json.loads(loud.stdout)["ok"]
+    assert capsys.readouterr().err.splitlines() == [
+        "trees (h=0, m=2)", "trees (h=1, m=2)", "combs (m=1, n=2)",
+        "torus (n=2) exact", "torus (n=1) oracle", "twocycles (2, 2, *)",
+    ]
+    assert run(["--quiet", *grid]) == loud
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_subcommand_small():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from subset_dp import dp_completion_table, dp_resume, dp_total
 
-from walklabel import _core_py, oracle
-from walklabel._core_py import dp_completions, dp_connected, dp_first_gap, tree_count
+from walklabel import oracle
+from walklabel.oracle import dp_completions, dp_connected, dp_first_gap, tree_count
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -371,40 +371,40 @@ def test_size_limits(monkeypatch):
     # arc of 6 dominates the cycle, so it is never stored
     ring = cycle(8)
     assert oracle.engine(ring) == "connected-set"
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 7)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 7)
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_labelings(ring)
     # the limits themselves are inclusive
     assert oracle.count_labelings_perm(path(oracle.PERM_LIMIT)) > 0
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 8)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 8)
     assert oracle.count_labelings(ring) == dp_total(ring.masks, ring.n)
     # a set holding the center of K1,6 covers every vertex, so only the
     # first layer of 7 sets is stored, where the subset DP holds C(6, 3) = 20
     star = perfect_tree(1, 6)
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 19)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 19)
     assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
     # first-gap runs its passes through the same capped layers: on a hub
     # joined to the path 1-...-7, the pass from the gap at 1 runs on the path
     # 3-...-7, whose 4 pairs outgrow a limit of 3
     hub = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 3)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 3)
     with pytest.raises(ValueError, match="instance too large"):
         dp_first_gap(hub.masks, hub.n)
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 4)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 4)
     assert dp_first_gap(hub.masks, hub.n) == dp_total(hub.masks, hub.n)
     # a completion table counts all its sets: the per-start table of the
     # 8-cycle stores the 8 arcs of each length 1 to 5, 40 sets in all, and
     # with 0 before 4 it leaves out the 13 arcs that hold 4 but not 0
     starts = [[v] for v in range(ring.n)]
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 39)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 39)
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_completions_each(ring, starts)
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 40)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 40)
     assert oracle.count_completions_each(ring, starts) == [dp_resume(ring.masks, ring.n, 1 << v) for v in range(8)]
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 26)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 26)
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_completions_each(ring, starts, before=(0, 4))
-    monkeypatch.setattr(_core_py, "LAYER_LIMIT", 27)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 27)
     assert oracle.count_completions_each(ring, starts, before=(0, 4)) == [
         _filtered_orderings(ring, 1 << v, (0, 4)) for v in range(8)
     ]

@@ -111,6 +111,11 @@ def test_parameter_validation():
         count_torus(0)
 
 
+def test_b_is_zero_at_n_1_by_convention():
+    # the n >= 2 recurrences never consume it, but both forms agree on it
+    assert b_rec(1, 0, 0) == b_closed(1, 0, 0) == 0
+
+
 def test_closed_forms_are_integral_for_larger_n():
     # exact_div inside the closed forms raises if any division fails; the
     # falling factorials must equal the whole-factorial quotients they replace
