@@ -2,12 +2,16 @@
 copies joined by an edge at position k.
 
 t_spine(m, n, k) counts the labelings of the comb C(m, n, k) that start at
-the spine vertex of the first tooth, position (1, k). A_term(m, n, j, kp, y)
+the spine vertex of the first tooth, position (1, k). It is computed once
+per (m, n, k) and process (functools.cache, as trees.t_rec is), because
+every per-start count and every term of lemma_pac_check takes two spine
+factors and verify asks for the same few many times. A_term(m, n, j, kp, y)
 is the building block for per-vertex counts: labelings in which the walk
 starts on tooth j and the interleaving constraint is parameterized by the
 effective spine position kp and a cut index y. count_from_vertex assembles
-the per-start count for any (j, s) from these blocks, and count_comb is the
-fully summed closed form. count_comb is the fast path: one factorial, a
+the per-start count for any (j, s) from these blocks, with their two spine
+factors, which do not depend on y, taken out of its sum, and count_comb is
+the fully summed closed form. count_comb is the fast path: one factorial, a
 Horner sum of O(n) small terms and one bigmath.exact_div, which raises
 instead of flooring if the formula leaves a remainder. count_from_vertex,
 t_spine and lemma_pac_check are the paths verify checks it against; every
@@ -24,6 +28,7 @@ so callers see the disagreement instead of inheriting it.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
 
@@ -49,6 +54,7 @@ def _check_mnk(m: int, n: int, k: int, min_m: int = 1) -> None:
         raise ValueError(f"parameter out of range: k = {k} must be in [1, {n}]")
 
 
+@cache
 def t_spine(m: int, n: int, k: int) -> int:
     """Labelings of C(m, n, k) starting at spine vertex (1, k); the empty
     comb (m = 0) contributes the neutral factor 1."""
@@ -59,6 +65,11 @@ def t_spine(m: int, n: int, k: int) -> int:
     return value
 
 
+def _cut(m: int, n: int, j: int, kp: int, y: int) -> int:
+    """A_term without its two spine factors."""
+    return multinomial([(j - 1) * n, n - y, (m - j) * n]) * binomial(n - y, n - kp)
+
+
 def A_term(m: int, n: int, j: int, kp: int, y: int) -> int:
     """Block count for a start on tooth j with effective spine position kp:
     the y-th cut of tooth j against the teeth on either side."""
@@ -67,12 +78,7 @@ def A_term(m: int, n: int, j: int, kp: int, y: int) -> int:
         raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
     if not 1 <= y <= n:
         raise ValueError(f"parameter out of range: y = {y} must be in [1, {n}]")
-    return (
-        multinomial([(j - 1) * n, n - y, (m - j) * n])
-        * binomial(n - y, n - kp)
-        * t_spine(j - 1, n, kp)
-        * t_spine(m - j, n, kp)
-    )
+    return _cut(m, n, j, kp, y) * t_spine(j - 1, n, kp) * t_spine(m - j, n, kp)
 
 
 def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
@@ -82,12 +88,13 @@ def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
         raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
     if not 1 <= s <= n:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {n}]")
-    if s == k:
-        return A_term(m, n, j, k, 1)
     if s > k:  # the mirrored tooth: spine position n - k + 1, start n - s + 1
         return count_from_vertex(m, n, n - k + 1, j, n - s + 1)
-    return sum(
-        binomial(y - 2, k - s - 1) * A_term(m, n, j, k, y)
+    spines = t_spine(j - 1, n, k) * t_spine(m - j, n, k)
+    if s == k:
+        return _cut(m, n, j, k, 1) * spines
+    return spines * sum(
+        binomial(y - 2, k - s - 1) * _cut(m, n, j, k, y)
         for y in range(k - s + 1, k + 1)
     )
 

@@ -58,11 +58,22 @@ along each diagonal j (binomials are 0 outside their range):
            + [j = a + b] sa sb,
 
 where sa = 1 when the row k = a is in the sum and sa = -1 when the cap
-leaves it out (sb likewise for the column l = b). A row sum is then one
-sum of a + b + 1 integer terms and one division by 4 full! a! b! through
-bigmath.exact_div, which raises if the identity ever leaves a remainder,
-so a block costs O(a) and count_two_cycles O(a^2). The double sum it
-replaces is kept in the tests as the reference.
+leaves it out (sb likewise for the column l = b). With n = a + b, full!
+cancels from W(j), and the row sum is sum_j (full + 1)...(full + j) X_j
+over 4 a! b!, where X_j = 4 S(j) (n - j)! is diag_j D_j, plus sa sb at
+j = n, with diag_j the bracket above and D_j = (n - j)! 2^(n - j).
+Horner's rule sums it from j = n down,
+
+  H_j = X_j + (full + j + 1) H_(j+1),
+
+so each of the a + b + 1 steps multiplies the running sum by one small
+factor. D_j and the three diagonal binomials step from j + 1 to j by
+their ratios (one small factor or one small exact division each), so no
+factorial of full and no math.comb is computed. One division of H_0 by
+4 a! b! through bigmath.exact_div, which raises if the identity ever
+leaves a remainder, ends the row sum; a block costs O(a) and
+count_two_cycles O(a^2). The Vandermonde sum over whole factorials and
+the double sum it collapsed are kept in the tests as references.
 
 Multinomials go through bigmath.multinomial, which raises on a negative
 part rather than clamping to zero, and a row sum raises on a negative row
@@ -75,7 +86,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bigmath import binomial, exact_div, factorial, multinomial
+from .bigmath import exact_div, factorial, multinomial
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
@@ -94,11 +105,17 @@ def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
         raise ValueError(f"malformed two-cycle term: rows({full}, {a}, {b}) with caps ({a_cap}, {b_cap})")
     n = a + b
     sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
-    total = sa * sb * factorial(full + n)
-    for j in range(n + 1):
-        diagonal = binomial(n, j) + sa * binomial(b, j - a) + sb * binomial(a, j - b)
-        total += (factorial(full + j) * factorial(n - j) * diagonal) << (n - j)
-    return exact_div(total, 4 * factorial(full) * factorial(a) * factorial(b), "two-cycle row sum")
+    # at j = n the three binomials and D_n are 1, so X_n = (1 + sa)(1 + sb);
+    # stepping down to j - 1, the three binomial ratios share the divisor
+    # n - j + 1
+    horner = (1 + sa) * (1 + sb)
+    c_n = c_b = c_a = d = 1
+    for j in range(n, 0, -1):
+        step = n - j + 1
+        c_n, c_b, c_a = c_n * j // step, c_b * (j - a) // step, c_a * (j - b) // step
+        d *= 2 * step
+        horner = (c_n + sa * c_b + sb * c_a) * d + (full + j) * horner
+    return exact_div(horner, 4 * factorial(a) * factorial(b), "two-cycle row sum")
 
 
 @cache

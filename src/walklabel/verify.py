@@ -182,12 +182,13 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                     continue
                 left = vertex_at(g, "left_junction")
                 right = vertex_at(g, "right_junction")
-                _check(out, "twocycles", inst, "term_A == oracle from left junction",
-                       oracle.count_labelings_from(g, left), twocycles.term_A(a1, a2, a3))
-                starts = [(2, s) for s in range(2, a2)]
+                # (2, 1) is the left junction, and a source holding it gets its plain count: term_A
+                starts = [(2, s) for s in range(1, a2)]
                 starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
                 constrained = dict(zip(starts, oracle.count_completions_each(
                     g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
+                _check(out, "twocycles", inst, "term_A == oracle from left junction",
+                       constrained[2, 1], twocycles.term_A(a1, a2, a3))
                 for s in range(2, a2):
                     _check(out, "twocycles", f"{inst} s={s}", "term_B == constrained oracle",
                            constrained[2, s], twocycles.term_B(a1, a2, a3, s))

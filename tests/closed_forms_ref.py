@@ -3,6 +3,9 @@ fast evaluations in src/ are checked against.
 
 - rows: the two-cycle row sum as the double sum over k and l that
   twocycles._rows collapses by Vandermonde's identity.
+- rows_vandermonde: that collapsed sum as it was first evaluated, one term
+  of whole factorials and math.comb binomials per diagonal, which
+  twocycles._rows now sums by Horner's rule.
 - count_comb: the comb total through exact rationals, one Fraction per
   summand, that combs.count_comb evaluates over one common denominator.
 - a_closed, b_closed, count_torus: the torus closed forms as quotients of
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 
-__all__ = ["a_closed", "b_closed", "count_comb", "count_torus", "rows"]
+__all__ = ["a_closed", "b_closed", "count_comb", "count_torus", "rows", "rows_vandermonde"]
 
 
 def _ends(p: int) -> int:
@@ -31,6 +34,18 @@ def rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
         for k in range(a_cap)
         for l in range(b_cap)
     )
+
+
+def rows_vandermonde(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
+    """twocycles._rows by one sum of a + b + 1 integer terms over whole
+    factorials and one division by 4 full! a! b!."""
+    n = a + b
+    sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
+    total = sa * sb * factorial(full + n)
+    for j in range(n + 1):
+        diagonal = binomial(n, j) + sa * binomial(b, j - a) + sb * binomial(a, j - b)
+        total += (factorial(full + j) * factorial(n - j) * diagonal) << (n - j)
+    return exact_div(total, 4 * factorial(full) * factorial(a) * factorial(b), "two-cycle row sum")
 
 
 def count_comb(m: int, n: int, k: int) -> int:

@@ -4,6 +4,7 @@ import pytest
 
 from closed_forms_ref import count_comb as count_comb_ref
 from walklabel import combs, oracle
+from walklabel.bigmath import binomial
 from walklabel.graphs import comb, vertex_at
 
 
@@ -46,6 +47,33 @@ def test_per_vertex_counts_match_oracle():
                 assert combs.count_from_vertex(m, n, k, j, s) == oracle.count_labelings_from(
                     g, vertex_at(g, (j, s))
                 )
+
+
+def _count_from_vertex_by_a_terms(m, n, k, j, s):
+    # count_from_vertex as first written: one A_term, spine factors and
+    # all, per cut y
+    if s == k:
+        return combs.A_term(m, n, j, k, 1)
+    if s > k:
+        return _count_from_vertex_by_a_terms(m, n, n - k + 1, j, n - s + 1)
+    return sum(binomial(y - 2, k - s - 1) * combs.A_term(m, n, j, k, y) for y in range(k - s + 1, k + 1))
+
+
+def test_per_vertex_counts_match_the_sum_of_a_terms():
+    for m in range(1, 5):
+        for n in range(2, 7):
+            for k in range(1, n + 1):
+                for j in range(1, m + 1):
+                    for s in range(1, n + 1):
+                        assert combs.count_from_vertex(m, n, k, j, s) == _count_from_vertex_by_a_terms(
+                            m, n, k, j, s)
+
+
+def test_memoized_t_spine_matches_the_plain_product():
+    for m in range(0, 5):
+        for n in range(2, 7):
+            for k in range(1, n + 1):
+                assert combs.t_spine(m, n, k) == combs.t_spine.__wrapped__(m, n, k)
 
 
 def test_t_spine_matches_oracle():

@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from closed_forms_ref import rows as rows_ref
+from closed_forms_ref import rows as rows_ref, rows_vandermonde
 from walklabel import oracle
 from walklabel.bigmath import binomial
 from walklabel.graphs import two_cycles, vertex_at
@@ -112,6 +113,24 @@ def test_rows_match_the_double_sum():
     for full, a, b in product(range(9), repeat=3):
         for a_cap, b_cap in [(a + 1, b + 1), (a + 1, b), (a, b)]:
             assert _rows(full, a, b, a_cap, b_cap) == rows_ref(full, a, b, a_cap, b_cap)
+
+
+def test_horner_rows_match_the_vandermonde_sum():
+    rng = random.Random(20)
+    for _ in range(300):
+        full, a, b = (rng.randint(0, 60) for _ in range(3))
+        for a_cap, b_cap in [(a + 1, b + 1), (a + 1, b), (a, b)]:
+            assert _rows(full, a, b, a_cap, b_cap) == rows_vandermonde(full, a, b, a_cap, b_cap)
+
+
+def test_a_left_junction_source_gets_its_unconstrained_count():
+    # verify reads term_A off its before=(left, right) batch on this identity
+    for a1, a2, a3 in product(range(2, 9), repeat=3):
+        if a1 + a2 + a3 <= 12:
+            g = two_cycles(a1, a2, a3)
+            left, right = vertex_at(g, "left_junction"), vertex_at(g, "right_junction")
+            assert oracle.count_completions_each(g, [[left]], before=(left, right)) == [
+                oracle.count_labelings_from(g, left)]
 
 
 @pytest.mark.parametrize("args", [
