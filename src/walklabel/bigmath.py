@@ -4,33 +4,25 @@ Counts are plain Python ints (arbitrary precision), and no intermediate is
 ever a rational: a closed form whose integrality rests on the formula
 divides through exact_div, which raises instead of flooring when the
 division leaves a remainder. Divisions that are exact by structure (geometric
-sums) keep a plain //. The factorial cache below is
-unbounded and monotone (it only ever gains entries); under free threading
-concurrent misses may compute a value twice, but both writes store the same
-int, so results are identical to sequential execution. Call
-``factorial.cache_clear()`` if bounded memory matters more than speed.
-to_decimal and from_decimal convert values of any length without touching
-the interpreter's int/str digit limit.
+sums) keep a plain //. to_decimal converts values of any length without
+touching the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cache
 
 __all__ = [
     "binomial",
     "double_factorial",
     "exact_div",
     "factorial",
-    "from_decimal",
     "multinomial",
     "to_decimal",
 ]
 
 
-@cache
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:
@@ -105,13 +97,6 @@ def _digits(n: int, width: int = 0) -> str:
     return _digits(high, width - k) + _digits(low, k)
 
 
-def _value(digits: str) -> int:
-    if len(digits) <= _SAFE_DIGITS:
-        return int(digits)
-    k = len(digits) // 2
-    return _value(digits[:-k]) * 10**k + _value(digits[-k:])
-
-
 def to_decimal(n: int) -> str:
     """Serialize a count as a decimal string.
 
@@ -119,13 +104,3 @@ def to_decimal(n: int) -> str:
     limit, so long values are converted piecewise, leaving the limit alone.
     """
     return "-" + _digits(-n) if n < 0 else _digits(n)
-
-
-def from_decimal(text: str) -> int:
-    """Parse a decimal count back to int (round-trips to_decimal output):
-    an optional sign, then ASCII digits, at any length."""
-    text = text.strip()
-    sign, digits = (text[0], text[1:]) if text[:1] in ("+", "-") else ("", text)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid decimal count of {len(text)} characters")
-    return -_value(digits) if sign == "-" else _value(digits)

@@ -38,10 +38,12 @@ class Graph:
     adj[v] is the sorted tuple of neighbors, masks[v] the same set as a
     bitmask (bit u set iff u adjacent to v). coords maps vertex index to a
     family coordinate label; extra lookup aliases (like "root") resolve via
-    vertex_at but have no coords entry.
+    vertex_at but have no coords entry. Whether the graph is connected is
+    decided here, by one search when it is built, and is_connected(g) reads
+    that answer instead of searching again.
     """
 
-    __slots__ = ("n", "adj", "masks", "coords", "_lookup")
+    __slots__ = ("n", "adj", "masks", "coords", "_lookup", "_connected")
 
     def __init__(self, n, edges, coords=None, aliases=None):
         if n < 1:
@@ -68,6 +70,7 @@ class Graph:
         if aliases:
             lookup.update(aliases)
         self._lookup = lookup
+        self._connected = is_connected(self, (1 << n) - 1)
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
@@ -85,23 +88,22 @@ def vertex_at(g: Graph, coordinate) -> int:
 
 
 def is_connected(g: Graph, within: int | None = None) -> bool:
-    """Whether g is connected; with within, a vertex bitmask, whether the
-    vertices of within induce a connected subgraph (an empty set does not).
-    A whole-graph check is one O(n + m) search."""
+    """Whether g is connected, as decided when g was built; with within, a
+    vertex bitmask, whether the vertices of within induce a connected
+    subgraph (an empty set does not), by one search of that subgraph."""
     if within is None:
-        start, size = 0, g.n
-    elif within:
-        start, size = (within & -within).bit_length() - 1, within.bit_count()
-    else:
+        return g._connected
+    if not within:
         return False
+    start = (within & -within).bit_length() - 1
     seen = {start}
     stack = [start]
     while stack:
         for u in g.adj[stack.pop()]:
-            if u not in seen and (within is None or within >> u & 1):
+            if u not in seen and within >> u & 1:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == size
+    return len(seen) == within.bit_count()
 
 
 def _numbered(labels, edges, aliases=None) -> Graph:

@@ -25,8 +25,17 @@ _failed adds up the sum by a forward DP over connected sets, keeping two
 adjacent layers and never storing a set whose neighbourhood leaves no gap.
 No table over all 2^n vertex subsets is built.
 
-engine(g) sends a single unconstrained query (count_labelings,
-count_labelings_from, count_completions) to one of three call patterns:
+One rule, in _count, routes every query once its input is checked:
+
+- a single unconstrained query (count_labelings, count_labelings_from,
+  count_completions, or count_completions_each of one set) takes the
+  kernel engine(g) names;
+- every unconstrained query on a tree takes the hook-length formula, set
+  by set;
+- a batch of two or more sets, or any query with an order constraint,
+  takes one dp_completions search.
+
+engine(g) names one of three kernels:
 
 - "tree", for a connected graph with n - 1 edges (perfect trees, combs,
   paths, stars): tree_count reads the count off hook lengths, with no DP,
@@ -42,16 +51,14 @@ count_labelings_from, count_completions) to one of three call patterns:
 The completion search, dp_completions, counts completions directly: those
 of a connected set S are the sum of those of S | w over the w next to S,
 and a set that dominates the graph finishes in any order. One memo of the
-sets reached answers every labeled set of a batch (count_completions_each:
-every start of torus(8) or two_cycles(6, 7, 5) costs 0.6 to 1.0 passes of
-dp_connected, not one pass per start) and is dropped when the call returns.
-It alone takes an order constraint "u before v"
-(count_labelings_from_before, count_completions_each with before), because
-it alone builds an ordering one vertex at a time and can refuse v while u
-is unlabeled: the first-gap sum lets the vertices after w come in any
-order, and hook lengths count no pair order. Constrained queries therefore
-search on trees too, while an unconstrained batch on a tree takes the
-formula once per set.
+sets reached answers every labeled set of a batch (every start of torus(8)
+or two_cycles(6, 7, 5) costs 0.6 to 1.0 passes of dp_connected, not one
+pass per start) and is dropped when the call returns. It alone takes an
+order constraint "u before v", because it alone builds an ordering one
+vertex at a time and can refuse v while u is unlabeled: the first-gap sum
+lets the vertices after w come in any order, and hook lengths count no
+pair order. A single set takes engine(g)'s kernel instead: a layer of a
+pass holds no more sets than the search's memo would for that set.
 
 Three caps bound the work; past each a query raises ValueError("instance
 too large: ..."), which the CLI prints as a clean exit 1.
@@ -327,12 +334,15 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
 # goes to connected-set although first-gap counts it a little faster, and
 # on the random graph of average degree 5 the two take about as long.
 def engine(g: Graph) -> str:
-    """The engine that counts g's unconstrained queries: "tree" when g is
+    """The kernel that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),
     "connected-set" when its average degree is otherwise at most 4
-    (2|E| <= 4n), and "first-gap" when it is higher. Constrained queries
-    run the completion search on every graph, and DP_LIMIT bounds all
-    three engines: the formula's cost grows with the length of its count."""
+    (2|E| <= 4n), and "first-gap" when it is higher. _count sends a single
+    unconstrained query (count_completions_each of one set included), and
+    every unconstrained query on a tree set by set, to this kernel; a batch
+    of two or more sets, or a query with an order constraint, runs one
+    completion search instead. DP_LIMIT bounds all of them: the formula's
+    cost grows with the length of its count."""
     edges = g.edge_count()
     if edges == g.n - 1 and is_connected(g):
         return "tree"
@@ -344,12 +354,6 @@ def engine(g: Graph) -> str:
 _KERNELS = {"tree": tree_count, "connected-set": dp_connected, "first-gap": dp_first_gap}
 
 
-def _dp(g: Graph, labeled: int = 0) -> int:
-    """Orderings of g extending the labeled mask (0: from every start), by
-    engine(g)."""
-    return _KERNELS[engine(g)](g.masks, g.n, labeled)
-
-
 def check_size(n: int) -> None:
     """Reject an instance of n vertices past DP_LIMIT. The CLI calls it on
     an edge list's vertex count before the graph is built."""
@@ -357,31 +361,12 @@ def check_size(n: int) -> None:
         raise ValueError(f"instance too large: {n} vertices exceeds the DP limit {DP_LIMIT}")
 
 
-def _check(g: Graph) -> None:
-    check_size(g.n)
-    if not is_connected(g):
-        raise ValueError("graph not connected")
-
-
-def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
+def _check_vertex(g: Graph, v: int, name: str) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"{name} {v} out of range")
 
 
-def count_labelings(g: Graph) -> int:
-    """Number of random walk labelings of g (all starting vertices)."""
-    _check(g)
-    return _dp(g)
-
-
-def count_labelings_from(g: Graph, start: int) -> int:
-    """Labelings whose first label lands on start."""
-    _check(g)
-    _check_vertex(g, start, "start")
-    return _dp(g, 1 << start)
-
-
-def _labeled_mask(g: Graph, labeled) -> int:
+def _labeled_mask(g: Graph, labeled, name: str) -> int:
     """The mask of a labeled vertex set, checked to be in range, nonempty
     and connected, as a walk's visited set always is."""
     vs = sorted(set(labeled))
@@ -389,18 +374,44 @@ def _labeled_mask(g: Graph, labeled) -> int:
         raise ValueError("labeled set not connected: it is empty")
     mask = 0
     for v in vs:
-        _check_vertex(g, v, "labeled vertex")
+        _check_vertex(g, v, name)
         mask |= 1 << v
     if not is_connected(g, mask):
         raise ValueError("labeled set not connected")
     return mask
 
 
-def _check_order(g: Graph, u: int, v: int) -> None:
-    _check_vertex(g, u, "u")
-    _check_vertex(g, v, "v")
-    if u == v:
-        raise ValueError("order constraint needs two distinct vertices")
+def _count(g: Graph, labeled_sets=None, before=None, name: str = "labeled vertex") -> list[int]:
+    """The counts of one query, each labeled set's (None: the total, from
+    every start), by the routing rule of the module docstring. The size and
+    connectivity of g are checked first, then each set in turn, a vertex
+    out of range named by name, then before=(u, v)."""
+    check_size(g.n)
+    if not is_connected(g):
+        raise ValueError("graph not connected")
+    sources = [0] if labeled_sets is None else [_labeled_mask(g, vs, name) for vs in labeled_sets]
+    if before is None:
+        kind = engine(g)
+        if kind == "tree" or len(sources) == 1:
+            return [_KERNELS[kind](g.masks, g.n, s) for s in sources]
+        before = (-1, -1)
+    else:
+        u, v = before
+        _check_vertex(g, u, "u")
+        _check_vertex(g, v, "v")
+        if u == v:
+            raise ValueError("order constraint needs two distinct vertices")
+    return dp_completions(g.masks, g.n, sources, *before)
+
+
+def count_labelings(g: Graph) -> int:
+    """Number of random walk labelings of g (all starting vertices)."""
+    return _count(g)[0]
+
+
+def count_labelings_from(g: Graph, start: int) -> int:
+    """Labelings whose first label lands on start."""
+    return _count(g, [[start]], name="start")[0]
 
 
 def count_completions(g: Graph, labeled) -> int:
@@ -409,27 +420,18 @@ def count_completions(g: Graph, labeled) -> int:
     labeled is the set of already-labeled vertices; it must induce a
     connected subgraph, because a walk's visited set is always connected.
     """
-    _check(g)
-    return _dp(g, _labeled_mask(g, labeled))
+    return _count(g, [labeled])[0]
 
 
 def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
-    """count_completions of each labeled set, from one memoized search, or
-    on a tree without before from the formula, set by set.
+    """count_completions of each labeled set, by the routing rule of the
+    module docstring.
 
     With before=(u, v), count only the completions in which u gets a
     smaller label than v: a set that holds u gets its plain count, and
     one that holds v but not u gets 0.
     """
-    _check(g)
-    sources = [_labeled_mask(g, labeled) for labeled in labeled_sets]
-    u = v = -1
-    if before is not None:
-        u, v = before
-        _check_order(g, u, v)
-    elif engine(g) == "tree":
-        return [tree_count(g.masks, g.n, s) for s in sources]
-    return dp_completions(g.masks, g.n, sources, u, v)
+    return _count(g, list(labeled_sets), before)  # None fails here, not as the total
 
 
 def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
@@ -438,10 +440,7 @@ def count_labelings_from_before(g: Graph, start: int, u: int, v: int) -> int:
     unlabeled. A start at u leaves the count unconstrained, and a start
     at v makes it 0.
     """
-    _check(g)
-    _check_vertex(g, start, "start")
-    _check_order(g, u, v)
-    return dp_completions(g.masks, g.n, [1 << start], u, v)[0]
+    return _count(g, [[start]], (u, v), "start")[0]
 
 
 def count_labelings_perm(g: Graph) -> int:

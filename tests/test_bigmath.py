@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -99,12 +100,19 @@ def test_cli_import_loads_no_rational_or_decimal_module():
     assert out.stdout.strip() == "[]"
 
 
+def _decimal_text(value: int) -> str:
+    """value in decimal by the decimal module, which converts exactly
+    whatever the context precision and the int/str digit limit."""
+    return str(decimal.Decimal(value))
+
+
 def test_decimal_round_trip_on_huge_integers():
     value = 7**12000  # far beyond the default int/str conversion cap
     text = bigmath.to_decimal(value)
     assert text.isdigit() and len(text) > 10000
-    assert bigmath.from_decimal(text) == value
-    assert bigmath.from_decimal("-" + text) == -value
+    assert text == _decimal_text(value)
+    assert bigmath.to_decimal(-value) == "-" + text == _decimal_text(-value)
+    assert int(decimal.Decimal(text)) == value
 
 
 @pytest.fixture
@@ -119,21 +127,20 @@ def test_decimal_round_trip_leaves_digit_limit_alone(digit_limit_4300):
     value = 10**99_999 + 12345  # 10^5 digits
     text = bigmath.to_decimal(value)
     assert len(text) == 100_000 and text.endswith("12345")
-    assert bigmath.from_decimal(text) == value
-    assert bigmath.from_decimal("-" + text) == -value
+    assert text == _decimal_text(value)
+    assert bigmath.to_decimal(-value) == "-" + text
+    assert int(decimal.Decimal(text)) == value
     assert sys.get_int_max_str_digits() == 4300
 
 
 def test_decimal_conversions_in_two_threads(digit_limit_4300):
     values = (7**6_000 + 1, 3**40_000 - 1)  # about 5,000 and 19,000 digits
-    sys.set_int_max_str_digits(0)
-    expected = [str(v) for v in values]
-    sys.set_int_max_str_digits(4300)
+    expected = [_decimal_text(v) for v in values]
     failures = []
 
     def convert(value, text):
         for _ in range(20):
-            if bigmath.to_decimal(value) != text or bigmath.from_decimal(text) != value:
+            if bigmath.to_decimal(value) != text:
                 failures.append(value.bit_length())
 
     threads = [threading.Thread(target=convert, args=pair) for pair in zip(values, expected)]
@@ -144,25 +151,3 @@ def test_decimal_conversions_in_two_threads(digit_limit_4300):
     assert failures == []
     assert sys.get_int_max_str_digits() == 4300
 
-
-@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
-@pytest.mark.parametrize("text", ["1_000", "\u0661\u0662\u0663", "12a", "+-1", "1 2", "0x10"])
-def test_from_decimal_rejects_the_same_forms_at_every_length(text, long):
-    if long:  # longer than any piece the conversion parses in one go
-        text = text + "0" * (bigmath._SAFE_DIGITS + 1)
-    with pytest.raises(ValueError, match="invalid decimal count"):
-        bigmath.from_decimal(text)
-
-
-@pytest.mark.parametrize("text", ["", " ", "-", "+"])
-def test_from_decimal_rejects_text_without_digits(text):
-    with pytest.raises(ValueError, match="invalid decimal count"):
-        bigmath.from_decimal(text)
-
-
-@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
-@pytest.mark.parametrize("text,value", [("123", 123), ("+123", 123), ("-123", -123), (" 0042\n", 42)])
-def test_from_decimal_accepts_sign_and_ascii_digits_at_every_length(text, value, long):
-    if long:
-        text, value = text.strip() + "0" * (bigmath._SAFE_DIGITS + 1), value * 10 ** (bigmath._SAFE_DIGITS + 1)
-    assert bigmath.from_decimal(text) == value

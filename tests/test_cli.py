@@ -36,16 +36,24 @@ def test_count_torus_and_twocycles():
     assert run(["count", "twocycles", "--a1", "2", "--a2", "2", "--a3", "2"]).stdout == "208\n"
 
 
-def test_count_torus_beyond_recursion_depth_exits_cleanly(capsys):
+def test_count_torus_past_the_recursion_depth_is_a_closed_form(capsys):
+    # torus.a_rec(400, 1) recurses past the default limit; count takes the
+    # closed form n(n+2) (2n-2)!/(n-2)!, which does not recurse
     n = 400
     result = run(["count", "torus", "--n", str(n)])
-    if result.exit_code == 0:
-        expected = n * (n + 2) * math.factorial(2 * n - 2) // math.factorial(n - 2)
-        assert result.stdout == f"{expected}\n"
-    else:
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert capsys.readouterr().err.startswith("error: ")
+    expected = n * (n + 2) * math.factorial(2 * n - 2) // math.factorial(n - 2)
+    assert (result.exit_code, result.stdout) == (0, f"{expected}\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_recursion_limit_exits_cleanly(monkeypatch, capsys):
+    def too_deep(h, m):
+        raise RecursionError
+
+    monkeypatch.setattr(trees, "count_perfect_tree", too_deep)
+    result = run(["count", "tree", "--h", "2", "--m", "2"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert capsys.readouterr().err == "error: instance too large: recursion limit exceeded\n"
 
 
 def test_out_of_memory_exits_cleanly(monkeypatch, capsys):

@@ -443,3 +443,75 @@ def test_pure_kernel_handles_values_beyond_64_bits():
         matching = {(2 * i, 2 * i + 1) for i in range(m)}
         g = Graph(n, [e for e in pairs if e not in matching])
         assert oracle.count_labelings(g) == math.factorial(n) - 2 * m * math.factorial(n - 2)
+
+
+
+# a tree, a sparse graph and a dense one (the complement of an 8-cycle),
+# each under the kernel engine(g) names for it
+ROUTED_GRAPHS = {
+    "tree": comb(2, 4, 2),
+    "connected-set": two_cycles(3, 3, 2),
+    "first-gap": Graph(8, [(u, v) for v in range(8) for u in range(v) if v - u not in (1, 7)]),
+}
+
+
+@pytest.mark.parametrize("kind", ROUTED_GRAPHS)
+def test_every_query_reaches_the_kernel_the_routing_rule_names(monkeypatch, kind):
+    g = ROUTED_GRAPHS[kind]
+    assert oracle.engine(g) == kind
+    masks, n = g.masks, g.n
+    w = g.adj[0][0]
+    u, v = 1, n - 1
+    calls = []
+
+    def recorded(name, kernel):
+        def run(*args):
+            calls.append(name)
+            return kernel(*args)
+        return run
+
+    monkeypatch.setattr(oracle, "_KERNELS", {k: recorded(k, f) for k, f in oracle._KERNELS.items()})
+    monkeypatch.setattr(oracle, "dp_completions", recorded("search", dp_completions))
+    from_0, from_0w = dp_resume(masks, n, 1), dp_resume(masks, n, 1 | 1 << w)
+    constrained = dp_resume(masks, n, 1, u, v)
+    # the rule: one unconstrained set, or a tree, takes engine(g)'s kernel
+    # set by set; a batch of two or more sets, or before, takes one search
+    queries = [
+        (lambda: [oracle.count_labelings(g)], [kind], [dp_total(masks, n)]),
+        (lambda: [oracle.count_labelings_from(g, 0)], [kind], [from_0]),
+        (lambda: [oracle.count_completions(g, [0, w])], [kind], [from_0w]),
+        (lambda: oracle.count_completions_each(g, [[0]]), [kind], [from_0]),
+        (lambda: oracle.count_completions_each(g, [[0], [0, w]]),
+         [kind, kind] if kind == "tree" else ["search"], [from_0, from_0w]),
+        (lambda: oracle.count_completions_each(g, [[0]], before=(u, v)), ["search"], [constrained]),
+        (lambda: [oracle.count_labelings_from_before(g, 0, u, v)], ["search"], [constrained]),
+    ]
+    for query, route, expected in queries:
+        calls.clear()
+        assert query() == expected
+        assert calls == route
+
+
+def test_no_query_searches_the_whole_graph_once_it_is_built(monkeypatch):
+    # g is connected, and that was decided when it was built; a query may
+    # read only the neighbours of its labeled vertices, to check that a
+    # labeled set is connected, and a whole-graph search reads them all
+    for g in ROUTED_GRAPHS.values():
+        reads = set()
+
+        class Adjacency(tuple):
+            def __getitem__(self, v):
+                reads.add(v)
+                return tuple.__getitem__(self, v)
+
+        w = g.adj[0][0]
+        monkeypatch.setattr(g, "adj", Adjacency(g.adj))
+        oracle.engine(g)
+        oracle.count_labelings(g)
+        oracle.count_labelings_perm(g)
+        oracle.count_labelings_from(g, 0)
+        oracle.count_completions(g, [0, w])
+        oracle.count_completions_each(g, [[0], [0, w]])
+        oracle.count_completions_each(g, [[0]], before=(1, g.n - 1))
+        oracle.count_labelings_from_before(g, 0, 1, g.n - 1)
+        assert reads <= {0, w}
