@@ -5,9 +5,12 @@
 The graphs are seeded random connected graphs of average degree d = 3, 4,
 5, 6, 8 and 12 (a random spanning tree plus random edges up to 12d
 edges), torus(12), the 4x6 grid, the star K1,23, a hub joined to every
-vertex of K1,21 and to one more vertex, the comb(4, 6, 3) and a seeded
-random tree (each vertex joined to a random earlier one); the star, the
-comb and the random tree are trees. For each graph the script prints
+vertex of K1,21 and to one more vertex, the comb(4, 6, 3), a seeded
+random tree (each vertex joined to a random earlier one), the 24-cycle
+with the chords 0-12 and 6-18, the theta graph of four paths between two
+poles, the 2x12 ladder and the star K1,22 with three chords between
+leaves and a vertex hung off a leaf (n + 2 edges); the star, the comb
+and the random tree are trees. For each graph the script prints
 one JSON line: the engine oracle.engine picks, the seconds
 oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
 the count or the error. Graphs run one after another, so at most one
@@ -47,6 +50,16 @@ def random_tree() -> Graph:
     return Graph(N, [(rng.randrange(v), v) for v in range(1, N)])
 
 
+def theta(paths: int) -> Graph:
+    """The poles 0 and 1 joined by internally disjoint paths that share
+    the other vertices out as evenly as they can."""
+    edges = []
+    for i in range(paths):
+        inner = list(range(2 + i, N, paths))
+        edges += zip([0, *inner], [*inner, 1])
+    return Graph(N, edges)
+
+
 def grid(rows: int, cols: int) -> Graph:
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
@@ -62,6 +75,12 @@ GRAPHS = {
     "hub21": lambda: Graph(N, [(0, v) for v in range(1, N)] + [(1, v) for v in range(2, N - 1)]),
     "comb4x6": lambda: comb(4, 6, 3),
     "random-tree": random_tree,
+    "cycle-chords": lambda: Graph(N, [(v, (v + 1) % N) for v in range(N)] + [(0, 12), (6, 18)]),
+    "theta4": lambda: theta(4),
+    "ladder2x12": lambda: grid(2, 12),
+    # the star K1,22 with three chords between leaves and one more vertex
+    # hung off a leaf: n + 2 edges, and a layer of C(21, 10) connected sets
+    "star-chords": lambda: Graph(N, [(0, v) for v in range(1, N - 1)] + [(1, 2), (3, 4), (5, 6), (N - 2, N - 1)]),
 }
 
 

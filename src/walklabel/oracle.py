@@ -13,17 +13,27 @@ labeled set L, the vertices a walk has visited so far, is connected for
 the same reason, and leaves the orderings of the f free vertices outside
 it (L empty: every start).
 
-The first-gap identity. An ordering of the free vertices that is not a
-labeling has a first gap w, with no neighbour in L or earlier. The k free
-vertices before w extend L to a connected set S whose closed neighbourhood
-N[S] misses w, and the f - 1 - k after w come in any order, so
+The first-gap identity. Let W_R(k) count the valid k-sequences inside a
+region R of r free vertices: sequences of distinct vertices of R, each next
+to L or to an earlier one. Of the r! orders of R, W_R(k) (r - k)! start
+with a valid k-sequence. Each other has a first gap x at some place
+j + 1 <= k: x is not next to L, the j vertices before it are a valid
+sequence inside R - N[x], and the r - j - 1 after it come in any order. So
 
-    count(L) = f! - sum over such S and w of count(S) (f - 1 - k)!,
+    W_R(k) (r - k)! = r! - sum over x in R - N(L), start <= j < k
+                           of W_{R - N[x]}(j) (r - j - 1)!,
 
-where count(S) counts the orderings of S's free vertices that reach S.
-_failed adds up the sum by a forward DP over connected sets, keeping two
-adjacent layers and never storing a set whose neighbourhood leaves no gap.
-No table over all 2^n vertex subsets is built.
+where start is 1 when L is empty (a walk's first pick is never a gap) and
+0 otherwise, and the count is W_free(f). No two components of R are
+adjacent, so with L nonempty a valid sequence of R is any interleaving of
+valid sequences of its components, and W_R is their binomial convolution;
+with L empty the first pick fixes the component and the walk stays in it,
+so W_R(k) for k >= 1 is the sum over the components. dp_first_gap
+memoizes W_R by region, split into components, so a region that chains
+of gaps leave again and again is counted once. dp_connected applies the
+identity to R = free alone, summing over the prefixes themselves: a
+forward DP over the connected sets that extend L, keeping two adjacent
+layers. No table over all 2^n vertex subsets is built.
 
 One rule, in _count, routes every query once its input is checked:
 
@@ -40,13 +50,14 @@ engine(g) names one of three kernels:
 - "tree", for a connected graph with n - 1 edges (perfect trees, combs,
   paths, stars): tree_count reads the count off hook lengths, with no DP,
   at O(n) arithmetic operations a query.
-- "connected-set", for other graphs of average degree at most 4 (the tori
-  and two-cycle graphs, where only a few percent of the vertex subsets are
-  connected): dp_connected, one pass of _failed over the whole graph with
-  every vertex a possible w. A dominating set is never stored: neither it
-  nor a superset has a w.
-- "first-gap", for denser graphs: dp_first_gap, one pass per w inside w's
-  non-neighbourhood, which is small there.
+- "connected-set", for a graph of at most n + 2 edges and no vertex of
+  degree 1 (cycles, two-cycle graphs, cycles with two chords): dp_connected.
+  Such a graph subdivides a multigraph of at most four vertices and six
+  edges, so its connected sets are polynomially few. A leaf would let a
+  hub grow 2^k of them: the star K1,22 with three chords takes it 10 s.
+- "first-gap", for every other graph: dp_first_gap. R - N[x] is small on
+  a dense graph, and on the torus, grids and random graphs of average
+  degree 3 and up the regions are far fewer than the connected sets.
 
 The completion search, dp_completions, counts completions directly: those
 of a connected set S are the sum of those of S | w over the w next to S,
@@ -63,39 +74,39 @@ pass holds no more sets than the search's memo would for that set.
 Three caps bound the work; past each a query raises ValueError("instance
 too large: ..."), which the CLI prints as a clean exit 1.
 
-- DP_LIMIT (24 vertices) bounds every query, trees included, and keeps the
-  completion search, which recurses once per vertex added, fewer than 24
-  calls deep. It is the only bound on long sparse inputs: a path of n
-  vertices has n(n+1)/2 connected sets but at most n in a layer, and with
-  the cap removed path(1000) took 1.7 s and path(2000) 11 s. Nor does the
-  tree formula run in bounded time: each rerooting step divides a count as
-  long as the result, and the total of a 40,000-vertex comb took 7.7 s. It
-  stays until one work budget per call bounds the formula and the DPs.
-- LAYER_LIMIT (2^19 sets) bounds one layer of _failed and the whole memo
-  of one dp_completions call. A layer is checked once per stored set, so
-  it may run up to n sets past the cap, at about 240 bytes a set: about
-  250 MB in all. The widest layer found within DP_LIMIT, C(21, 10) =
-  352,716 sets of the hub joined to K1,21 and one more vertex (hub21 of
-  scripts/sweep24.py), fits at a 192 MB peak; dp_connected on K1,23 with
-  one more vertex joined to a leaf, C(22, 11) = 705,432 sets, does not.
-  The memo, checked before each insert, costs 96 to 141 bytes a set, about
-  75 MB when full: a fresh process grew by 25.6 MB over the 189,948 sets
-  of torus(12)'s per-start batch.
+- DP_LIMIT (24 vertices) bounds every query, trees included, and keeps
+  the completion search and the first-gap recursion, which recurse once
+  per vertex added or removed, at most 25 calls deep. It is the only bound
+  on long sparse inputs: with the cap removed path(2000) took 11 s, and
+  the tree formula, whose rerooting steps divide counts as long as the
+  result, took 7.7 s on a 40,000-vertex comb. It stays until one work
+  budget per call bounds the formula and the DPs.
+- LAYER_LIMIT (2^19) bounds the sets in one layer of dp_connected and the
+  entries of one call's memo in dp_completions and dp_first_gap. A layer
+  is checked once per stored set, so it may run up to n sets past the
+  cap, at about 240 bytes a set: about 250 MB in all. A memo is checked
+  before each insert. A set of the completion memo costs 96 to 141 bytes,
+  about 75 MB when full (25.6 MB over the 189,948 sets of torus(12)'s
+  per-start batch). A region costs at most 1.24 KB, a vector of 25 ints
+  of up to 80 bits: about 650 MB when full. The sweep graphs store at
+  most 8,688 regions (the 4x6 grid) at 270 to 330 bytes each
+  (tracemalloc); no 24-vertex graph tried stored more than 17,573.
 - PERM_LIMIT (10 vertices) bounds count_labelings_perm, which filters all
   n! orderings to check the DPs and the formula, not to be fast.
 
-Each DP is worst on a graph with many connected sets where it looks. The
-slowest 24-vertex graphs of scripts/sweep24.py are a random graph of
-average degree 5 under first-gap (19 s, 79 MB), hub21 under connected-set
-(16 s, 193 MB) and a random graph of average degree 4 under connected-set
-(13 s, 160 MB). All figures here are from a 2-core x86 machine. The tests
+The slowest 24-vertex graphs of scripts/sweep24.py take 0.05 s at a 21 MB
+peak: the random graph of average degree 4 and the 4x6 grid under
+first-gap, and the theta graph of four paths under connected-set. One
+connected-set pass per gap vertex took up to 19 s there, and the pass over
+hub21 198 MB. All figures here are from a 2-core x86 machine. The tests
 check every kernel against a subset DP over all 2^n vertex sets and
 against permutation filtering.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, zip_longest
+from math import comb
 
 from .bigmath import exact_div, factorial
 from .graphs import Graph, is_connected
@@ -133,29 +144,28 @@ def _factorials(f: int) -> list[int]:
     return fact
 
 
-def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int, fact) -> int:
-    """Orderings of the free vertices whose first gap lies in targets.
-
-    A forward DP over the connected sets S inside allowed that extend
-    labeled_mask (0: nonempty sets, started anywhere). A layer maps each S
-    of one size to [count, near], near being S and its allowed neighbours;
-    S pushes its count to S | v for each v in near - S and adds
-    count(S) (f - 1 - k)! per target outside near, k being the free
-    vertices in S. Every target lies in allowed or has no neighbour there,
-    so near misses the targets N[S] misses. S | v is not stored when its
-    near covers targets: neither it nor a superset has a gap. A layer past
-    LAYER_LIMIT sets raises ValueError.
+def dp_connected(masks, n: int, labeled_mask: int = 0) -> int:
+    """Orderings of the vertices outside labeled_mask, each adjacent to the
+    labeled set or an earlier pick; labeled_mask 0 means every start (the
+    total). f! less the orderings with a first gap: a layer maps each
+    connected S of one size to [count, near], near being N[S]; S pushes
+    its count to S | v for v in near - S and adds count(S) (f - 1 - k)! per
+    vertex outside near, k being the free vertices in S. A set that
+    dominates the graph is not stored, and a layer past LAYER_LIMIT sets
+    raises ValueError.
     """
-    nbr = {1 << v: masks[v] & allowed for v in range(n)}
+    full = (1 << n) - 1
+    fact = _factorials(n - labeled_mask.bit_count())
+    closed = {1 << v: masks[v] | 1 << v for v in range(n)}
     if labeled_mask:
         near = labeled_mask
         for v in range(n):
             if labeled_mask >> v & 1:
-                near |= nbr[1 << v]
+                near |= masks[v]
         layer = {labeled_mask: [1, near]}
         r = len(fact) - 2
     else:
-        layer = {1 << v: [1, nbr[1 << v] | 1 << v] for v in range(n) if allowed >> v & 1}
+        layer = {low: [1, near] for low, near in closed.items()}
         r = len(fact) - 3
     limit = LAYER_LIMIT
     failed = 0
@@ -167,7 +177,7 @@ def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int, fact) 
             if len(nxt) > limit:
                 raise ValueError(f"instance too large: more than {limit} connected "
                                  f"vertex sets of {s.bit_count() + 1} vertices")
-            gaps += c * (targets & ~near).bit_count()
+            gaps += c * (n - near.bit_count())
             rem = near ^ s
             while rem:
                 low = rem & -rem
@@ -175,40 +185,78 @@ def _failed(masks, n: int, labeled_mask: int, allowed: int, targets: int, fact) 
                 t = s | low
                 entry = get(t)
                 if entry is None:
-                    cover = near | nbr[low]
-                    if targets & ~cover:
+                    cover = near | closed[low]
+                    if cover != full:
                         nxt[t] = [c, cover]
                 else:
                     entry[0] += c
         failed += gaps * fact[r]
         r -= 1
         layer = nxt
-    return failed
-
-
-def dp_connected(masks, n: int, labeled_mask: int = 0) -> int:
-    """Orderings of the vertices outside labeled_mask, each adjacent to the
-    labeled set or an earlier pick; labeled_mask 0 means every start (the
-    total). One pass of _failed over the graph.
-    """
-    free = ((1 << n) - 1) & ~labeled_mask
-    fact = _factorials(free.bit_count())
-    return fact[-1] - _failed(masks, n, labeled_mask, (1 << n) - 1, free, fact)
+    return fact[-1] - failed
 
 
 def dp_first_gap(masks, n: int, labeled_mask: int = 0) -> int:
-    """dp_connected's count by one pass of _failed per free w with no
-    labeled neighbour, inside the labeled set and w's free non-neighbours.
-    A vertex adjacent to all others never enters another's pass.
+    """dp_connected's count by the first-gap recursion of the module
+    docstring. vector(R) is [W_R(0), ..., W_R(r)]; missing entries are 0,
+    so a component with no vertex next to a nonempty labeled set is [1].
+    The memo of regions lives only for this call, and past LAYER_LIMIT
+    regions it raises ValueError.
     """
     free = ((1 << n) - 1) & ~labeled_mask
+    anchored = sum(1 << v for v in range(n) if masks[v] & labeled_mask)
+    gaps = free & ~anchored
+    start = 0 if labeled_mask else 1  # with L empty the first pick is never a gap
     fact = _factorials(free.bit_count())
-    total = fact[-1]
-    for w in range(n):
-        if free >> w & 1 and not masks[w] & labeled_mask:
-            allowed = labeled_mask | (free & ~masks[w] & ~(1 << w))
-            total -= _failed(masks, n, labeled_mask, allowed, 1 << w, fact)
-    return total
+    nbr = {1 << v: masks[v] for v in range(n)}
+    memo: dict[int, list[int]] = {}
+    get = memo.get
+
+    def vector(region: int) -> list[int]:
+        vec = get(region)
+        if vec is not None:
+            return vec
+        part = frontier = region & -region
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= nbr[low]
+            frontier = grow & region & ~part
+            part |= frontier
+        if part != region:
+            a, b = vector(part), vector(region ^ part)
+            if labeled_mask:  # independent parts interleave freely
+                vec = [0] * (len(a) + len(b) - 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b, i):
+                        vec[j] += comb(j, i) * x * y
+            else:  # a walk with no labeled set stays in one part
+                vec = [1] + [x + y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
+        elif labeled_mask and not region & anchored:
+            vec = [1]
+        else:
+            r = region.bit_count()
+            sums = [0] * r
+            rem = region & gaps
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                for j, w in enumerate(vector(region & ~(nbr[low] | low))):
+                    sums[j] += w
+            vec = [1]
+            failed = 0
+            for k in range(1, r + 1):
+                if k > start:
+                    failed += sums[k - 1] * fact[r - k]
+                vec.append((fact[r] - failed) // fact[r - k])
+        if len(memo) >= LAYER_LIMIT:
+            raise ValueError(f"instance too large: more than {LAYER_LIMIT} gap regions in one first-gap count")
+        memo[region] = vec
+        return vec
+
+    return vector(free)[-1]  # vector(0) is [1]: every vertex labeled
 
 
 def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = -1) -> list[int]:
@@ -326,27 +374,27 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
     return total
 
 
-# A connected-set pass grows every connected set of the graph, few on a
-# sparse graph; a first-gap pass grows only sets inside one
-# non-neighbourhood, small on a dense graph. Timing both kernels on random
-# graphs of 18 and 24 vertices put the crossover near average degree 4.
-# Two graphs of scripts/sweep24.py sit near the cut-off: hub21 (44 edges)
-# goes to connected-set although first-gap counts it a little faster, and
-# on the random graph of average degree 5 the two take about as long.
+# A connected-set pass grows every connected set of the graph; the
+# first-gap recursion grows the regions that chains of gaps leave. On
+# 24-vertex graphs of n + 1 or n + 2 edges and no leaf the pass is 2 to 10
+# times faster (two_cycles(8, 8, 8), and the cycle with two chords and the
+# theta graph of scripts/sweep24.py); on every other sweep graph the
+# recursion wins, on hub21 ten thousandfold. With pendant trees the pass can
+# explode: random graphs of n to n + 2 edges took it up to 1 s, the recursion 0.02 s.
 def engine(g: Graph) -> str:
     """The kernel that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),
-    "connected-set" when its average degree is otherwise at most 4
-    (2|E| <= 4n), and "first-gap" when it is higher. _count sends a single
-    unconstrained query (count_completions_each of one set included), and
-    every unconstrained query on a tree set by set, to this kernel; a batch
-    of two or more sets, or a query with an order constraint, runs one
-    completion search instead. DP_LIMIT bounds all of them: the formula's
-    cost grows with the length of its count."""
+    "connected-set" when it otherwise has at most n + 2 edges and no vertex
+    of degree 1, and "first-gap" for every other graph. _count sends a
+    single unconstrained query (count_completions_each of one set
+    included), and every unconstrained query on a tree set by set, to this
+    kernel; a batch of two or more sets, or a query with an order
+    constraint, runs one completion search instead. DP_LIMIT bounds all of
+    them: the formula's cost grows with the length of its count."""
     edges = g.edge_count()
     if edges == g.n - 1 and is_connected(g):
         return "tree"
-    if 2 * edges <= 4 * g.n:
+    if edges <= g.n + 2 and all(m & (m - 1) for m in g.masks):
         return "connected-set"
     return "first-gap"
 

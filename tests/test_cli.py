@@ -469,16 +469,32 @@ def test_oracle_error_quotes_a_short_line_whole(tmp_path, capsys):
 
 
 def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
-    # the hub joined to the path 1-...-7 goes to the connected-set engine,
-    # whose layer of the path's 6 pairs outgrows a layer limit of 3
+    # the hub joined to the path 1-...-7 goes to the first-gap recursion,
+    # which stores 23 regions: a limit of 22 stops it, 23 lets it count
     f = tmp_path / "hub.txt"
     edges = [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)]
     f.write_text("8\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 3)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 22)
+    assert run(["oracle", "--input", str(f)]) == (1, "")
+    assert capsys.readouterr().err == "error: instance too large: more than 22 gap regions in one first-gap count\n"
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 23)
+    assert run(["oracle", "--input", str(f)]) == (0, "12416\n")
+
+
+def test_oracle_counts_a_dense_graph_at_the_size_limit_within_a_second(tmp_path):
+    # scripts/sweep24.py's random-d5: 24 vertices and 60 edges, which took
+    # 13-19 s when first-gap ran one connected-set pass per gap vertex; the
+    # count is the one those passes gave
+    rng = random.Random(5)
+    edges = {(rng.randrange(v), v) for v in range(1, 24)}
+    rest = [(u, v) for v in range(24) for u in range(v) if (u, v) not in edges]
+    edges.update(rng.sample(rest, 60 - len(edges)))
+    f = tmp_path / "random-d5.txt"
+    f.write_text("24\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
+    started = time.perf_counter()
     result = run(["oracle", "--input", str(f)])
-    assert (result.exit_code, result.stdout) == (1, "")
-    assert capsys.readouterr().err.startswith(
-        "error: instance too large: more than 3 connected vertex sets")
+    assert time.perf_counter() - started < 1.0
+    assert result == (0, "5682135054616411805760\n")
 
 
 def test_verify_streams_one_progress_line_per_group(capsys):

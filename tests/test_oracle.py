@@ -125,6 +125,45 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
         assert [a + b for a, b in pairs] == [dp_connected(masks, n, s) for s in starts]
 
 
+def _split_graphs():
+    """Graphs whose gap regions fall apart into components: K3,k, a hub
+    joined to the path 1-...-k, and two triangles joined by a path of k
+    vertices."""
+    for k in (2, 4, 6):
+        yield Graph(3 + k, [(u, v) for u in range(3) for v in range(3, 3 + k)])
+    for k in (3, 6, 9):
+        yield Graph(k + 1, [(0, v) for v in range(1, k + 1)] + [(v, v + 1) for v in range(1, k)])
+    for k in (0, 2, 4):
+        n = 6 + k
+        yield Graph(n, [(0, 1), (1, 2), (0, 2), *((v, v + 1) for v in range(2, n - 1)), (n - 3, n - 1)])
+
+
+def test_first_gap_recursion_matches_subset_dp_and_permutations():
+    rng = random.Random(22)
+    graphs = list(_split_graphs())
+    for density in (0.05, 0.25, 0.5, 0.75, 0.95):
+        for _ in range(8):
+            n = rng.randint(2, 10)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < density}
+            graphs.append(Graph(n, sorted(edges)))
+    for g in graphs:
+        masks, n = g.masks, g.n
+        total = dp_first_gap(masks, n)
+        assert total == dp_total(masks, n)
+        if n <= 8:
+            assert total == oracle.count_labelings_perm(g)
+        for size in range(1, min(4, n) + 1):
+            labeled = _grow_connected(g, rng, size)
+            expected = dp_resume(masks, n, labeled)
+            assert dp_first_gap(masks, n, labeled) == expected
+            if n - size <= 7:
+                assert expected == _filtered_orderings(g, labeled)
+        # a labeled set of every vertex leaves one (empty) completion
+        assert dp_first_gap(masks, n, (1 << n) - 1) == 1
+    assert dp_first_gap((0,), 1) == dp_first_gap((0,), 1, 1) == 1
+
+
 def test_completion_table_matches_single_queries_on_family_graphs():
     rng = random.Random(5)
     for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2)):
@@ -252,11 +291,17 @@ def test_engine_follows_density():
     star = perfect_tree(1, 11)
     for g in (comb(3, 5, 2), perfect_tree(3, 2), path(6), star):
         assert oracle.engine(g) == "tree"
-    # n - 1 edges but two components: a triangle and an edge
-    assert oracle.engine(Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])) == "connected-set"
-    for g in (torus(8), two_cycles(5, 6, 5), cycle(7)):
+    # at most n + 2 edges and no leaf: a two-cycle graph, a cycle, a cycle
+    # with two chords
+    ring = [(v, (v + 1) % 8) for v in range(8)]
+    for g in (two_cycles(5, 6, 5), cycle(7), Graph(8, ring + [(0, 4), (2, 6)])):
         assert oracle.engine(g) == "connected-set"
-    for g in (complete, half):
+    # the cycle with three chords, the torus (2n edges), denser graphs, a
+    # star with one chord, and n - 1 edges in two components (a triangle
+    # and an edge): not trees, and each has more edges or a leaf
+    chorded_star = Graph(8, [(0, v) for v in range(1, 8)] + [(1, 2)])
+    disconnected = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for g in (Graph(8, ring + [(0, 4), (2, 6), (1, 5)]), torus(8), complete, half, chorded_star, disconnected):
         assert oracle.engine(g) == "first-gap"
 
 
@@ -383,15 +428,16 @@ def test_size_limits(monkeypatch):
     star = perfect_tree(1, 6)
     monkeypatch.setattr(oracle, "LAYER_LIMIT", 19)
     assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
-    # first-gap runs its passes through the same capped layers: on a hub
-    # joined to the path 1-...-7, the pass from the gap at 1 runs on the path
-    # 3-...-7, whose 4 pairs outgrow a limit of 3
+    # the first-gap recursion caps its memo of regions: on a hub joined to
+    # the path 1-...-7 it stores the whole graph, the empty region, 16
+    # intervals of the path and 5 unions of two, 23 regions in all
     hub = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 3)
-    with pytest.raises(ValueError, match="instance too large"):
-        dp_first_gap(hub.masks, hub.n)
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 4)
-    assert dp_first_gap(hub.masks, hub.n) == dp_total(hub.masks, hub.n)
+    assert oracle.engine(hub) == "first-gap"
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 22)
+    with pytest.raises(ValueError, match="instance too large: more than 22 gap regions"):
+        oracle.count_labelings(hub)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 23)
+    assert oracle.count_labelings(hub) == dp_total(hub.masks, hub.n) == 12416
     # a completion table counts all its sets: the per-start table of the
     # 8-cycle stores the 8 arcs of each length 1 to 5, 40 sets in all, and
     # with 0 before 4 it leaves out the 13 arcs that hold 4 but not 0
