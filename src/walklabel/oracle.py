@@ -54,7 +54,7 @@ engine(g) names one of three kernels:
   degree 1 (cycles, two-cycle graphs, cycles with two chords): dp_connected.
   Such a graph subdivides a multigraph of at most four vertices and six
   edges, so its connected sets are polynomially few. A leaf would let a
-  hub grow 2^k of them: the star K1,22 with three chords takes it 10 s.
+  hub grow 2^k of them: the star K1,22 with three chords takes it 11 s.
 - "first-gap", for every other graph: dp_first_gap. R - N[x] is small on
   a dense graph, and on the torus, grids and random graphs of average
   degree 3 and up the regions are far fewer than the connected sets.
@@ -94,13 +94,14 @@ too large: ..."), which the CLI prints as a clean exit 1.
 - PERM_LIMIT (10 vertices) bounds count_labelings_perm, which filters all
   n! orderings to check the DPs and the formula, not to be fast.
 
-The slowest 24-vertex graphs of scripts/sweep24.py take 0.05 s at a 21 MB
-peak: the random graph of average degree 4 and the 4x6 grid under
-first-gap, and the theta graph of four paths under connected-set. One
-connected-set pass per gap vertex took up to 19 s there, and the pass over
-hub21 198 MB. All figures here are from a 2-core x86 machine. The tests
-check every kernel against a subset DP over all 2^n vertex sets and
-against permutation filtering.
+The slowest 24-vertex graphs of scripts/sweep24.py take 0.04 to 0.07 s at
+a 21 MB peak: the random graphs of average degree 3 and 4 and the 4x6 grid
+under first-gap, the theta graph of four paths under connected-set. With
+one connected-set pass per gap vertex the random graph of average degree 5
+took 16 s, and one pass over hub21 or the chorded star took 198 MB. All
+figures here are from a 2-core x86 machine. The tests check every kernel
+against a subset DP over all 2^n vertex sets and against permutation
+filtering.
 """
 
 from __future__ import annotations
