@@ -1,7 +1,7 @@
 """Time the CLI on a size ladder per family, one fresh interpreter per
 point.
 
-    python scripts/ladder.py [--out PATH] [NAME ...]
+    python scripts/ladder.py [--out PATH] [--repeat N] [NAME ...]
 
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40),
 (80,80,80) and (300,300,300), perfect trees (h, m) = (12,2), (14,2) and
@@ -17,7 +17,11 @@ stdout, so two checkouts can be compared for both speed and output.
 Points run one after another, so at most one holds memory at a time.
 --out PATH also writes one JSON file: the environment (python version,
 processor count, the checkout's git commit) and the records of every
-point.
+point. --repeat N runs each point in N fresh interpreters, one after
+another, and prints one record for them: "seconds" is the median,
+"seconds_iqr" the first and third quartiles and "runs" every run's
+seconds, and "maxrss_mb" is the largest. The script exits 1 if the repeats
+of a point differ in anything but time and memory (its sha256, say).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -77,6 +82,32 @@ def environment() -> dict:
     return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit}
 
 
+def _child(script, name: str, noun: str) -> dict:
+    """The record of one entry, run as `--one NAME` in a fresh interpreter."""
+    child = subprocess.run([sys.executable, script.__file__, "--one", name], capture_output=True, text=True)
+    if child.returncode:
+        return {noun: name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
+    return json.loads(child.stdout)
+
+
+_MEASURED = ("seconds", "maxrss_mb")
+
+
+def _repeated(runs: list[dict]) -> tuple[dict, bool]:
+    """One record for the repeats of an entry, and whether they agree in
+    every field but _MEASURED; a failed repeat's record stands for all."""
+    failed = [run for run in runs if "error" in run]
+    if failed:
+        return failed[0], True
+    outputs = [{key: value for key, value in run.items() if key not in _MEASURED} for run in runs]
+    seconds = [run["seconds"] for run in runs]
+    q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    record = {**runs[0], "seconds": round(statistics.median(seconds), 3),
+              "seconds_iqr": [round(q1, 3), round(q3, 3)], "runs": seconds,
+              "maxrss_mb": max(run["maxrss_mb"] for run in runs)}
+    return record, all(output == outputs[0] for output in outputs)
+
+
 def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point") -> int:
     """Run each named entry of table (default all) in a fresh interpreter
     of the script that defines one, as `--one NAME`, and print its record;
@@ -88,27 +119,33 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     script = sys.modules[one.__module__]
     parser = argparse.ArgumentParser(description=script.__doc__.split("\n\n")[0])
     parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help=f"run each {noun} in N fresh interpreters and record the median and quartiles "
+                             "of its seconds")
     parser.add_argument("names", nargs="*", metavar="NAME", help=f"{noun}s to run (default all): {', '.join(table)}")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     names = args.names or list(table)
     unknown = [name for name in names if name not in table]
     if unknown:
         print(f"unknown {noun} {unknown[0]!r}; choose from {', '.join(table)}", file=sys.stderr)
         return 2
     records = []
+    status = 0
     for name in names:
-        child = subprocess.run([sys.executable, script.__file__, "--one", name], capture_output=True, text=True)
-        if child.returncode:
-            record = {noun: name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
-        else:
-            record = json.loads(child.stdout)
+        runs = [_child(script, name, noun) for _ in range(args.repeat)]
+        record, agree = _repeated(runs) if args.repeat > 1 else (runs[0], True)
+        if not agree:
+            print(f"{noun} {name!r}: the output differs between repeats", file=sys.stderr)
+            status = 1
         records.append(record)
         print(json.dumps(record), flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"environment": environment(), f"{noun}s": records}, fh, indent=1)
             fh.write("\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -9,6 +9,18 @@ acceptance tests run them with the grids pinned to the
 package's guarantees. Progress (one line per instance group) goes through
 an optional callback so the CLI can stream it to stderr and tests can keep
 it silent.
+
+Two families come in mirror pairs, and the oracle searches one graph of
+each pair. Swapping rows 1 and 3 carries S(a1, a2, a3) onto S(a3, a2, a1)
+and fixes both junctions, so S(a3, a2, a1) with a1 > a3 reads its total
+and its constrained counts from those of S(a1, a2, a3), its start (1, s)
+from (3, s) and (3, s) from (1, s). Reversing every tooth carries
+C(m, n, k) onto C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1), so a
+comb with k > n - k + 1 reads both its oracle counts from its mirror. Each
+answer is kept in a dict local to the call until its mirror reads it.
+Counts are invariant under isomorphism, so every check keeps its expected
+and actual values, and the checks, their order and the report are those
+of one search per instance.
 """
 
 from __future__ import annotations
@@ -86,25 +98,34 @@ _LEMMA_MAX_M, _LEMMA_MAX_N = 8, 6
 
 def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
     out: list[Check] = []
+    searched: dict = {}  # a k < n - k + 1 comb's oracle answers, until its mirror reads them
     for m in range(1, max_mn // 2 + 1):
         for n in range(2, max_mn // m + 1):
             if progress:
                 progress(f"combs (m={m}, n={n})")
             for k in range(1, n + 1):
                 inst = f"(m={m}, n={n}, k={k})"
-                g = comb(m, n, k)
+                mirror = n - k + 1
+                if k > mirror:
+                    labelings, from_spine = searched.pop((m, n, k))
+                else:
+                    g = comb(m, n, k)
+                    labelings = oracle.count_labelings(g)
+                    from_spine = oracle.count_labelings_from(g, vertex_at(g, (1, k)))
+                    if k < mirror:
+                        # reversing every tooth carries C(m, n, k) onto
+                        # C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1)
+                        searched[m, n, mirror] = labelings, from_spine
                 closed = combs.count_comb(m, n, k)
-                _check(out, "comb", inst, "count_comb == oracle",
-                       oracle.count_labelings(g), closed)
+                _check(out, "comb", inst, "count_comb == oracle", labelings, closed)
                 _check(out, "comb", inst, "count_comb == sum of count_from_vertex",
                        sum(combs.count_from_vertex(m, n, k, j, s)
                            for j in range(1, m + 1) for s in range(1, n + 1)),
                        closed)
                 _check(out, "comb", inst, "count_comb mirror symmetry",
-                       combs.count_comb(m, n, n - k + 1), closed)
+                       combs.count_comb(m, n, mirror), closed)
                 _check(out, "comb", inst, "t_spine == oracle from (1, k)",
-                       oracle.count_labelings_from(g, vertex_at(g, (1, k))),
-                       combs.t_spine(m, n, k))
+                       from_spine, combs.t_spine(m, n, k))
     for m in range(0, _LEMMA_MAX_M + 1):
         for n in range(2, _LEMMA_MAX_N + 1):
             for k in range(1, n + 1):
@@ -163,6 +184,7 @@ def verify_torus(max_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[
 
 def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: int = 12, progress=None) -> list[Check]:
     out: list[Check] = []
+    searched: dict = {}  # an a1 < a3 graph's oracle answers, until its mirror reads them
     for a1 in range(2, max_part + 1):
         for a2 in range(2, max_part + 1):
             for a3 in range(2, max_part + 1):
@@ -172,21 +194,31 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                 inst = f"({a1}, {a2}, {a3})"
                 if progress and a3 == 2:
                     progress(f"twocycles ({a1}, {a2}, *)")
+                if a1 > a3:
+                    labelings, constrained = searched.pop((a1, a2, a3))
+                else:
+                    g = two_cycles(a1, a2, a3)
+                    labelings = oracle.count_labelings(g)
+                    constrained = None
+                    if total <= max_lemma_total:
+                        left = vertex_at(g, "left_junction")
+                        right = vertex_at(g, "right_junction")
+                        # (2, 1) is the left junction, and a source holding it gets its plain count: term_A
+                        starts = [(2, s) for s in range(1, a2)]
+                        starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
+                        constrained = dict(zip(starts, oracle.count_completions_each(
+                            g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
+                    if a1 < a3:
+                        # the row swap (1, s) <-> (3, s) carries S(a1, a2, a3)
+                        # onto S(a3, a2, a1) and fixes both junctions
+                        searched[a3, a2, a1] = labelings, constrained and {
+                            (4 - row, s): c for (row, s), c in constrained.items()}
                 count = twocycles.count_two_cycles(a1, a2, a3)
-                g = two_cycles(a1, a2, a3)
-                _check(out, "twocycles", inst, "count_two_cycles == oracle",
-                       oracle.count_labelings(g), count)
+                _check(out, "twocycles", inst, "count_two_cycles == oracle", labelings, count)
                 _check(out, "twocycles", inst, "a1 <-> a3 symmetry",
                        twocycles.count_two_cycles(a3, a2, a1), count)
                 if total > max_lemma_total:
                     continue
-                left = vertex_at(g, "left_junction")
-                right = vertex_at(g, "right_junction")
-                # (2, 1) is the left junction, and a source holding it gets its plain count: term_A
-                starts = [(2, s) for s in range(1, a2)]
-                starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
-                constrained = dict(zip(starts, oracle.count_completions_each(
-                    g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
                 _check(out, "twocycles", inst, "term_A == oracle from left junction",
                        constrained[2, 1], twocycles.term_A(a1, a2, a3))
                 for s in range(2, a2):

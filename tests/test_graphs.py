@@ -103,6 +103,44 @@ def test_two_cycles_shape():
     assert g.edge_count() == (1 + 2 + 3) + 4
 
 
+def _labeled_edges(g, relabel=lambda label: label):
+    """g's edges as sets of two coordinate labels, each passed through relabel."""
+    return {frozenset((relabel(g.coords[u]), relabel(g.coords[v]))) for u in range(g.n) for v in g.adj[u]}
+
+
+def test_row_swap_carries_two_cycles_onto_their_mirror():
+    # verify reads the oracle answers of S(a3, a2, a1) off S(a1, a2, a3)
+    def swap(label):
+        row, pos = label
+        return 4 - row, pos
+
+    for a1 in range(2, 7):
+        for a2 in range(2, 6):
+            for a3 in range(2, 7):
+                g, mirror = two_cycles(a1, a2, a3), two_cycles(a3, a2, a1)
+                assert {swap(label) for label in g.coords.values()} == set(mirror.coords.values())
+                assert _labeled_edges(g, swap) == _labeled_edges(mirror)
+                for alias in ("left_junction", "right_junction"):
+                    junction = g.coords[vertex_at(g, alias)]
+                    assert swap(junction) == junction
+                    assert vertex_at(mirror, alias) == vertex_at(mirror, junction)
+
+
+def test_tooth_reversal_carries_combs_onto_their_mirror():
+    # verify reads the oracle answers of C(m, n, n - k + 1) off C(m, n, k)
+    for m in range(1, 5):
+        for n in range(2, 7):
+            def reverse(label, n=n):
+                tooth, pos = label
+                return tooth, n - pos + 1
+
+            for k in range(1, n + 1):
+                g, mirror = comb(m, n, k), comb(m, n, n - k + 1)
+                assert {reverse(label) for label in g.coords.values()} == set(mirror.coords.values())
+                assert _labeled_edges(g, reverse) == _labeled_edges(mirror)
+                assert reverse((1, k)) == (1, n - k + 1)
+
+
 def test_path_and_cycle():
     assert path(4).edge_count() == 3
     assert cycle(4).edge_count() == 4

@@ -1,0 +1,99 @@
+"""verify's comb and two-cycle loops against their one-search-per-instance
+references in verify_ref.py: the same checks, progress lines and failures,
+from one oracle search per mirror pair."""
+
+import verify_ref
+
+from walklabel import combs, oracle, twocycles, verify
+from walklabel.verify import Check
+
+# small grids that hold mirror pairs, self-mirrored instances (a1 == a3,
+# k == n - k + 1) and, for the two-cycles, instances past max_lemma_total
+TWOCYCLES_GRID = {"max_total": 10, "max_part": 8, "max_lemma_total": 9}
+COMBS_GRID = {"max_mn": 8}
+
+
+def _run(verify_family, grid):
+    lines = []
+    return verify_family(**grid, progress=lines.append), lines
+
+
+def test_verify_matches_one_search_per_instance():
+    for name, grid in (("verify_twocycles", TWOCYCLES_GRID), ("verify_combs", COMBS_GRID)):
+        checks, lines = _run(getattr(verify, name), grid)
+        assert (checks, lines) == _run(getattr(verify_ref, name), grid)
+        assert checks and all(check.ok for check in checks)
+    instances = {check.instance for check in _run(verify.verify_twocycles, TWOCYCLES_GRID)[0]}
+    assert {"(3, 2, 3)", "(2, 3, 4) s=1", "(4, 3, 2) s=1", "(4, 2, 3)"} <= instances
+    instances = {check.instance for check in _run(verify.verify_combs, COMBS_GRID)[0]}
+    assert {"(m=1, n=5, k=3)", "(m=2, n=4, k=1)", "(m=2, n=4, k=4)"} <= instances
+
+
+def test_a_formula_broken_at_a_mirrored_instance_fails_its_checks(monkeypatch):
+    def broken_at(function, args):
+        def broken(*called):
+            value = function(*called)
+            return value + 1 if called == args else value
+        return broken
+
+    # term_C(4, 3, 2, 2) is read by S(4, 3, 2), which takes its oracle
+    # counts from S(2, 3, 4), and by S(2, 3, 4)'s swapped check
+    true_c = twocycles.term_C(4, 3, 2, 2)
+    monkeypatch.setattr(twocycles, "term_C", broken_at(twocycles.term_C, (4, 3, 2, 2)))
+    checks, _ = _run(verify.verify_twocycles, TWOCYCLES_GRID)
+    assert checks == _run(verify_ref.verify_twocycles, TWOCYCLES_GRID)[0]
+    assert [check for check in checks if not check.ok] == [
+        Check("twocycles", "(2, 3, 4) s=2", "swapped term_C == constrained oracle", true_c, true_c + 1, False),
+        Check("twocycles", "(4, 3, 2) s=2", "term_C == constrained oracle", true_c, true_c + 1, False),
+    ]
+
+    # C(1, 7, 5) takes its oracle counts from C(1, 7, 3); no other check of
+    # the grid reads t_spine(1, 7, 5)
+    true_t = combs.t_spine(1, 7, 5)
+    monkeypatch.setattr(combs, "t_spine", broken_at(combs.t_spine, (1, 7, 5)))
+    checks, _ = _run(verify.verify_combs, COMBS_GRID)
+    assert checks == _run(verify_ref.verify_combs, COMBS_GRID)[0]
+    assert [check for check in checks if not check.ok] == [
+        Check("comb", "(m=1, n=7, k=5)", "t_spine == oracle from (1, k)", true_t, true_t + 1, False),
+    ]
+
+
+def _searches(monkeypatch, verify_family, grid):
+    """The oracle queries of one call, as (adjacency, whether the query is
+    a total), in the order they were made."""
+    searches = []
+    count = oracle._count
+
+    def recording(g, labeled_sets=None, before=None, name="labeled vertex"):
+        searches.append((g.adj, labeled_sets is None))
+        return count(g, labeled_sets, before, name)
+
+    monkeypatch.setattr(oracle, "_count", recording)
+    verify_family(**grid)
+    monkeypatch.undo()
+    return searches
+
+
+def _per_kind(searches):
+    """How many totals and how many per-start queries searches holds."""
+    totals = sum(total for _, total in searches)
+    return totals, len(searches) - totals
+
+
+def test_verify_searches_each_mirror_class_once_per_call(monkeypatch):
+    grid = TWOCYCLES_GRID
+    classes = {(min(a1, a3), a2, max(a1, a3))
+               for a1 in range(2, grid["max_part"] + 1) for a2 in range(2, grid["max_part"] + 1)
+               for a3 in range(2, grid["max_part"] + 1) if a1 + a2 + a3 <= grid["max_total"]}
+    lemma = [c for c in classes if sum(c) <= grid["max_lemma_total"]]
+    first = _searches(monkeypatch, verify.verify_twocycles, grid)
+    assert _per_kind(first) == (len(classes), len(lemma))
+    # a second call searches again: no answer outlives the call
+    assert _searches(monkeypatch, verify.verify_twocycles, grid) == first
+
+    classes = {(m, n, min(k, n - k + 1))
+               for m in range(1, COMBS_GRID["max_mn"] // 2 + 1)
+               for n in range(2, COMBS_GRID["max_mn"] // m + 1) for k in range(1, n + 1)}
+    first = _searches(monkeypatch, verify.verify_combs, COMBS_GRID)
+    assert _per_kind(first) == (len(classes), len(classes))
+    assert _searches(monkeypatch, verify.verify_combs, COMBS_GRID) == first
