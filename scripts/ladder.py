@@ -20,14 +20,20 @@ processor count, the checkout's git commit) and the records of every
 point. --repeat N runs each point in N fresh interpreters, one after
 another, and prints one record for them: "seconds" is the median,
 "seconds_iqr" the first and third quartiles and "runs" every run's
-seconds, and "maxrss_mb" is the largest. The script exits 1 if the repeats
-of a point differ in anything but time and memory (its sha256, say).
+seconds, and "maxrss_mb" is the largest. Each repeat also times
+perfbench's worker.calibrate() just before and just after its point, and
+"seconds_scaled" is the median of seconds x CALIBRATION_S over that
+repeat's mean calibration time, as perfbench scales its passes, so that
+batches run while the host is slower can be compared. The script exits 1
+if the repeats of a point differ in anything but time and memory (its
+sha256, say).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -82,15 +88,25 @@ def environment() -> dict:
     return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit}
 
 
-def _child(script, name: str, noun: str) -> dict:
-    """The record of one entry, run as `--one NAME` in a fresh interpreter."""
-    child = subprocess.run([sys.executable, script.__file__, "--one", name], capture_output=True, text=True)
+def _perfbench(module: str):
+    """The perfbench module of that name: repeats are calibrated as
+    perfbench calibrates its passes, with its code and its constant."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    return importlib.import_module(module)
+
+
+def _child(script, name: str, noun: str, calibrate: bool) -> dict:
+    """The record of one entry, run as `--one NAME` in a fresh interpreter,
+    with `--calibrate` when the record should carry calibration times."""
+    argv = [sys.executable, script.__file__, "--one", name] + ["--calibrate"] * calibrate
+    child = subprocess.run(argv, capture_output=True, text=True)
     if child.returncode:
         return {noun: name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
     return json.loads(child.stdout)
 
 
-_MEASURED = ("seconds", "maxrss_mb")
+_MEASURED = ("seconds", "maxrss_mb", "calibration_s")
 
 
 def _repeated(runs: list[dict]) -> tuple[dict, bool]:
@@ -102,9 +118,13 @@ def _repeated(runs: list[dict]) -> tuple[dict, bool]:
     outputs = [{key: value for key, value in run.items() if key not in _MEASURED} for run in runs]
     seconds = [run["seconds"] for run in runs]
     q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    reference = _perfbench("run").CALIBRATION_S
+    scaled = [run["seconds"] * reference / statistics.mean(run["calibration_s"]) for run in runs]
     record = {**runs[0], "seconds": round(statistics.median(seconds), 3),
               "seconds_iqr": [round(q1, 3), round(q3, 3)], "runs": seconds,
+              "seconds_scaled": round(statistics.median(scaled), 3),
               "maxrss_mb": max(run["maxrss_mb"] for run in runs)}
+    del record["calibration_s"]
     return record, all(output == outputs[0] for output in outputs)
 
 
@@ -114,7 +134,15 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     scripts/sweep24.py runs its graphs through this too. Records and the
     --out file name the entries by noun: "point" and "points"."""
     if argv[:1] == ["--one"]:
-        print(json.dumps(one(argv[1])), flush=True)
+        if argv[2:] == ["--calibrate"]:
+            calibrate = _perfbench("worker").calibrate
+            calibrate()  # the first call in a fresh interpreter runs cold
+            before = calibrate()
+            record = one(argv[1])
+            record["calibration_s"] = [before, calibrate()]
+        else:
+            record = one(argv[1])
+        print(json.dumps(record), flush=True)
         return 0
     script = sys.modules[one.__module__]
     parser = argparse.ArgumentParser(description=script.__doc__.split("\n\n")[0])
@@ -134,7 +162,7 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     records = []
     status = 0
     for name in names:
-        runs = [_child(script, name, noun) for _ in range(args.repeat)]
+        runs = [_child(script, name, noun, args.repeat > 1) for _ in range(args.repeat)]
         record, agree = _repeated(runs) if args.repeat > 1 else (runs[0], True)
         if not agree:
             print(f"{noun} {name!r}: the output differs between repeats", file=sys.stderr)

@@ -35,12 +35,11 @@ __all__ = [
 class Graph:
     """Undirected simple graph: n vertices, sorted adjacency, coordinates.
 
-    adj[v] is the sorted tuple of neighbors, masks[v] the same set as a
-    bitmask (bit u set iff u adjacent to v). coords maps vertex index to a
-    family coordinate label; extra lookup aliases (like "root") resolve via
-    vertex_at but have no coords entry. Whether the graph is connected is
-    decided here, by one search when it is built, and is_connected(g) reads
-    that answer instead of searching again.
+    Built from masks: masks[v] has bit u set iff u is adjacent to v, and
+    adj[v] lists those bits in order. coords maps vertex index to a family
+    coordinate label; aliases (like "root") resolve via vertex_at but have
+    no coords entry. Connectivity is decided by one search when the graph
+    is built, and is_connected(g) reads that answer instead of searching.
     """
 
     __slots__ = ("n", "adj", "masks", "coords", "_lookup", "_connected")
@@ -48,22 +47,23 @@ class Graph:
     def __init__(self, n, edges, coords=None, aliases=None):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        neighbor_sets = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        adj = []
+        for m in masks:
+            row = []
+            while m:
+                row.append((low := m & -m).bit_length() - 1)
+                m ^= low
+            adj.append(tuple(row))
         self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        masks = []
-        for s in neighbor_sets:
-            m = 0
-            for u in s:
-                m |= 1 << u
-            masks.append(m)
+        self.adj = tuple(adj)
         self.masks = tuple(masks)
         self.coords = dict(coords) if coords else {}
         lookup = {label: v for v, label in self.coords.items()}
@@ -90,20 +90,20 @@ def vertex_at(g: Graph, coordinate) -> int:
 def is_connected(g: Graph, within: int | None = None) -> bool:
     """Whether g is connected, as decided when g was built; with within, a
     vertex bitmask, whether the vertices of within induce a connected
-    subgraph (an empty set does not), by one search of that subgraph."""
+    subgraph (an empty set does not), by one search of its masks."""
     if within is None:
         return g._connected
-    if not within:
-        return False
-    start = (within & -within).bit_length() - 1
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in g.adj[stack.pop()]:
-            if u not in seen and within >> u & 1:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == within.bit_count()
+    masks = g.masks
+    seen = frontier = within & -within
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= masks[low.bit_length() - 1]
+        frontier = grow & within & ~seen
+        seen |= frontier
+    return seen == within and within != 0
 
 
 def _numbered(labels, edges, aliases=None) -> Graph:

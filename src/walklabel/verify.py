@@ -21,6 +21,15 @@ answer is kept in a dict local to the call until its mirror reads it.
 Counts are invariant under isomorphism, so every check keeps its expected
 and actual values, and the checks, their order and the report are those
 of one search per instance.
+
+A two-cycle graph within max_lemma_total is searched once, not twice: its
+total comes from its before=(left, right) batch. Let C(s) count the
+labelings from s that label the left junction first. Reversing all three
+rows, sigma: (r, p) -> (r, a_r + 1 - p), is an automorphism that swaps the
+junctions, so the labelings from s number C(s) + C(sigma(s)) and the
+total is twice the sum of C over every start. C(right junction) is 0, and
+the batch holds every other start. The total is the same integer as a
+search of its own gives, so every check keeps its values.
 """
 
 from __future__ import annotations
@@ -198,7 +207,6 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                     labelings, constrained = searched.pop((a1, a2, a3))
                 else:
                     g = two_cycles(a1, a2, a3)
-                    labelings = oracle.count_labelings(g)
                     constrained = None
                     if total <= max_lemma_total:
                         left = vertex_at(g, "left_junction")
@@ -208,6 +216,11 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                         starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
                         constrained = dict(zip(starts, oracle.count_completions_each(
                             g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
+                        # every start but the right junction, whose count is 0;
+                        # the reflection that swaps the junctions doubles the sum
+                        labelings = 2 * sum(constrained.values())
+                    else:
+                        labelings = oracle.count_labelings(g)
                     if a1 < a3:
                         # the row swap (1, s) <-> (3, s) carries S(a1, a2, a3)
                         # onto S(a3, a2, a1) and fixes both junctions

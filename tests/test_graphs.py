@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -124,6 +125,24 @@ def test_row_swap_carries_two_cycles_onto_their_mirror():
                     junction = g.coords[vertex_at(g, alias)]
                     assert swap(junction) == junction
                     assert vertex_at(mirror, alias) == vertex_at(mirror, junction)
+
+
+def test_row_reversal_is_an_automorphism_that_swaps_the_junctions():
+    # the reflection behind twice the left-first count in verify's totals
+    for a1 in range(2, 7):
+        for a2 in range(2, 6):
+            for a3 in range(2, 7):
+                lengths = {1: a1, 2: a2, 3: a3}
+
+                def sigma(label):
+                    row, pos = label
+                    return row, lengths[row] + 1 - pos
+
+                g = two_cycles(a1, a2, a3)
+                assert {sigma(label) for label in g.coords.values()} == set(g.coords.values())
+                assert _labeled_edges(g, sigma) == _labeled_edges(g)
+                left, right = (g.coords[vertex_at(g, alias)] for alias in ("left_junction", "right_junction"))
+                assert (sigma(left), sigma(right)) == (right, left)
 
 
 def test_tooth_reversal_carries_combs_onto_their_mirror():
@@ -252,6 +271,88 @@ def test_is_connected():
     assert not is_connected(path(5), 0b10101)
     assert is_connected(path(5), 0b00100)
     assert not is_connected(path(5), 0)
+
+
+def _set_based(n, edges, coords=None, aliases=None):
+    """The fields Graph(n, edges, coords, aliases) had when it was built
+    from neighbor sets: (adj, masks, coords, lookup, connected), with the
+    same errors raised in the same order."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    neighbor_sets = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    masks = tuple(sum(1 << u for u in s) for s in neighbor_sets)
+    lookup = {label: v for v, label in (coords or {}).items()}
+    lookup.update(aliases or {})
+    return adj, masks, dict(coords or {}), lookup, _dfs_connected(adj, (1 << n) - 1)
+
+
+def _dfs_connected(adj, within):
+    """Whether the vertices of the mask within induce a connected subgraph,
+    by a depth-first search over sets; the empty set is not connected."""
+    if not within:
+        return False
+    start = (within & -within).bit_length() - 1
+    seen, stack = {start}, [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen and within >> u & 1:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == within.bit_count()
+
+
+def _seeded_edge_lists(rng):
+    """(n, edges) with repeated edges, both orders of an edge and graphs in
+    several components, from one vertex up."""
+    for n in range(1, 11):
+        for density in (0.0, 0.15, 0.35, 0.7):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            edges += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 2)]
+            rng.shuffle(edges)
+            yield n, edges
+
+
+def test_mask_built_graph_matches_the_set_based_construction():
+    rng = random.Random(2401)
+    for n, edges in _seeded_edge_lists(rng):
+        coords = {v: ("v", v) for v in range(n)}
+        aliases = {"last": n - 1}
+        g = Graph(n, edges, coords, aliases)
+        assert (g.adj, g.masks, g.coords, g._lookup, is_connected(g)) == _set_based(n, edges, coords, aliases)
+        assert vertex_at(g, "last") == n - 1 and vertex_at(g, ("v", 0)) == 0
+        # out of range, a self-loop, or both: the range check comes first
+        bad = [(rng.randrange(n), n + rng.randrange(3)), (-1, rng.randrange(n)), (rng.randrange(n),) * 2, (n, n)]
+        for _ in range(4):
+            wrong = list(edges)
+            for edge in rng.sample(bad, rng.randint(1, 4)):
+                wrong.insert(rng.randint(0, len(wrong)), edge if rng.random() < 0.5 else edge[::-1])
+            with pytest.raises(ValueError) as expected:
+                _set_based(n, wrong)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                Graph(n, wrong)
+    with pytest.raises(ValueError) as expected:
+        _set_based(0, [])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        Graph(0, [])
+
+
+def test_mask_search_matches_a_set_search_on_every_vertex_set():
+    rng = random.Random(2402)
+    for n, edges in _seeded_edge_lists(rng):
+        if n <= 8:
+            g = Graph(n, edges)
+            assert [is_connected(g, within) for within in range(1 << n)] == [
+                _dfs_connected(g.adj, within) for within in range(1 << n)]
+            assert not is_connected(g, 0)
 
 
 def test_graphs_module_exports_exist():

@@ -133,6 +133,19 @@ def test_a_left_junction_source_gets_its_unconstrained_count():
                 oracle.count_labelings_from(g, left)]
 
 
+def test_twice_the_left_first_starts_is_the_total():
+    # verify takes a two-cycle total within max_lemma_total off its
+    # before=(left, right) batch: reversing every row swaps the junctions,
+    # and a right-junction start puts the left junction second
+    for a1, a2, a3 in product(range(2, 11), repeat=3):
+        if a1 + a2 + a3 <= 14:
+            g = two_cycles(a1, a2, a3)
+            left, right = vertex_at(g, "left_junction"), vertex_at(g, "right_junction")
+            each = oracle.count_completions_each(g, [[v] for v in range(g.n)], before=(left, right))
+            assert each[right] == 0
+            assert 2 * sum(each) == oracle.count_labelings(g) == count_two_cycles(a1, a2, a3)
+
+
 @pytest.mark.parametrize("args", [
     (-1, 2, 2, 3, 3), (2, -1, 2, 0, 3), (2, 2, -1, 3, 0),
     (2, 2, 2, 4, 3), (2, 2, 2, 1, 3), (2, 2, 2, 3, 4), (2, 2, 2, 3, 1),
