@@ -9,14 +9,15 @@ factors and verify asks for the same few many times. A_term(m, n, j, kp, y)
 is the building block for per-vertex counts: labelings in which the walk
 starts on tooth j and the interleaving constraint is parameterized by the
 effective spine position kp and a cut index y. count_from_vertex assembles
-the per-start count for any (j, s) from these blocks, with their two spine
-factors, which do not depend on y, taken out of its sum, and count_comb is
-the fully summed closed form. count_comb is the fast path: one factorial, a
-Horner sum of O(n) small terms and one bigmath.exact_div, which raises
-instead of flooring if the formula leaves a remainder. count_from_vertex,
-t_spine and lemma_pac_check are the paths verify checks it against; every
-quantity here stays an integer, and lemma_pac_check states its identity of
-rationals multiplied through by their common denominator.
+the per-start count for any (j, s) from these blocks, with the part that
+does not depend on y (two spine factors and one multinomial) taken out of
+its sum, and count_comb is the fully summed closed form. count_comb is the
+fast path: one factorial, a Horner sum of O(n) small terms and one
+bigmath.exact_div, which raises instead of flooring if the formula leaves
+a remainder. count_from_vertex, t_spine and lemma_pac_check are the paths
+verify checks it against; every quantity here stays an integer, and
+lemma_pac_check states its identity of rationals multiplied through by
+their common denominator.
 
 Two compact product formulas for single columns are kept for reference:
 corollary_double_comb agrees with count_comb, while corollary_comb does not
@@ -27,6 +28,7 @@ so callers see the disagreement instead of inheriting it.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cache
 
@@ -90,11 +92,14 @@ def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {n}]")
     if s > k:  # the mirrored tooth: spine position n - k + 1, start n - s + 1
         return count_from_vertex(m, n, n - k + 1, j, n - s + 1)
-    spines = t_spine(j - 1, n, k) * t_spine(m - j, n, k)
+    # _cut(m, n, j, k, y) = multinomial((j-1)n, (m-j)n, n-k) C(mn-y, k-y):
+    # the multinomial and the two spine factors do not depend on y
+    fixed = t_spine(j - 1, n, k) * t_spine(m - j, n, k) * multinomial([(j - 1) * n, (m - j) * n, n - k])
+    mn = m * n
     if s == k:
-        return _cut(m, n, j, k, 1) * spines
-    return spines * sum(
-        binomial(y - 2, k - s - 1) * _cut(m, n, j, k, y)
+        return fixed * math.comb(mn - 1, k - 1)
+    return fixed * sum(
+        math.comb(y - 2, k - s - 1) * math.comb(mn - y, k - y)
         for y in range(k - s + 1, k + 1)
     )
 

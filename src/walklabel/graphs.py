@@ -36,10 +36,11 @@ class Graph:
     """Undirected simple graph: n vertices, sorted adjacency, coordinates.
 
     Built from masks: masks[v] has bit u set iff u is adjacent to v, and
-    adj[v] lists those bits in order. coords maps vertex index to a family
-    coordinate label; aliases (like "root") resolve via vertex_at but have
-    no coords entry. Connectivity is decided by one search when the graph
-    is built, and is_connected(g) reads that answer instead of searching.
+    adj[v], derived from masks on first read and then kept, lists those
+    bits in order. coords maps vertex index to a family coordinate label;
+    aliases (like "root") resolve via vertex_at but have no coords entry.
+    Connectivity is decided by one search when the graph is built, and
+    is_connected(g) reads that answer instead of searching.
     """
 
     __slots__ = ("n", "adj", "masks", "coords", "_lookup", "_connected")
@@ -55,15 +56,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        adj = []
-        for m in masks:
-            row = []
-            while m:
-                row.append((low := m & -m).bit_length() - 1)
-                m ^= low
-            adj.append(tuple(row))
         self.n = n
-        self.adj = tuple(adj)
         self.masks = tuple(masks)
         self.coords = dict(coords) if coords else {}
         lookup = {label: v for v, label in self.coords.items()}
@@ -72,8 +65,22 @@ class Graph:
         self._lookup = lookup
         self._connected = is_connected(self, (1 << n) - 1)
 
+    def __getattr__(self, name):
+        # reached only for an unset slot; adj is the one derived from masks
+        if name != "adj":
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        adj = []
+        for m in self.masks:
+            row = []
+            while m:
+                row.append((low := m & -m).bit_length() - 1)
+                m ^= low
+            adj.append(tuple(row))
+        self.adj = adj = tuple(adj)
+        return adj
+
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -17,7 +17,10 @@ and its constrained counts from those of S(a1, a2, a3), its start (1, s)
 from (3, s) and (3, s) from (1, s). Reversing every tooth carries
 C(m, n, k) onto C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1), so a
 comb with k > n - k + 1 reads both its oracle counts from its mirror. Each
-answer is kept in a dict local to the call until its mirror reads it.
+answer is kept in a dict local to the call until its mirror reads it, and
+so is every closed form the pair evaluates at the same arguments
+(count_two_cycles and term_C at (a1, a2, a3) and (a3, a2, a1), count_comb at
+k and n - k + 1), which is thus evaluated once per pair.
 Counts are invariant under isomorphism, so every check keeps its expected
 and actual values, and the checks, their order and the report are those
 of one search per instance.
@@ -30,6 +33,13 @@ junctions, so the labelings from s number C(s) + C(sigma(s)) and the
 total is twice the sum of C over every start. C(right junction) is 0, and
 the batch holds every other start. The total is the same integer as a
 search of its own gives, so every check keeps its values.
+
+A torus and a perfect tree take their oracle totals from their per-start
+batches too. Rotations and the row swap act transitively on the vertices
+of the torus C2 x Cn, so for n >= 2 its total is 2n times the count from
+(1, 1), the batch's a(n, 1); n = 1 has no batch and keeps its own search.
+A perfect tree's batch holds every start, and every labeling has exactly
+one start, so its total is the sum of the batch.
 """
 
 from __future__ import annotations
@@ -79,9 +89,10 @@ def verify_trees(max_h: int = 4, max_m: int = 4, max_vertices: int = 22, progres
             n = (m ** (h + 1) - 1) // (m - 1)
             if n <= max_vertices:
                 g = perfect_tree(h, m)
-                _check(out, "tree", inst, "count_perfect_tree == oracle",
-                       oracle.count_labelings(g), trees.count_perfect_tree(h, m))
                 from_each = oracle.count_completions_each(g, [[v] for v in range(g.n)])
+                # every labeling has one start
+                _check(out, "tree", inst, "count_perfect_tree == oracle",
+                       sum(from_each), trees.count_perfect_tree(h, m))
                 by_depth: dict[int, list[int]] = {}
                 for v, (d, _) in g.coords.items():
                     by_depth.setdefault(d, []).append(v)
@@ -107,7 +118,7 @@ _LEMMA_MAX_M, _LEMMA_MAX_N = 8, 6
 
 def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
     out: list[Check] = []
-    searched: dict = {}  # a k < n - k + 1 comb's oracle answers, until its mirror reads them
+    searched: dict = {}  # a k < n - k + 1 comb's answers, until its mirror reads them
     for m in range(1, max_mn // 2 + 1):
         for n in range(2, max_mn // m + 1):
             if progress:
@@ -116,23 +127,23 @@ def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
                 inst = f"(m={m}, n={n}, k={k})"
                 mirror = n - k + 1
                 if k > mirror:
-                    labelings, from_spine = searched.pop((m, n, k))
+                    labelings, from_spine, closed, mirrored = searched.pop((m, n, k))
                 else:
                     g = comb(m, n, k)
                     labelings = oracle.count_labelings(g)
                     from_spine = oracle.count_labelings_from(g, vertex_at(g, (1, k)))
+                    closed = combs.count_comb(m, n, k)
+                    mirrored = closed if k == mirror else combs.count_comb(m, n, mirror)
                     if k < mirror:
                         # reversing every tooth carries C(m, n, k) onto
                         # C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1)
-                        searched[m, n, mirror] = labelings, from_spine
-                closed = combs.count_comb(m, n, k)
+                        searched[m, n, mirror] = labelings, from_spine, mirrored, closed
                 _check(out, "comb", inst, "count_comb == oracle", labelings, closed)
                 _check(out, "comb", inst, "count_comb == sum of count_from_vertex",
                        sum(combs.count_from_vertex(m, n, k, j, s)
                            for j in range(1, m + 1) for s in range(1, n + 1)),
                        closed)
-                _check(out, "comb", inst, "count_comb mirror symmetry",
-                       combs.count_comb(m, n, mirror), closed)
+                _check(out, "comb", inst, "count_comb mirror symmetry", mirrored, closed)
                 _check(out, "comb", inst, "t_spine == oracle from (1, k)",
                        from_spine, combs.t_spine(m, n, k))
     for m in range(0, _LEMMA_MAX_M + 1):
@@ -172,13 +183,16 @@ def verify_torus(max_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[
         if progress:
             progress(f"torus {inst} oracle")
         g = torus_graph(n)
-        _check(out, "torus", inst, "count_torus == oracle",
-               oracle.count_labelings(g), torus.count_torus(n))
         if n < 2:
+            _check(out, "torus", inst, "count_torus == oracle",
+                   oracle.count_labelings(g), torus.count_torus(n))
             continue
         states = [("a", k) for k in range(1, n + 1)] + [("b", s, t) for s in range(n) for t in range(n - s)]
         labeled = [[vertex_at(g, c) for c in torus.torus_state(n, state)] for state in states]
         completions = dict(zip(states, oracle.count_completions_each(g, labeled)))
+        # ("a", 1) labels the start (1, 1) alone, and every vertex is a start like it
+        _check(out, "torus", inst, "count_torus == oracle",
+               2 * n * completions["a", 1], torus.count_torus(n))
         for k in range(1, n + 1):
             _check(out, "torus", f"{inst} k={k}", "a_rec == oracle completions",
                    completions["a", k], torus.a_rec(n, k))
@@ -193,7 +207,7 @@ def verify_torus(max_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[
 
 def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: int = 12, progress=None) -> list[Check]:
     out: list[Check] = []
-    searched: dict = {}  # an a1 < a3 graph's oracle answers, until its mirror reads them
+    searched: dict = {}  # an a1 < a3 graph's answers, until its mirror reads them
     for a1 in range(2, max_part + 1):
         for a2 in range(2, max_part + 1):
             for a3 in range(2, max_part + 1):
@@ -204,10 +218,12 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                 if progress and a3 == 2:
                     progress(f"twocycles ({a1}, {a2}, *)")
                 if a1 > a3:
-                    labelings, constrained = searched.pop((a1, a2, a3))
+                    labelings, constrained, count, mirrored, term_c, swapped_c = searched.pop((a1, a2, a3))
                 else:
                     g = two_cycles(a1, a2, a3)
-                    constrained = None
+                    constrained = term_c = swapped_c = None
+                    count = twocycles.count_two_cycles(a1, a2, a3)
+                    mirrored = count if a1 == a3 else twocycles.count_two_cycles(a3, a2, a1)
                     if total <= max_lemma_total:
                         left = vertex_at(g, "left_junction")
                         right = vertex_at(g, "right_junction")
@@ -219,17 +235,19 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                         # every start but the right junction, whose count is 0;
                         # the reflection that swaps the junctions doubles the sum
                         labelings = 2 * sum(constrained.values())
+                        # the term_C of the top-row starts and the swapped term_C of the bottom-row ones
+                        term_c = [twocycles.term_C(a1, a2, a3, s) for s in range(1, a1 + 1)]
+                        swapped_c = term_c if a1 == a3 else [twocycles.term_C(a3, a2, a1, s) for s in range(1, a3 + 1)]
                     else:
                         labelings = oracle.count_labelings(g)
                     if a1 < a3:
                         # the row swap (1, s) <-> (3, s) carries S(a1, a2, a3)
-                        # onto S(a3, a2, a1) and fixes both junctions
-                        searched[a3, a2, a1] = labelings, constrained and {
-                            (4 - row, s): c for (row, s), c in constrained.items()}
-                count = twocycles.count_two_cycles(a1, a2, a3)
+                        # onto S(a3, a2, a1) and fixes both junctions; the
+                        # closed forms there take a1 and a3 swapped
+                        rows_swapped = constrained and {(4 - row, s): c for (row, s), c in constrained.items()}
+                        searched[a3, a2, a1] = labelings, rows_swapped, mirrored, count, swapped_c, term_c
                 _check(out, "twocycles", inst, "count_two_cycles == oracle", labelings, count)
-                _check(out, "twocycles", inst, "a1 <-> a3 symmetry",
-                       twocycles.count_two_cycles(a3, a2, a1), count)
+                _check(out, "twocycles", inst, "a1 <-> a3 symmetry", mirrored, count)
                 if total > max_lemma_total:
                     continue
                 _check(out, "twocycles", inst, "term_A == oracle from left junction",
@@ -239,10 +257,10 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                            constrained[2, s], twocycles.term_B(a1, a2, a3, s))
                 for s in range(1, a1 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "term_C == constrained oracle",
-                           constrained[1, s], twocycles.term_C(a1, a2, a3, s))
+                           constrained[1, s], term_c[s - 1])
                 for s in range(1, a3 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "swapped term_C == constrained oracle",
-                           constrained[3, s], twocycles.term_C(a3, a2, a1, s))
+                           constrained[3, s], swapped_c[s - 1])
     return out
 
 

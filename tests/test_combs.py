@@ -60,8 +60,8 @@ def _count_from_vertex_by_a_terms(m, n, k, j, s):
 
 
 def test_per_vertex_counts_match_the_sum_of_a_terms():
-    for m in range(1, 5):
-        for n in range(2, 7):
+    for m in range(1, 7):
+        for n in range(2, 9):
             for k in range(1, n + 1):
                 for j in range(1, m + 1):
                     for s in range(1, n + 1):

@@ -59,6 +59,17 @@ def test_total_is_2n_times_first_state():
         assert count_torus(n) == 2 * n * a_rec(n, 1)
 
 
+def test_every_start_counts_a_n_1():
+    # rotations and the row swap act transitively on the vertices, so each
+    # start counts a(n, 1) and the total is 2n times it, as verify_torus
+    # takes it from its per-start batch
+    for n in range(2, 9):
+        g = torus(n)
+        from_each = oracle.count_completions_each(g, [[v] for v in range(2 * n)])
+        assert from_each == [a_rec(n, 1)] * (2 * n)
+        assert 2 * n * from_each[0] == oracle.count_labelings(g) == count_torus(n)
+
+
 def test_a_full_row_is_factorial():
     for n in range(2, 9):
         assert a_rec(n, n) == math.factorial(n)

@@ -1,10 +1,14 @@
 """verify's comb and two-cycle loops against their one-search-per-instance
 references in verify_ref.py: the same checks, progress lines and failures,
-from one oracle search per mirror pair."""
+from one oracle search per mirror pair and one evaluation per closed-form
+argument; and the oracle queries of its torus and tree loops."""
+
+from collections import Counter
 
 import verify_ref
 
 from walklabel import combs, oracle, twocycles, verify
+from walklabel.graphs import perfect_tree, torus, tree_minus_child
 from walklabel.verify import Check
 
 # small grids that hold mirror pairs, self-mirrored instances (a1 == a3,
@@ -98,3 +102,59 @@ def test_verify_searches_each_mirror_class_once_per_call(monkeypatch):
     first = _searches(monkeypatch, verify.verify_combs, COMBS_GRID)
     assert _per_kind(first) == (len(classes), len(classes))
     assert _searches(monkeypatch, verify.verify_combs, COMBS_GRID) == first
+
+
+def test_verify_searches_each_torus_and_tree_once_per_call(monkeypatch):
+    # a torus with n >= 2 takes its total from its per-start batch, and
+    # only n = 1, which has no batch, runs a total
+    grid = {"max_n": 3, "max_oracle_n": 6}
+    first = _searches(monkeypatch, verify.verify_torus, grid)
+    assert first == [(torus(1).adj, True)] + [(torus(n).adj, False) for n in range(2, 7)]
+    assert _searches(monkeypatch, verify.verify_torus, grid) == first
+
+    # a perfect tree takes its total from its per-start batch; each
+    # bereaved parent keeps its own query, also where its perfect tree is
+    # past max_vertices, as (h, m) = (3, 2) is
+    grid = {"max_h": 3, "max_m": 3, "max_vertices": 13}
+    expected = []
+    for m in range(2, 4):
+        for h in range(4):
+            n = (m ** (h + 1) - 1) // (m - 1)
+            if n <= 13:
+                expected.append((perfect_tree(h, m).adj, False))
+            expected += [(tree_minus_child(h, m, k).adj, False)
+                         for k in range(h) if n - (m ** (h - k) - 1) // (m - 1) <= 13]
+    first = _searches(monkeypatch, verify.verify_trees, grid)
+    assert first == expected
+    assert _searches(monkeypatch, verify.verify_trees, grid) == first
+
+
+def test_each_closed_form_is_evaluated_once_per_argument(monkeypatch):
+    def arguments(verify_family, grid, functions):
+        calls = Counter()
+        for module, name in functions:
+            def recording(*args, _function=getattr(module, name), _name=name):
+                calls[_name, args] += 1
+                return _function(*args)
+            monkeypatch.setattr(module, name, recording)
+        verify_family(**grid)
+        monkeypatch.undo()
+        return calls
+
+    grid = TWOCYCLES_GRID
+    instances = [(a1, a2, a3) for a1 in range(2, grid["max_part"] + 1) for a2 in range(2, grid["max_part"] + 1)
+                 for a3 in range(2, grid["max_part"] + 1) if a1 + a2 + a3 <= grid["max_total"]]
+    expected = Counter(("count_two_cycles", i) for i in instances)
+    expected += Counter(("term_C", (*i, s)) for i in instances if sum(i) <= grid["max_lemma_total"]
+                        for s in range(1, i[0] + 1))
+    calls = arguments(verify.verify_twocycles, grid,
+                      [(twocycles, "count_two_cycles"), (twocycles, "term_C")])
+    assert calls == expected
+
+    instances = [(m, n, k) for m in range(1, COMBS_GRID["max_mn"] // 2 + 1)
+                 for n in range(2, COMBS_GRID["max_mn"] // m + 1) for k in range(1, n + 1)]
+    # corollary_comb(2) and corollary_double_comb(2) evaluate count_comb
+    # at (2, 2, 1) and (2, 3, 2) inside their own checks
+    expected = Counter(("count_comb", i) for i in instances) + Counter(
+        {("count_comb", (2, 2, 1)): 1, ("count_comb", (2, 3, 2)): 1})
+    assert arguments(verify.verify_combs, COMBS_GRID, [(combs, "count_comb")]) == expected
