@@ -30,20 +30,20 @@ valid sequences of its components, and W_R is their binomial convolution;
 with L empty the first pick fixes the component and the walk stays in it,
 so W_R(k) for k >= 1 is the sum over the components. dp_first_gap
 memoizes W_R by region, split into components, so a region that chains
-of gaps leave again and again is counted once. dp_connected applies the
-identity to R = free alone, summing over the prefixes themselves: a
-forward DP over the connected sets that extend L, keeping two adjacent
-layers. No table over all 2^n vertex subsets is built.
+of gaps leave again and again is counted once. No table over all 2^n
+vertex subsets is built.
 
 One rule, in _count, routes every query once its input is checked:
 
-- a single unconstrained query (count_labelings, count_labelings_from,
-  count_completions, or count_completions_each of one set) takes the
-  kernel engine(g) names;
 - every unconstrained query on a tree takes the hook-length formula, set
   by set;
-- a batch of two or more sets, or any query with an order constraint,
-  takes one dp_completions search.
+- a single unconstrained query (count_labelings, count_labelings_from,
+  count_completions, or count_completions_each of one set) on a
+  "first-gap" graph takes dp_first_gap;
+- every other query takes one dp_completions search: a batch of two or
+  more sets, any query with an order constraint, and every query on a
+  "connected-set" graph. A total is the sum of the every-start batch,
+  since each labeling has one start.
 
 engine(g) names one of three kernels:
 
@@ -51,10 +51,11 @@ engine(g) names one of three kernels:
   paths, stars): tree_count reads the count off hook lengths, with no DP,
   at O(n) arithmetic operations a query.
 - "connected-set", for a graph of at most n + 2 edges and no vertex of
-  degree 1 (cycles, two-cycle graphs, cycles with two chords): dp_connected.
-  Such a graph subdivides a multigraph of at most four vertices and six
-  edges, so its connected sets are polynomially few. A leaf would let a
-  hub grow 2^k of them: the star K1,22 with three chords takes it 11 s.
+  degree 1 (cycles, two-cycle graphs, cycles with two chords): the
+  completion search. Such a graph subdivides a multigraph of at most four
+  vertices and six edges, so its connected sets are polynomially few. A
+  leaf would let a hub grow 2^k of them: the star K1,22 with three chords
+  and a pendant vertex takes the search past LAYER_LIMIT in 2.4 s.
 - "first-gap", for every other graph: dp_first_gap. R - N[x] is small on
   a dense graph, and on the torus, grids and random graphs of average
   degree 3 and up the regions are far fewer than the connected sets.
@@ -63,13 +64,11 @@ The completion search, dp_completions, counts completions directly: those
 of a connected set S are the sum of those of S | w over the w next to S,
 and a set that dominates the graph finishes in any order. One memo of the
 sets reached answers every labeled set of a batch (every start of torus(8)
-or two_cycles(6, 7, 5) costs 0.6 to 1.0 passes of dp_connected, not one
-pass per start) and is dropped when the call returns. It alone takes an
-order constraint "u before v", because it alone builds an ordering one
-vertex at a time and can refuse v while u is unlabeled: the first-gap sum
-lets the vertices after w come in any order, and hook lengths count no
-pair order. A single set takes engine(g)'s kernel instead: a layer of a
-pass holds no more sets than the search's memo would for that set.
+in 8 ms, of two_cycles(6, 7, 5) in 2 ms, not one search per start) and is
+dropped when the call returns. It alone takes an order constraint "u
+before v", because it alone builds an ordering one vertex at a time and
+can refuse v while u is unlabeled: the first-gap sum lets the vertices
+after w come in any order, and hook lengths count no pair order.
 
 Three caps bound the work; past each a query raises ValueError("instance
 too large: ..."), which the CLI prints as a clean exit 1.
@@ -81,27 +80,25 @@ too large: ..."), which the CLI prints as a clean exit 1.
   the tree formula, whose rerooting steps divide counts as long as the
   result, took 7.7 s on a 40,000-vertex comb. It stays until one work
   budget per call bounds the formula and the DPs.
-- LAYER_LIMIT (2^19) bounds the sets in one layer of dp_connected and the
-  entries of one call's memo in dp_completions and dp_first_gap. A layer
-  is checked once per stored set, so it may run up to n sets past the
-  cap, at about 240 bytes a set: about 250 MB in all. A memo is checked
-  before each insert. A set of the completion memo costs 96 to 141 bytes,
-  about 75 MB when full (25.6 MB over the 189,948 sets of torus(12)'s
-  per-start batch). A region costs at most 1.24 KB, a vector of 25 ints
-  of up to 80 bits: about 650 MB when full. The sweep graphs store at
-  most 8,688 regions (the 4x6 grid) at 270 to 330 bytes each
-  (tracemalloc); no 24-vertex graph tried stored more than 17,573.
+- LAYER_LIMIT (2^19) bounds the entries of one call's memo in
+  dp_completions and dp_first_gap, checked before each insert. A set of
+  the completion memo costs 96 to 141 bytes, about 75 MB when full
+  (25.6 MB over the 189,948 sets of torus(12)'s per-start batch). A
+  region costs at most 1.24 KB, a vector of 25 ints of up to 80 bits:
+  about 650 MB when full. The sweep graphs store at most 8,688 regions
+  (the 4x6 grid) at 270 to 330 bytes each (tracemalloc); no 24-vertex
+  graph tried stored more than 17,573.
 - PERM_LIMIT (10 vertices) bounds count_labelings_perm, which filters all
   n! orderings to check the DPs and the formula, not to be fast.
 
 The slowest 24-vertex graphs of scripts/sweep24.py take 0.04 to 0.07 s at
-a 21 MB peak: the random graphs of average degree 3 and 4 and the 4x6 grid
-under first-gap, the theta graph of four paths under connected-set. With
-one connected-set pass per gap vertex the random graph of average degree 5
-took 16 s, and one pass over hub21 or the chorded star took 198 MB. All
-figures here are from a 2-core x86 machine. The tests check every kernel
-against a subset DP over all 2^n vertex sets and against permutation
-filtering.
+a 23 MB peak: the random graphs of average degree 3 and 4 and the 4x6 grid
+under first-gap, the theta graph of four paths under connected-set. A
+forward DP over the connected sets took 16 s on the random graph of
+average degree 5, run once per gap vertex, and 198 MB on hub21 or the
+chorded star, run once. All figures here are from a 2-core x86 machine.
+The tests check every kernel against a subset DP over all 2^n vertex sets
+and against permutation filtering.
 """
 
 from __future__ import annotations
@@ -145,64 +142,14 @@ def _factorials(f: int) -> list[int]:
     return fact
 
 
-def dp_connected(masks, n: int, labeled_mask: int = 0) -> int:
-    """Orderings of the vertices outside labeled_mask, each adjacent to the
-    labeled set or an earlier pick; labeled_mask 0 means every start (the
-    total). f! less the orderings with a first gap: a layer maps each
-    connected S of one size to [count, near], near being N[S]; S pushes
-    its count to S | v for v in near - S and adds count(S) (f - 1 - k)! per
-    vertex outside near, k being the free vertices in S. A set that
-    dominates the graph is not stored, and a layer past LAYER_LIMIT sets
-    raises ValueError.
-    """
-    full = (1 << n) - 1
-    fact = _factorials(n - labeled_mask.bit_count())
-    closed = {1 << v: masks[v] | 1 << v for v in range(n)}
-    if labeled_mask:
-        near = labeled_mask
-        for v in range(n):
-            if labeled_mask >> v & 1:
-                near |= masks[v]
-        layer = {labeled_mask: [1, near]}
-        r = len(fact) - 2
-    else:
-        layer = {low: [1, near] for low, near in closed.items()}
-        r = len(fact) - 3
-    limit = LAYER_LIMIT
-    failed = 0
-    while layer:
-        nxt = {}
-        get = nxt.get
-        gaps = 0
-        for s, (c, near) in layer.items():
-            if len(nxt) > limit:
-                raise ValueError(f"instance too large: more than {limit} connected "
-                                 f"vertex sets of {s.bit_count() + 1} vertices")
-            gaps += c * (n - near.bit_count())
-            rem = near ^ s
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                t = s | low
-                entry = get(t)
-                if entry is None:
-                    cover = near | closed[low]
-                    if cover != full:
-                        nxt[t] = [c, cover]
-                else:
-                    entry[0] += c
-        failed += gaps * fact[r]
-        r -= 1
-        layer = nxt
-    return fact[-1] - failed
-
-
 def dp_first_gap(masks, n: int, labeled_mask: int = 0) -> int:
-    """dp_connected's count by the first-gap recursion of the module
-    docstring. vector(R) is [W_R(0), ..., W_R(r)]; missing entries are 0,
-    so a component with no vertex next to a nonempty labeled set is [1].
-    The memo of regions lives only for this call, and past LAYER_LIMIT
-    regions it raises ValueError.
+    """Orderings of the vertices outside labeled_mask, each adjacent to the
+    labeled set or an earlier pick (labeled_mask 0: every start, the
+    total), by the first-gap recursion of the module docstring. vector(R)
+    is [W_R(0), ..., W_R(r)]; missing entries are 0, so a component with
+    no vertex next to a nonempty labeled set is [1]. The memo of regions
+    lives only for this call, and past LAYER_LIMIT regions it raises
+    ValueError.
     """
     free = ((1 << n) - 1) & ~labeled_mask
     anchored = sum(1 << v for v in range(n) if masks[v] & labeled_mask)
@@ -332,7 +279,7 @@ def dp_completions(masks, n: int, sources, require_u: int = -1, forbid_v: int = 
 
 
 def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
-    """dp_connected's count when the graph is a tree and labeled_mask is 0
+    """dp_first_gap's count when the graph is a tree and labeled_mask is 0
     or a connected set L.
 
     A search outward from L (vertex 0 when L is empty) gives each free
@@ -375,23 +322,24 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
     return total
 
 
-# A connected-set pass grows every connected set of the graph; the
-# first-gap recursion grows the regions that chains of gaps leave. On
-# 24-vertex graphs of n + 1 or n + 2 edges and no leaf the pass is 2 to 10
-# times faster (two_cycles(8, 8, 8), and the cycle with two chords and the
-# theta graph of scripts/sweep24.py); on every other sweep graph the
-# recursion wins, on hub21 ten thousandfold. With pendant trees the pass can
-# explode: random graphs of n to n + 2 edges took it up to 1 s, the recursion 0.02 s.
+# The completion search grows every connected set of the graph, the
+# first-gap recursion the regions that chains of gaps leave. On 24-vertex
+# graphs of n + 1 or n + 2 edges and no leaf (two_cycles(8, 8, 8), K4 with
+# its edges subdivided, and scripts/sweep24.py's cycle-chords and theta4)
+# the search's total is 3 to 10 times faster. On the other non-tree sweep
+# graphs it is 25 to 230 times slower, or passes LAYER_LIMIT after 2.1 to
+# 3.5 s (the 4x6 grid, hub21, star-chords, the random graphs of average
+# degree 3 to 8) where the recursion takes at most 0.08 s.
 def engine(g: Graph) -> str:
     """The kernel that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),
     "connected-set" when it otherwise has at most n + 2 edges and no vertex
-    of degree 1, and "first-gap" for every other graph. _count sends a
-    single unconstrained query (count_completions_each of one set
-    included), and every unconstrained query on a tree set by set, to this
-    kernel; a batch of two or more sets, or a query with an order
-    constraint, runs one completion search instead. DP_LIMIT bounds all of
-    them: the formula's cost grows with the length of its count."""
+    of degree 1 (the completion search), and "first-gap" for every other
+    graph. _count sends every unconstrained query on a tree, set by set,
+    to the formula and a single unconstrained query on a "first-gap" graph
+    (count_completions_each of one set included) to dp_first_gap; every
+    other query runs one completion search. DP_LIMIT bounds all of them:
+    the formula's cost grows with the length of its count."""
     edges = g.edge_count()
     if edges == g.n - 1 and is_connected(g):
         return "tree"
@@ -400,7 +348,7 @@ def engine(g: Graph) -> str:
     return "first-gap"
 
 
-_KERNELS = {"tree": tree_count, "connected-set": dp_connected, "first-gap": dp_first_gap}
+_KERNELS = {"tree": tree_count, "first-gap": dp_first_gap}
 
 
 def check_size(n: int) -> None:
@@ -441,8 +389,10 @@ def _count(g: Graph, labeled_sets=None, before=None, name: str = "labeled vertex
     sources = [0] if labeled_sets is None else [_labeled_mask(g, vs, name) for vs in labeled_sets]
     if before is None:
         kind = engine(g)
-        if kind == "tree" or len(sources) == 1:
+        if kind == "tree" or kind == "first-gap" and len(sources) == 1:
             return [_KERNELS[kind](g.masks, g.n, s) for s in sources]
+        if labeled_sets is None:  # each labeling has one start
+            return [sum(dp_completions(g.masks, g.n, [1 << v for v in range(g.n)]))]
         before = (-1, -1)
     else:
         u, v = before

@@ -1,8 +1,8 @@
-"""The subset DP over all 2^n vertex sets: the reference the connected-set
-and first-gap engines and the tree formula are checked against, next to
-permutation filtering.
+"""The subset DP over all 2^n vertex sets: the reference the completion
+search, the first-gap recursion and the tree formula are checked against,
+next to permutation filtering.
 
-The oracle no longer runs it: its 2^n table is what the forward engines
+The oracle no longer runs it: its 2^n table is what the oracle's kernels
 avoid. Subset iteration is popcount-ascending, then numerically ascending
 within a popcount layer (Gosper's hack), so the table for smaller sets is
 always complete before it is read; dp_completion_table walks the layers

@@ -483,8 +483,8 @@ def test_oracle_layer_overflow_exits_cleanly(tmp_path, monkeypatch, capsys):
 
 def test_oracle_counts_a_dense_graph_at_the_size_limit_within_a_second(tmp_path):
     # scripts/sweep24.py's random-d5: 24 vertices and 60 edges, which took
-    # 13-19 s when first-gap ran one connected-set pass per gap vertex; the
-    # count is the one those passes gave
+    # 13-19 s when the first-gap count ran a forward DP over the connected
+    # sets for each gap vertex; the count is the one those DPs gave
     rng = random.Random(5)
     edges = {(rng.randrange(v), v) for v in range(1, 24)}
     rest = [(u, v) for v in range(24) for u in range(v) if (u, v) not in edges]

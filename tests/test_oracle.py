@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from subset_dp import dp_completion_table, dp_resume, dp_total
 
 from walklabel import oracle
-from walklabel.oracle import dp_completions, dp_connected, dp_first_gap, tree_count
+from walklabel.oracle import dp_completions, dp_first_gap, tree_count
 from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
 
 
@@ -74,22 +74,20 @@ def _grow_connected(g, rng, size):
 @given(graphs_at_any_density(), st.randoms(use_true_random=False))
 def test_connected_set_kernel_matches_subset_kernel_and_permutations(g, rng):
     masks, n = g.masks, g.n
-    total = dp_connected(masks, n)
-    assert total == dp_first_gap(masks, n) == dp_total(masks, n) == oracle.count_labelings_perm(g)
     labeled = _grow_connected(g, rng, rng.randrange(1, n + 1))
     # one table for every start and the labeled set, whatever its size
     each = dp_completions(masks, n, [1 << v for v in range(n)] + [labeled])
+    total = sum(each[:n])
+    assert total == dp_first_gap(masks, n) == dp_total(masks, n) == oracle.count_labelings_perm(g)
     for v in range(n):
         assert (
-            dp_connected(masks, n, 1 << v)
-            == dp_first_gap(masks, n, 1 << v)
+            dp_first_gap(masks, n, 1 << v)
             == dp_resume(masks, n, 1 << v)
             == _filtered_orderings(g, 1 << v)
             == each[v]
         )
     assert (
-        dp_connected(masks, n, labeled)
-        == dp_first_gap(masks, n, labeled)
+        dp_first_gap(masks, n, labeled)
         == dp_resume(masks, n, labeled)
         == _filtered_orderings(g, labeled)
         == each[n]
@@ -112,17 +110,17 @@ def test_connected_set_kernel_matches_subset_kernel_on_family_graphs():
     rng = random.Random(11)
     for g in (torus(8), two_cycles(5, 6, 5), comb(3, 5, 2)):
         masks, n = g.masks, g.n
-        assert dp_connected(masks, n) == dp_first_gap(masks, n) == dp_total(masks, n)
+        starts = [1 << s for s in range(n)]
+        assert sum(dp_completions(masks, n, starts)) == dp_first_gap(masks, n) == dp_total(masks, n)
         start, u, v = rng.sample(range(n), 3)
         for labeled, before in ((1 << start, ()), (1 << start, (u, v)), (_grow_connected(g, rng, n // 2), ())):
             expected = dp_resume(masks, n, labeled, *before)
             assert dp_completions(masks, n, [labeled], *before) == [expected]
             if not before:
-                assert dp_connected(masks, n, labeled) == dp_first_gap(masks, n, labeled) == expected
+                assert dp_first_gap(masks, n, labeled) == expected
         # every start: u before v and v before u split each per-start count
-        starts = [1 << s for s in range(n)]
         pairs = zip(dp_completions(masks, n, starts, u, v), dp_completions(masks, n, starts, v, u))
-        assert [a + b for a, b in pairs] == [dp_connected(masks, n, s) for s in starts]
+        assert [a + b for a, b in pairs] == [dp_first_gap(masks, n, s) for s in starts]
 
 
 def _split_graphs():
@@ -267,14 +265,14 @@ def test_tree_formula_matches_the_dps_and_permutations():
         table = dp_completion_table(masks, n)
         from_each = [table[1 << v] for v in range(n)]
         total = tree_count(masks, n)
-        assert total == dp_connected(masks, n) == sum(from_each) == oracle.count_labelings(g)
+        assert total == dp_first_gap(masks, n) == sum(from_each) == oracle.count_labelings(g)
         if n <= 8:
             assert total == oracle.count_labelings_perm(g)
         assert [tree_count(masks, n, 1 << v) for v in range(n)] == [
-            dp_connected(masks, n, 1 << v) for v in range(n)] == from_each
+            dp_first_gap(masks, n, 1 << v) for v in range(n)] == from_each
         labeled = [_grow_connected(g, rng, rng.randint(1, min(4, n))) for _ in range(4)]
         for s in labeled:
-            assert tree_count(masks, n, s) == dp_connected(masks, n, s) == table[s]
+            assert tree_count(masks, n, s) == dp_first_gap(masks, n, s) == table[s]
         sets = [[w for w in range(n) if s >> w & 1] for s in labeled]
         starts = [[v] for v in range(n)]
         assert oracle.count_completions_each(g, sets) == dp_completions(masks, n, labeled) == [
@@ -306,11 +304,32 @@ def test_engine_follows_density():
 
 
 def test_pure_kernel_counts_the_widest_stars():
-    # a set holding the center covers every vertex, so the connected-set
-    # engine never grows one, and K1,k costs one layer of k + 1 sets
+    # a set holding the center covers every vertex, so the completion
+    # search over every start of K1,k stores only the k leaves
     for k in (21, 22, 23):
         star = perfect_tree(1, k)
-        assert dp_connected(star.masks, star.n) == 2 * math.factorial(k)
+        assert sum(dp_completions(star.masks, star.n, [1 << v for v in range(star.n)])) == 2 * math.factorial(k)
+
+
+def test_search_counts_the_widest_connected_set_graphs_at_the_size_limit():
+    # K4 with its six edges subdivided by 4, 4, 3, 3, 3 and 3 vertices, and
+    # scripts/sweep24.py's theta4 (the poles 0 and 1 joined by four paths)
+    # and cycle-chords (the 24-cycle with the chords 0-12 and 6-18): 24
+    # vertices and n + 2 = 26 edges each. Their totals store 12,767, 23,650
+    # and 18,554 connected sets, far below LAYER_LIMIT, and the first-gap
+    # recursion they are checked against shares no code with the search.
+    n = oracle.DP_LIMIT
+    k4, top = [], 4
+    for (a, b), k in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (4, 4, 3, 3, 3, 3)):
+        inner = list(range(top, top + k))
+        top += k
+        k4 += zip([a, *inner], [*inner, b])
+    theta = [e for i in range(4) for e in zip([0, *range(2 + i, n, 4)], [*range(2 + i, n, 4), 1])]
+    chords = [(v, (v + 1) % n) for v in range(n)] + [(0, 12), (6, 18)]
+    for edges in (k4, theta, chords):
+        g = Graph(n, edges)
+        assert g.edge_count() == n + 2 and oracle.engine(g) == "connected-set"
+        assert oracle.count_labelings(g) == dp_first_gap(g.masks, n)
 
 
 def test_kernels_drop_a_constraint_whose_vertex_is_labeled():
@@ -412,22 +431,28 @@ def test_size_limits(monkeypatch):
         oracle.count_labelings(path(oracle.DP_LIMIT + 1))
     with pytest.raises(ValueError, match="instance too large"):
         oracle.count_labelings_perm(path(oracle.PERM_LIMIT + 1))
-    # each layer of the 8-cycle holds its 8 arcs of one length, 1 to 5; an
-    # arc of 6 dominates the cycle, so it is never stored
+    # the total of the 8-cycle is one search over every start, whose memo
+    # stores the 8 arcs of each length 1 to 5, 40 sets in all; an arc of 6
+    # dominates the cycle, so it is never stored
     ring = cycle(8)
     assert oracle.engine(ring) == "connected-set"
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 7)
-    with pytest.raises(ValueError, match="instance too large"):
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 39)
+    with pytest.raises(ValueError, match="instance too large: more than 39 connected vertex sets"):
         oracle.count_labelings(ring)
     # the limits themselves are inclusive
     assert oracle.count_labelings_perm(path(oracle.PERM_LIMIT)) > 0
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 8)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 40)
     assert oracle.count_labelings(ring) == dp_total(ring.masks, ring.n)
-    # a set holding the center of K1,6 covers every vertex, so only the
-    # first layer of 7 sets is stored, where the subset DP holds C(6, 3) = 20
+    # a set holding the center of K1,6 covers every vertex, so the search
+    # over every start stores only the 6 leaves, where the subset DP holds
+    # C(6, 3) = 20 sets of one size
     star = perfect_tree(1, 6)
-    monkeypatch.setattr(oracle, "LAYER_LIMIT", 19)
-    assert dp_connected(star.masks, star.n) == dp_total(star.masks, star.n)
+    starts = [1 << v for v in range(star.n)]
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 5)
+    with pytest.raises(ValueError, match="instance too large"):
+        dp_completions(star.masks, star.n, starts)
+    monkeypatch.setattr(oracle, "LAYER_LIMIT", 6)
+    assert sum(dp_completions(star.masks, star.n, starts)) == dp_total(star.masks, star.n)
     # the first-gap recursion caps its memo of regions: on a hub joined to
     # the path 1-...-7 it stores the whole graph, the empty region, 16
     # intervals of the path and 5 unions of two, 23 regions in all
@@ -438,8 +463,7 @@ def test_size_limits(monkeypatch):
         oracle.count_labelings(hub)
     monkeypatch.setattr(oracle, "LAYER_LIMIT", 23)
     assert oracle.count_labelings(hub) == dp_total(hub.masks, hub.n) == 12416
-    # a completion table counts all its sets: the per-start table of the
-    # 8-cycle stores the 8 arcs of each length 1 to 5, 40 sets in all, and
+    # the per-start table of the 8-cycle stores the total's 40 arcs, and
     # with 0 before 4 it leaves out the 13 arcs that hold 4 but not 0
     starts = [[v] for v in range(ring.n)]
     monkeypatch.setattr(oracle, "LAYER_LIMIT", 39)
@@ -520,13 +544,15 @@ def test_every_query_reaches_the_kernel_the_routing_rule_names(monkeypatch, kind
     monkeypatch.setattr(oracle, "dp_completions", recorded("search", dp_completions))
     from_0, from_0w = dp_resume(masks, n, 1), dp_resume(masks, n, 1 | 1 << w)
     constrained = dp_resume(masks, n, 1, u, v)
-    # the rule: one unconstrained set, or a tree, takes engine(g)'s kernel
-    # set by set; a batch of two or more sets, or before, takes one search
+    # the rule: a tree takes the formula set by set, and one unconstrained
+    # set on a first-gap graph the recursion; a connected-set graph, a
+    # batch of two or more sets, or before, takes one search
+    single = ["search"] if kind == "connected-set" else [kind]
     queries = [
-        (lambda: [oracle.count_labelings(g)], [kind], [dp_total(masks, n)]),
-        (lambda: [oracle.count_labelings_from(g, 0)], [kind], [from_0]),
-        (lambda: [oracle.count_completions(g, [0, w])], [kind], [from_0w]),
-        (lambda: oracle.count_completions_each(g, [[0]]), [kind], [from_0]),
+        (lambda: [oracle.count_labelings(g)], single, [dp_total(masks, n)]),
+        (lambda: [oracle.count_labelings_from(g, 0)], single, [from_0]),
+        (lambda: [oracle.count_completions(g, [0, w])], single, [from_0w]),
+        (lambda: oracle.count_completions_each(g, [[0]]), single, [from_0]),
         (lambda: oracle.count_completions_each(g, [[0], [0, w]]),
          [kind, kind] if kind == "tree" else ["search"], [from_0, from_0w]),
         (lambda: oracle.count_completions_each(g, [[0]], before=(u, v)), ["search"], [constrained]),
