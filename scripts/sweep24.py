@@ -13,7 +13,9 @@ leaves and a vertex hung off a leaf (n + 2 edges); the star, the comb
 and the random tree are trees. For each graph the script prints
 one JSON line: the engine oracle.engine picks, the seconds
 oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
-the count or the error. Graphs run one after another, so at most one
+the count or the error; then the seconds oracle.count_completions_each
+takes over every start, and whether that batch sums to the count or the
+batch's error. Graphs run one after another, so at most one
 count holds memory at a time. --out PATH also writes one JSON file: the
 environment (as scripts/ladder.py records it) and the records of every
 graph.
@@ -94,6 +96,14 @@ def count_one(name: str) -> dict:
         record["error"] = str(exc) or type(exc).__name__
     record["seconds"] = round(time.perf_counter() - started, 3)
     record["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    started = time.perf_counter()
+    try:
+        each = oracle.count_completions_each(g, [[v] for v in range(g.n)])
+    except (ValueError, MemoryError) as exc:
+        record["batch_error"] = str(exc) or type(exc).__name__
+    else:
+        record["batch_sum_equals_count"] = str(sum(each)) == record.get("count")
+    record["batch_seconds"] = round(time.perf_counter() - started, 3)
     return record
 
 

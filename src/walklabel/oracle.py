@@ -389,7 +389,7 @@ def _count(g: Graph, labeled_sets=None, before=None, name: str = "labeled vertex
     sources = [0] if labeled_sets is None else [_labeled_mask(g, vs, name) for vs in labeled_sets]
     if before is None:
         kind = engine(g)
-        if kind == "tree" or kind == "first-gap" and len(sources) == 1:
+        if kind != "connected-set":
             return [_KERNELS[kind](g.masks, g.n, s) for s in sources]
         if labeled_sets is None:  # each labeling has one start
             return [sum(dp_completions(g.masks, g.n, [1 << v for v in range(g.n)]))]

@@ -332,6 +332,23 @@ def test_search_counts_the_widest_connected_set_graphs_at_the_size_limit():
         assert oracle.count_labelings(g) == dp_first_gap(g.masks, n)
 
 
+def test_every_start_batch_of_a_first_gap_graph_takes_the_recursion_at_the_size_limit():
+    # scripts/sweep24.py's hub21 (a hub joined to every vertex of K1,21 and
+    # to one more vertex) and star-chords (K1,22 with three chords between
+    # leaves and a vertex hung off a leaf): a hub grows more connected sets
+    # than LAYER_LIMIT, so a completion search over every start gives up,
+    # while the first-gap recursion counts each start at once
+    n = oracle.DP_LIMIT
+    hub = [(0, v) for v in range(1, n)] + [(1, v) for v in range(2, n - 1)]
+    star = [(0, v) for v in range(1, n - 1)] + [(1, 2), (3, 4), (5, 6), (n - 2, n - 1)]
+    for edges in (hub, star):
+        g = Graph(n, edges)
+        assert oracle.engine(g) == "first-gap"
+        each = oracle.count_completions_each(g, [[v] for v in range(n)])
+        assert each == [dp_first_gap(g.masks, n, 1 << v) for v in range(n)]
+        assert sum(each) == oracle.count_labelings(g)
+
+
 def test_kernels_drop_a_constraint_whose_vertex_is_labeled():
     # a labeled u already precedes v, so the count is the unconstrained
     # one; a labeled v has come before an unlabeled u, so the count is 0
@@ -544,9 +561,9 @@ def test_every_query_reaches_the_kernel_the_routing_rule_names(monkeypatch, kind
     monkeypatch.setattr(oracle, "dp_completions", recorded("search", dp_completions))
     from_0, from_0w = dp_resume(masks, n, 1), dp_resume(masks, n, 1 | 1 << w)
     constrained = dp_resume(masks, n, 1, u, v)
-    # the rule: a tree takes the formula set by set, and one unconstrained
-    # set on a first-gap graph the recursion; a connected-set graph, a
-    # batch of two or more sets, or before, takes one search
+    # the rule: an unconstrained query on a tree or a first-gap graph takes
+    # that graph's kernel set by set; a connected-set graph, or before,
+    # takes one search
     single = ["search"] if kind == "connected-set" else [kind]
     queries = [
         (lambda: [oracle.count_labelings(g)], single, [dp_total(masks, n)]),
@@ -554,7 +571,7 @@ def test_every_query_reaches_the_kernel_the_routing_rule_names(monkeypatch, kind
         (lambda: [oracle.count_completions(g, [0, w])], single, [from_0w]),
         (lambda: oracle.count_completions_each(g, [[0]]), single, [from_0]),
         (lambda: oracle.count_completions_each(g, [[0], [0, w]]),
-         [kind, kind] if kind == "tree" else ["search"], [from_0, from_0w]),
+         ["search"] if kind == "connected-set" else [kind, kind], [from_0, from_0w]),
         (lambda: oracle.count_completions_each(g, [[0]], before=(u, v)), ["search"], [constrained]),
         (lambda: [oracle.count_labelings_from_before(g, 0, u, v)], ["search"], [constrained]),
     ]
