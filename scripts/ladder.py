@@ -106,7 +106,7 @@ def _child(script, name: str, noun: str, calibrate: bool) -> dict:
     return json.loads(child.stdout)
 
 
-_MEASURED = ("seconds", "maxrss_mb", "calibration_s")
+_MEASURED = ("seconds", "batch_seconds", "maxrss_mb", "calibration_s")
 
 
 def _repeated(runs: list[dict]) -> tuple[dict, bool]:
@@ -124,6 +124,8 @@ def _repeated(runs: list[dict]) -> tuple[dict, bool]:
               "seconds_iqr": [round(q1, 3), round(q3, 3)], "runs": seconds,
               "seconds_scaled": round(statistics.median(scaled), 3),
               "maxrss_mb": max(run["maxrss_mb"] for run in runs)}
+    if "batch_seconds" in record:  # scripts/sweep24.py's every-start batch
+        record["batch_seconds"] = round(statistics.median(run["batch_seconds"] for run in runs), 3)
     del record["calibration_s"]
     return record, all(output == outputs[0] for output in outputs)
 

@@ -1,6 +1,6 @@
 """Time the oracle on 24-vertex graphs, one fresh interpreter per graph.
 
-    python scripts/sweep24.py [--out PATH] [NAME ...]
+    python scripts/sweep24.py [--out PATH] [--repeat N] [NAME ...]
 
 The graphs are seeded random connected graphs of average degree d = 3, 4,
 5, 6, 8 and 12 (a random spanning tree plus random edges up to 12d
@@ -15,10 +15,11 @@ one JSON line: the engine oracle.engine picks, the seconds
 oracle.count_labelings takes, the child's peak RSS (ru_maxrss) in MB, and
 the count or the error; then the seconds oracle.count_completions_each
 takes over every start, and whether that batch sums to the count or the
-batch's error. Graphs run one after another, so at most one
-count holds memory at a time. --out PATH also writes one JSON file: the
-environment (as scripts/ladder.py records it) and the records of every
-graph.
+batch's error. Graphs run one after another, so at most one count holds
+memory at a time. --out PATH also writes one JSON file: the environment
+(as scripts/ladder.py records it) and the records of every graph.
+--repeat N runs each graph in N fresh interpreters, as scripts/ladder.py
+does, and records the median of seconds and of batch_seconds.
 """
 
 from __future__ import annotations

@@ -35,15 +35,12 @@ vertex subsets is built.
 
 One rule, in _count, routes every query once its input is checked:
 
-- every unconstrained query on a tree takes the hook-length formula, set
-  by set;
-- a single unconstrained query (count_labelings, count_labelings_from,
-  count_completions, or count_completions_each of one set) on a
-  "first-gap" graph takes dp_first_gap;
-- every other query takes one dp_completions search: a batch of two or
-  more sets, any query with an order constraint, and every query on a
-  "connected-set" graph. A total is the sum of the every-start batch,
-  since each labeling has one start.
+- an unconstrained query on a "tree" or a "first-gap" graph takes the
+  kernel engine(g) names, set by set, a batch of sets included;
+- every other query takes one dp_completions search: every query on a
+  "connected-set" graph, and any query with an order constraint. A
+  connected-set total is the sum of the every-start batch, since each
+  labeling has one start.
 
 engine(g) names one of three kernels:
 
@@ -63,12 +60,12 @@ engine(g) names one of three kernels:
 The completion search, dp_completions, counts completions directly: those
 of a connected set S are the sum of those of S | w over the w next to S,
 and a set that dominates the graph finishes in any order. One memo of the
-sets reached answers every labeled set of a batch (every start of torus(8)
-in 8 ms, of two_cycles(6, 7, 5) in 2 ms, not one search per start) and is
-dropped when the call returns. It alone takes an order constraint "u
-before v", because it alone builds an ordering one vertex at a time and
-can refuse v while u is unlabeled: the first-gap sum lets the vertices
-after w come in any order, and hook lengths count no pair order.
+sets reached answers every labeled set of a batch (every start of
+two_cycles(6, 7, 5) in 2 ms, not one search per start) and is dropped
+when the call returns. It alone takes an order constraint "u before v",
+because it alone builds an ordering one vertex at a time and can refuse v
+while u is unlabeled: the first-gap sum lets the vertices after w come in
+any order, and hook lengths count no pair order.
 
 Three caps bound the work; past each a query raises ValueError("instance
 too large: ..."), which the CLI prints as a clean exit 1.
@@ -83,11 +80,11 @@ too large: ..."), which the CLI prints as a clean exit 1.
 - LAYER_LIMIT (2^19) bounds the entries of one call's memo in
   dp_completions and dp_first_gap, checked before each insert. A set of
   the completion memo costs 96 to 141 bytes, about 75 MB when full
-  (25.6 MB over the 189,948 sets of torus(12)'s per-start batch). A
-  region costs at most 1.24 KB, a vector of 25 ints of up to 80 bits:
-  about 650 MB when full. The sweep graphs store at most 8,688 regions
-  (the 4x6 grid) at 270 to 330 bytes each (tracemalloc); no 24-vertex
-  graph tried stored more than 17,573.
+  (25.6 MB over the 189,948 sets of a search over every start of
+  torus(12)). A region costs at most 1.24 KB, a vector of 25 ints of up
+  to 80 bits: about 650 MB when full. The sweep graphs store at most
+  8,688 regions (the 4x6 grid) at 270 to 330 bytes each (tracemalloc); no
+  24-vertex graph tried stored more than 17,573.
 - PERM_LIMIT (10 vertices) bounds count_labelings_perm, which filters all
   n! orderings to check the DPs and the formula, not to be fast.
 
@@ -329,17 +326,18 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
 # the search's total is 3 to 10 times faster. On the other non-tree sweep
 # graphs it is 25 to 230 times slower, or passes LAYER_LIMIT after 2.1 to
 # 3.5 s (the 4x6 grid, hub21, star-chords, the random graphs of average
-# degree 3 to 8) where the recursion takes at most 0.08 s.
+# degree 3 to 8) where the recursion takes at most 0.08 s. A batch follows
+# the label too: one dp_first_gap per start counts every start of each
+# first-gap sweep graph in at most 0.8 s; one search fails on 8 of the 11.
 def engine(g: Graph) -> str:
     """The kernel that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),
     "connected-set" when it otherwise has at most n + 2 edges and no vertex
     of degree 1 (the completion search), and "first-gap" for every other
-    graph. _count sends every unconstrained query on a tree, set by set,
-    to the formula and a single unconstrained query on a "first-gap" graph
-    (count_completions_each of one set included) to dp_first_gap; every
-    other query runs one completion search. DP_LIMIT bounds all of them:
-    the formula's cost grows with the length of its count."""
+    graph. _count sends every unconstrained query on a "tree" or a
+    "first-gap" graph, set by set and batches included, to that kernel,
+    and every other query to one completion search. DP_LIMIT bounds all of
+    them: the formula's cost grows with the length of its count."""
     edges = g.edge_count()
     if edges == g.n - 1 and is_connected(g):
         return "tree"
@@ -424,7 +422,8 @@ def count_completions(g: Graph, labeled) -> int:
 
 def count_completions_each(g: Graph, labeled_sets, before=None) -> list[int]:
     """count_completions of each labeled set, by the routing rule of the
-    module docstring.
+    module docstring: a "tree" or "first-gap" graph's kernel counts the
+    sets one by one, and one search counts them all otherwise.
 
     With before=(u, v), count only the completions in which u gets a
     smaller label than v: a set that holds u gets its plain count, and

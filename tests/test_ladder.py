@@ -52,3 +52,10 @@ def test_repeats_that_print_different_output_disagree():
     assert not ladder._repeated([_run(0.1), _run(0.1, sha256="b")])[1]
     failed = {"point": "comb80", "error": "exit 1: boom"}
     assert ladder._repeated([_run(0.1), failed]) == (failed, True)
+
+
+def test_repeats_fold_a_sweep_batch_time_into_its_median():
+    # scripts/sweep24.py's records also time an every-start batch
+    runs = [{**_run(s), "batch_seconds": b} for s, b in ((0.1, 0.9), (0.2, 0.5), (0.3, 0.7))]
+    record, agree = ladder._repeated(runs)
+    assert agree and record["batch_seconds"] == 0.7 and record["seconds"] == 0.2
