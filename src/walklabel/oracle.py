@@ -328,7 +328,7 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
 # 3.5 s (the 4x6 grid, hub21, star-chords, the random graphs of average
 # degree 3 to 8) where the recursion takes at most 0.08 s. A batch follows
 # the label too: one dp_first_gap per start counts every start of each
-# first-gap sweep graph in at most 0.8 s; one search fails on 8 of the 11.
+# first-gap sweep graph in at most 0.6 s; one search fails on 8 of the 11.
 def engine(g: Graph) -> str:
     """The kernel that counts g's unconstrained queries: "tree" when g is
     connected with n - 1 edges (the hook-length formula, no DP),
