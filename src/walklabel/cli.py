@@ -21,18 +21,26 @@ leaves out is not passed on.
 The same tables drive parsing and help. _COMMANDS declares each
 subcommand as a _Level: its options (flag, field, what the value reads,
 required or default, help), its positional and the handler it names; the
-count families are levels built from _FAMILIES. _parse reads a command
-line by argparse's rules, without importing argparse: --flag value and
---flag=value, the last of repeated flags wins, negative numbers are
-values, a unique prefix names a long flag, -- ends the options, -h
-returns the help of the level it is reached in, and a rejected line
-exits 2 with a usage line and an error line on stderr. A handler takes
-the parsed fields and returns the exit code and the stdout payload."""
+count families are levels built from _FAMILIES. _parse reads a line in
+one of two ways, with the same fields either way. _read_plain reads a
+plain line: only the exact flags of the level reached, their values as
+--flag value or --flag=value where the value does not start with "-",
+and exact subcommand and positional words. Every other line (-h, a
+prefix of a flag, --, a negative or malformed value, an unknown or
+missing argument) goes to an argparse tree built from the same tables
+once per process, which prints the help, reads the rest by its own rules
+and rejects a line with exit 2, a usage line and an error line on
+stderr. The plain reader exists for speed: importing argparse and
+building the tree costs 5-7 ms in a fresh interpreter, while a
+walklabel count of the benchmark's closed-forms ladder takes about
+1.2 ms, and every line that scripts and the benchmark run is plain. A
+handler takes the parsed fields and returns the exit code and the
+stdout payload."""
 
 from __future__ import annotations
 
+import functools
 import json
-import re
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -174,7 +182,6 @@ _Option = namedtuple("_Option", "flag dest kind required default help")
 # the line.
 _Level = namedtuple("_Level", "help options positional handler")
 
-_HELP = _Option("-h/--help", None, bool, False, None, "show this help message and exit")
 _JSON = _Option("--json", "json", bool, False, False, "print a JSON record instead of the bare count")
 
 _COMMANDS = {
@@ -210,11 +217,6 @@ _TOP = _Level("Exact counting of random walk labelings on structured graph famil
     _Option("--quiet", "quiet", bool, False, False, "suppress progress output on stderr"),
 ), ("command", _COMMANDS), None)
 
-# argparse reads an argument that looks like a negative number as a value
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# a level's reading of its first "--": every argument after it is a word
-_END = "--"
-
 
 class _Stop(Exception):
     """The line ends before a handler runs: (exit code, stdout, stderr)."""
@@ -224,171 +226,103 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     """The fields the handlers read, from the arguments after the program
     name. Raises _Stop with exit 0 and the help where -h is reached, or
     with exit 2 and a usage error for a line argparse rejects."""
-    fields: dict = {}
-    extras: list[str] = []
-    _parse_level("walklabel", _TOP, argv, fields, extras)
-    if extras:
-        _fail("walklabel", _TOP, "unrecognized arguments: " + " ".join(extras))
+    fields = _read_plain(argv)
+    if fields is None:
+        fields = vars(_argparser().parse_args(argv))
     return SimpleNamespace(**fields)
 
 
-def _parse_level(prog: str, level: _Level, argv: list[str], fields: dict, extras: list[str]) -> None:
-    options = {"-h": _HELP, "--help": _HELP, **{option.flag: option for option in level.options}}
-    # every argument is read before the first one takes effect, so an
-    # ambiguous prefix anywhere fails before -h is reached
-    kinds = []
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            kinds += [_END] + [None] * (len(argv) - i - 1)
-            break
-        kinds.append(_read(prog, level, options, arg))
-    fields.update((option.dest, option.default) for option in level.options)
-    if level.handler is not None:
-        fields["handler"] = level.handler
-    positional = level.positional
-    if positional is not None:
-        fields[positional[0]] = None
-    i, n = 0, len(argv)
-    while i < n:
-        kind = kinds[i]
-        if type(kind) is tuple:
-            option, flag, value = kind
-            i += 1
+def _read_plain(argv: list[str]) -> dict | None:
+    """The fields of a line made only of the exact flags of the level
+    reached, their values (--flag value or --flag=value, the value not
+    starting with "-"), plain flags without "=" and exact words, read as
+    argparse reads them; None for any other line."""
+    fields: dict = {}
+    args = iter(argv)
+    level = _TOP
+    while level is not None:
+        fields.update((option.dest, option.default) for option in level.options)
+        if level.handler is not None:
+            fields["handler"] = level.handler
+        options = {option.flag: option for option in level.options}
+        dest, words = level.positional or (None, ())
+        level = None
+        for arg in args:
+            flag, eq, text = arg.partition("=")
+            option = options.get(flag)
             if option is None:
-                extras.append(flag)
-                continue
-            if option.kind is bool:
-                # -h is the only single-dash flag, and -hh reads as -h -h
-                if value is not None and (flag[1] == "-" or not value or value.strip("h")):
-                    _fail(prog, level, f"argument {option.flag}: ignored explicit argument {value!r}")
-                if option is _HELP:
-                    raise _Stop(0, _help(prog, level), "")
-                value = True
+                # no word starts with "-", so this rejects every other flag
+                if arg not in words or dest in fields:
+                    return None
+                fields[dest] = arg
+                if isinstance(words, dict):
+                    # a subcommand reads the rest of the line
+                    level = words[arg]
+                    break
+            elif option.kind is bool:
+                if eq:
+                    return None
+                fields[option.dest] = True
             else:
-                if value is None:
-                    if i == n or kinds[i] is not None:
-                        _fail(prog, level, f"argument {option.flag}: expected one argument")
-                    value = argv[i]
-                    i += 1
+                # a missing value reads as "-", which is rejected
+                text = text if eq else next(args, "-")
+                if text.startswith("-"):
+                    return None
+                if option.kind is int:
+                    try:
+                        text = int(text)
+                    except ValueError:
+                        return None
+                elif option.kind is not str and text not in option.kind:
+                    return None
+                fields[option.dest] = text
+        # a required option has no default, so its field still holds None
+        if (dest is not None and dest not in fields) or any(
+                option.required and fields[option.dest] is None for option in options.values()):
+            return None
+    return fields
+
+
+@functools.cache
+def _argparser():
+    """The argparse tree of _TOP, whose help and usage errors raise _Stop."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            for action in self._actions:
                 # argparse stores --flag=-- as an empty list, which no
                 # handler reads: the line fails unless the flag comes again
-                value = [] if value == "--" else _value(prog, level, option.flag, option.kind, value)
-            fields[option.dest] = value
-        elif positional is None or (kind is _END and i + 1 == n):
-            extras.append(argv[i])
-            i += 1
-        elif isinstance(positional[1], dict):
-            # a subcommand reads the rest of the line; a leading -- is read
-            # as its name, as argparse reads it
-            dest, commands = positional
-            name = fields[dest] = _value(prog, level, dest, commands, argv[i])
-            positional = None
-            _parse_level(f"{prog} {name}", commands[name], argv[i + 1:], fields, extras)
-            break
-        else:
-            # one word, and the -- before or after it
-            dest, words = positional
-            positional = None
-            i += kind is _END
-            fields[dest] = _value(prog, level, dest, words, argv[i])
-            i += 1
-            if i < n and kinds[i] is _END:
-                i += 1
-    for option in level.options:
-        if fields[option.dest] == []:
-            _fail(prog, level, f"argument {option.flag}: expected one argument")
-    # a required option has no default, so its field still holds None
-    missing = [option.flag for option in level.options if option.required and fields[option.dest] is None]
-    if positional is not None:
-        missing.append(positional[0])
-    if missing:
-        _fail(prog, level, "the following arguments are required: " + ", ".join(missing))
+                if getattr(namespace, action.dest, None) == []:
+                    self.error(str(argparse.ArgumentError(action, "expected one argument")))
+            return namespace, extras
 
+        def print_help(self, file=None):
+            raise _Stop(0, self.format_help(), "")
 
-def _read(prog: str, level: _Level, options: dict, arg: str):
-    """How argparse reads one argument: None for a word, else (option,
-    flag, the value given with it or None), with option None for a flag
-    this level does not know."""
-    if arg in options:
-        return options[arg], arg, None
-    if not arg.startswith("-") or arg == "-":
-        return None
-    flag, eq, value = arg.partition("=")
-    if eq and flag in options:
-        return options[flag], flag, value
-    if arg[1] == "-":
-        matches = [known for known in options if known.startswith(flag)]
-        value = value if eq else None
-    else:
-        matches = [arg[:2]] if arg[:2] in options else []
-        value = arg[2:]
-    if len(matches) > 1:
-        _fail(prog, level, f"ambiguous option: {arg} could match {', '.join(matches)}")
-    if matches:
-        return options[matches[0]], matches[0], value
-    if _NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, arg, None
+        def error(self, message):
+            raise _Stop(2, "", f"{self.format_usage()}{self.prog}: error: {message}\n")
 
+    kinds = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}
 
-def _value(prog: str, level: _Level, name: str, kind, text: str):
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            _fail(prog, level, f"argument {name}: invalid int value: {text!r}")
-    if kind is not str and text not in kind:
-        choices = ", ".join(map(repr, kind))
-        _fail(prog, level, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
-    return text
+    def build(parser, level: _Level):
+        for option in level.options:
+            parser.add_argument(option.flag, dest=option.dest, required=option.required, default=option.default,
+                                help=option.help, **kinds.get(option.kind, {"choices": option.kind}))
+        if level.handler is not None:
+            parser.set_defaults(handler=level.handler)
+        if level.positional is not None:
+            dest, words = level.positional
+            if isinstance(words, dict):
+                sub = parser.add_subparsers(dest=dest, required=True)
+                for name, child in words.items():
+                    build(sub.add_parser(name, help=child.help, description=child.help), child)
+            else:
+                parser.add_argument(dest, choices=words)
+        return parser
 
-
-def _fail(prog: str, level: _Level, message: str):
-    raise _Stop(2, "", f"{_usage(prog, level)}{prog}: error: {message}\n")
-
-
-def _metavar(option: _Option) -> str:
-    if option.kind is bool:
-        return ""
-    if option.kind in (int, str):
-        return " " + option.dest.upper()
-    return " {" + ",".join(option.kind) + "}"
-
-
-def _usage(prog: str, level: _Level) -> str:
-    parts = ["[-h]"]
-    for option in level.options:
-        part = option.flag + _metavar(option)
-        parts.append(part if option.required else f"[{part}]")
-    if level.positional is not None:
-        choices = level.positional[1]
-        parts.append("{" + ",".join(choices) + "}" + (" ..." if isinstance(choices, dict) else ""))
-    head = f"usage: {prog}"
-    lines = [head]
-    for part in parts:
-        if len(lines[-1]) + 1 + len(part) > 78 and lines[-1].strip():
-            lines.append(" " * len(head))
-        lines[-1] += " " + part
-    return "\n".join(lines) + "\n"
-
-
-def _help(prog: str, level: _Level) -> str:
-    rows = [_usage(prog, level), level.help, ""]
-    if level.positional is not None:
-        choices = level.positional[1]
-        rows += ["positional arguments:", "  {" + ",".join(choices) + "}"]
-        if isinstance(choices, dict):
-            rows += [_row(f"    {name}", sub.help) for name, sub in choices.items()]
-        rows.append("")
-    rows += ["options:", _row("  -h, --help", _HELP.help)]
-    rows += [_row(f"  {option.flag}{_metavar(option)}", option.help) for option in level.options]
-    return "\n".join(rows) + "\n"
-
-
-def _row(name: str, text: str) -> str:
-    if not text:
-        return name
-    return f"{name:<24}{text}" if len(name) < 23 else f"{name}\n{'':24}{text}"
+    return build(Parser(prog="walklabel", description=_TOP.help), _TOP)
 
 
 def run(argv: list[str] | None = None) -> CommandResult:

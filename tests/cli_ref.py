@@ -1,10 +1,11 @@
 """The command line parser in the shape it was first written: the argparse
-tree that cli's table-driven parser is checked against.
+tree that cli._parse and its plain reader are checked against.
 
 - build_parser: one ArgumentParser per subcommand and per count family,
   declared from the same cli._FAMILIES table, each subcommand naming its
   handler with set_defaults. parse_args on it gives the fields cli._parse
-  must give, exits 0 on help and exits 2 on every line it rejects.
+  and cli._read_plain must give, exits 0 on help and exits 2 on every line
+  it rejects.
 """
 
 from __future__ import annotations

@@ -90,8 +90,8 @@ def test_exact_div_raises_on_non_integer():
 
 def test_cli_import_loads_no_rational_or_decimal_module():
     # dataclasses and inspect cost about 15 ms per interpreter and no record
-    # needs them; argparse, with the gettext and locale it loads, cost about
-    # 4.5 ms per invocation, and the table-driven parser needs none of them
+    # needs them; argparse, with the gettext and locale it loads, costs 5-7 ms
+    # per invocation, and only a line the plain reader declines needs it
     unwanted = "{'fractions', 'decimal', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
     code = f"import sys, walklabel.cli; print(sorted({unwanted} & set(sys.modules)))"
     src = str(Path(walklabel.__file__).resolve().parents[1])

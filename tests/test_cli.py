@@ -1,21 +1,30 @@
 import argparse
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
 import math
+import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from cli_ref import build_parser
 
 from walklabel import cli, oracle, trees, verify
 from walklabel.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("ladder", ROOT / "scripts" / "ladder.py")
+ladder = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ladder)
 
 
 def test_count_tree():
@@ -323,6 +332,9 @@ def test_parser_matches_argparse_on_generated_lines():
         argv = _mutated(rng, _valid_line(rng))
         expected = _reference_outcome(parser, list(argv))
         assert _outcome(list(argv)) == expected, argv
+        plain = cli._read_plain(list(argv))
+        assert plain is None or plain == expected, argv
+        seen.add("argparse" if plain is None else "plain")
         parsed = isinstance(expected, dict)
         seen.add("parsed" if parsed else {0: "help", 2: "usage error"}[expected])
         if "-h" in argv:
@@ -345,8 +357,48 @@ def test_parser_matches_argparse_on_generated_lines():
         if any(t in ("x", "1.5", "-1.5", "", "-1 2") for t in argv):
             seen.add("bad int")
     assert seen >= {"help", "usage error", "parsed", "parsed =value", "parsed prefix", "ambiguous prefix",
-                    "parsed --", "parsed negative int", "parsed repeated flag", "bad int",
+                    "parsed --", "parsed negative int", "parsed repeated flag", "bad int", "plain", "argparse",
                     *(f"-h at {i}" for i in range(8))}
+
+
+def _hot_lines():
+    """The argument lists that scripts/ladder.py, README's command line
+    section and perfbench's closed-forms and verify jobs run, by source."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").partition("\n## Command line\n")[2]
+    rows = readme.partition("\n## ")[0].splitlines()
+    workloads = ladder._perfbench("workloads")
+    jobs = [workloads.make_job(workload, seed) for seed in range(1, 11) for workload in ("closed-forms", "verify")]
+    return {
+        "ladder": [list(argv) for argv in ladder.POINTS.values()],
+        "readme": [shlex.split(row, comments=True)[1:] for row in rows if row.startswith("walklabel ")],
+        "perfbench": [op["argv"] for job in jobs for op in job["ops"] + job.get("probes", [])],
+    }
+
+
+def test_the_lines_scripts_docs_and_benchmark_run_take_the_plain_reader():
+    # a cold argparse parse costs 5-7 ms, more than a closed-forms op
+    parser = build_parser()
+    for source, lines in _hot_lines().items():
+        assert lines, source
+        for argv in lines:
+            assert cli._read_plain(list(argv)) == vars(parser.parse_args(argv)), (source, argv)
+
+
+def test_only_a_line_that_is_not_plain_loads_argparse():
+    code = (
+        "import sys\n"
+        "from walklabel import cli\n"
+        "assert cli.run(['count', 'torus', '--n', '20']) == (0, '35944473450435194879410176000000\\n')\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "result = cli.run(['count', 'torus', '-h'])\n"
+        "print(result.exit_code, result.stdout.splitlines()[0])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    unwanted, help_line = out.stdout.splitlines()
+    assert unwanted == "[]"
+    assert help_line.startswith("0 usage: walklabel count torus ")
 
 
 def test_oracle_subcommand(tmp_path):
