@@ -6,8 +6,8 @@ status reports the outcome), series (generating function coefficients as
 CSV or JSON) and oeis (b-file exports of the two sequences with published
 candidates). Counts print as decimal strings. Exit codes: 0 success (and,
 for verify, all checks passing), 1 domain errors, instances too large to
-finish (recursion or memory exhausted, or a series degree above 100) or
-failed verification, 2 usage errors.
+finish (recursion or memory exhausted, an integer overflow, or a series
+degree above 100) or failed verification, 2 usage errors.
 
 One table, _FAMILIES, drives both count and verify: per family it names
 the count parameters and closed form, and the verify function with its
@@ -344,6 +344,9 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return CommandResult(1, "")
     except MemoryError:
         print("error: instance too large: out of memory", file=sys.stderr)
+        return CommandResult(1, "")
+    except OverflowError as exc:
+        print(f"error: instance too large: {exc}", file=sys.stderr)
         return CommandResult(1, "")
 
 

@@ -8,11 +8,11 @@ every per-start count and every term of lemma_pac_check takes two spine
 factors and verify asks for the same few many times. A_term(m, n, j, kp, y)
 is the building block for per-vertex counts: labelings in which the walk
 starts on tooth j and the interleaving constraint is parameterized by the
-effective spine position kp and a cut index y. count_from_vertex assembles
-the per-start count for any (j, s) from these blocks, with the part that
-does not depend on y (two spine factors and one multinomial) taken out of
-its sum, and count_comb is the fully summed closed form. count_comb is the
-fast path: one factorial, a Horner sum of O(n) small terms and one
+effective spine position kp and a cut index y. The per-start count is a
+weighted sum of these blocks over the cuts; count_from_vertex gives it
+for any (j, s) as one product, the sum collapsed by Vandermonde's
+identity, and count_comb is the fully summed closed form. count_comb is
+the fast path: one factorial, a Horner sum of O(n) small terms and one
 bigmath.exact_div, which raises instead of flooring if the formula leaves
 a remainder. count_from_vertex, t_spine and lemma_pac_check are the paths
 verify checks it against; every quantity here stays an integer, and
@@ -84,24 +84,21 @@ def A_term(m: int, n: int, j: int, kp: int, y: int) -> int:
 
 
 def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
-    """Labelings of C(m, n, k) whose first label lands on vertex (j, s)."""
+    """Labelings of C(m, n, k) whose first label lands on vertex (j, s), as
+    one product: two spine factors, a multinomial and C(mn-1, s-1), on the
+    mirrored tooth if s > k. The tests' reference sums A_term(m, n, j, k, y)
+    over the cuts y: y = 1 alone at s = k, else C(y-2, k-s-1) times it for y > k-s."""
     _check_mnk(m, n, k)
     if not 1 <= j <= m:
         raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
     if not 1 <= s <= n:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {n}]")
     if s > k:  # the mirrored tooth: spine position n - k + 1, start n - s + 1
-        return count_from_vertex(m, n, n - k + 1, j, n - s + 1)
-    # _cut(m, n, j, k, y) = multinomial((j-1)n, (m-j)n, n-k) C(mn-y, k-y):
-    # the multinomial and the two spine factors do not depend on y
-    fixed = t_spine(j - 1, n, k) * t_spine(m - j, n, k) * multinomial([(j - 1) * n, (m - j) * n, n - k])
-    mn = m * n
-    if s == k:
-        return fixed * math.comb(mn - 1, k - 1)
-    return fixed * sum(
-        math.comb(y - 2, k - s - 1) * math.comb(mn - y, k - y)
-        for y in range(k - s + 1, k + 1)
-    )
+        k, s = n - k + 1, n - s + 1
+    # the cut sum, over y of C(y-2, k-s-1) C(mn-y, k-y), is C(mn-1, s-1) by
+    # Vandermonde's identity sum_i C(i, a) C(M-i, b) = C(M+1, a+b+1)
+    return (t_spine(j - 1, n, k) * t_spine(m - j, n, k)
+            * multinomial([(j - 1) * n, (m - j) * n, n - k]) * math.comb(m * n - 1, s - 1))
 
 
 def count_comb(m: int, n: int, k: int) -> int:

@@ -36,14 +36,14 @@ class Graph:
     """Undirected simple graph: n vertices, sorted adjacency, coordinates.
 
     Built from masks: masks[v] has bit u set iff u is adjacent to v, and
-    adj[v], derived from masks on first read and then kept, lists those
-    bits in order. coords maps vertex index to a family coordinate label;
-    aliases (like "root") resolve via vertex_at but have no coords entry.
+    adj[v], derived from masks on each read, lists those bits in order.
+    coords maps vertex index to a family coordinate label; aliases (like
+    "root") resolve via vertex_at but have no coords entry.
     Connectivity is decided by one search when the graph is built, and
     is_connected(g) reads that answer instead of searching.
     """
 
-    __slots__ = ("n", "adj", "masks", "coords", "_lookup", "_connected")
+    __slots__ = ("n", "masks", "coords", "_lookup", "_connected")
 
     def __init__(self, n, edges, coords=None, aliases=None):
         if n < 1:
@@ -65,10 +65,8 @@ class Graph:
         self._lookup = lookup
         self._connected = is_connected(self, (1 << n) - 1)
 
-    def __getattr__(self, name):
-        # reached only for an unset slot; adj is the one derived from masks
-        if name != "adj":
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
         adj = []
         for m in self.masks:
             row = []
@@ -76,8 +74,7 @@ class Graph:
                 row.append((low := m & -m).bit_length() - 1)
                 m ^= low
             adj.append(tuple(row))
-        self.adj = adj = tuple(adj)
-        return adj
+        return tuple(adj)
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2

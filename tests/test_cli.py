@@ -65,6 +65,18 @@ def test_recursion_limit_exits_cleanly(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: instance too large: recursion limit exceeded\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "torus", "--n", "100000000000000000000"],
+    ["count", "comb", "--m", "100000000000000000000", "--n", "2", "--k", "1"],
+])
+def test_integer_overflow_exits_cleanly(capsys, argv):
+    result = run(argv)
+    assert (result.exit_code, result.stdout) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance too large: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_out_of_memory_exits_cleanly(monkeypatch, capsys):
     def exhausted(h, m):
         raise MemoryError

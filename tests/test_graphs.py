@@ -26,6 +26,8 @@ def test_graph_dedupes_and_sorts_edges():
     assert g.adj == ((1,), (0, 2), (1,))
     assert g.masks == (0b010, 0b101, 0b010)
     assert g.edge_count() == 2
+    with pytest.raises(AttributeError):
+        g.adj = ()
 
 
 def test_graph_rejects_bad_edges():
@@ -355,51 +357,49 @@ def test_mask_search_matches_a_set_search_on_every_vertex_set():
             assert not is_connected(g, 0)
 
 
-def _adj_built(g):
-    """Whether g's adj slot holds a value, read past the fallback that
-    derives it from masks."""
-    try:
-        Graph.adj.__get__(g, Graph)
-    except AttributeError:
-        return False
-    return True
-
-
-def _check_against_set_based(g, args):
-    """After oracle queries on g, whose adj they leave unbuilt, the adj
-    derived from masks and edge_count() equal the set-based reference
-    built from Graph's arguments args."""
+def _check_against_set_based(g, args, reads):
+    """The adj derived from masks and edge_count() of g equal the set-based
+    reference built from Graph's arguments args, and neither building g
+    nor oracle queries on it read adj (reads lists the graphs read)."""
     if g.n <= 10:
         oracle.count_labelings(g)
         oracle.count_completions_each(g, [[v] for v in range(g.n)])
-    assert not _adj_built(g)
+    assert g not in reads
     adj = _set_based(*args)[0]
-    assert g.adj == adj and _adj_built(g) and g.adj is g.adj
+    assert g.adj == adj and reads[-1] is g
     assert g.edge_count() == sum(len(a) for a in adj) // 2
 
 
 def test_adjacency_from_masks_matches_the_set_based_construction(monkeypatch):
+    reads = []
+    derive = Graph.adj.fget
+
+    def recorded(g):
+        reads.append(g)
+        return derive(g)
+
+    monkeypatch.setattr(Graph, "adj", property(recorded))
     arguments = []
 
     def recording(*args):
         arguments.append(args)
         return Graph(*args)
 
-    monkeypatch.setattr(graphs, "Graph", recording)
     cases = [(name, args) for name, args in _numbering_cases() if max(args) <= 6]
-    graphs_built = [getattr(graphs, name)(*args) for name, args in cases]
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "Graph", recording)
+        graphs_built = [getattr(graphs, name)(*args) for name, args in cases]
     assert len(arguments) == len(graphs_built) > 100
     assert {name for name, _ in cases} == set(_NUMBERING_DIGESTS)
     for g, args in zip(graphs_built, arguments):
-        _check_against_set_based(g, args)
+        _check_against_set_based(g, args, reads)
 
     rng = random.Random(2501)
     parsed = 0
     for n, edges in _seeded_edge_lists(rng):
         if _set_based(n, edges)[4]:
             text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-            _check_against_set_based(parse_edge_list(text), (n, edges))
+            _check_against_set_based(parse_edge_list(text), (n, edges), reads)
             parsed += 1
     assert parsed > 10
 

@@ -10,7 +10,7 @@ from subset_dp import dp_completion_table, dp_resume, dp_total
 
 from walklabel import oracle
 from walklabel.oracle import dp_completions, dp_first_gap, tree_count
-from walklabel.graphs import Graph, comb, cycle, path, perfect_tree, torus, two_cycles
+from walklabel.graphs import Graph, comb, cycle, is_connected, path, perfect_tree, torus, two_cycles
 
 
 @st.composite
@@ -583,24 +583,31 @@ def test_every_query_reaches_the_kernel_the_routing_rule_names(monkeypatch, kind
 
 def test_no_query_searches_the_whole_graph_once_it_is_built(monkeypatch):
     # g is connected, and that was decided when it was built; a query may
-    # read only the neighbours of its labeled vertices, to check that a
-    # labeled set is connected, and a whole-graph search reads them all
+    # ask for that flag (within None) and search its own labeled sets, to
+    # check that each is connected, but no other vertex set
+    searched = []
+
+    def recording(g, within=None):
+        searched.append(within)
+        return is_connected(g, within)
+
+    monkeypatch.setattr(oracle, "is_connected", recording)
     for g in ROUTED_GRAPHS.values():
-        reads = set()
-
-        class Adjacency(tuple):
-            def __getitem__(self, v):
-                reads.add(v)
-                return tuple.__getitem__(self, v)
-
         w = g.adj[0][0]
-        monkeypatch.setattr(g, "adj", Adjacency(g.adj))
+        u, v = 1, g.n - 1
+        queries = [
+            (lambda: oracle.count_labelings(g), []),
+            (lambda: oracle.count_labelings_perm(g), []),
+            (lambda: oracle.count_labelings_from(g, 0), [1]),
+            (lambda: oracle.count_completions(g, [0, w]), [1 | 1 << w]),
+            (lambda: oracle.count_completions_each(g, [[0], [0, w]]), [1, 1 | 1 << w]),
+            (lambda: oracle.count_completions_each(g, [[0]], before=(u, v)), [1]),
+            (lambda: oracle.count_labelings_from_before(g, 0, u, v), [1]),
+        ]
+        for query, labeled in queries:
+            searched.clear()
+            query()
+            assert searched and set(searched) <= {None, *labeled}
+        searched.clear()
         oracle.engine(g)
-        oracle.count_labelings(g)
-        oracle.count_labelings_perm(g)
-        oracle.count_labelings_from(g, 0)
-        oracle.count_completions(g, [0, w])
-        oracle.count_completions_each(g, [[0], [0, w]])
-        oracle.count_completions_each(g, [[0]], before=(1, g.n - 1))
-        oracle.count_labelings_from_before(g, 0, 1, g.n - 1)
-        assert reads <= {0, w}
+        assert set(searched) <= {None}
