@@ -4,11 +4,11 @@ point.
     python scripts/ladder.py [--out PATH] [--repeat N] [NAME ...]
 
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40),
-(80,80,80) and (300,300,300), perfect trees (h, m) = (12,2), (14,2) and
-(16,2), combs (m, n, k) = (80,80,40) and (200,200,100), the torus n = 2000
-and 100000, `walklabel series` at degrees 45, 80 and 100 (the CLI's top
-degree), and `walklabel --quiet verify --family all` at its default grids
-(verifyall).
+(80,80,80), (300,300,300) and (600,600,600), perfect trees (h, m) =
+(12,2), (14,2) and (16,2), combs (m, n, k) = (80,80,40) and (200,200,100),
+the torus n = 2000 and 100000, `walklabel series` at degrees 45, 80 and
+100 (the CLI's top degree), and `walklabel --quiet verify --family all`
+at its default grids (verifyall).
 For each point the script prints one JSON line: the CLI argv, the
 seconds `cli.run` takes (argument parsing, the work and its decimal
 conversion), the child's peak RSS (ru_maxrss) in MB, the length of the
@@ -49,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 POINTS = {
     **{f"twocycles{a}": ["count", "twocycles", "--a1", str(a), "--a2", str(a), "--a3", str(a)]
-       for a in (20, 40, 80, 300)},
+       for a in (20, 40, 80, 300, 600)},
     **{f"tree{h}": ["count", "tree", "--h", str(h), "--m", "2"] for h in (12, 14, 16)},
     "comb80": ["count", "comb", "--m", "80", "--n", "80", "--k", "40"],
     "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],

@@ -5,19 +5,17 @@ t_spine(m, n, k) counts the labelings of the comb C(m, n, k) that start at
 the spine vertex of the first tooth, position (1, k). It is computed once
 per (m, n, k) and process (functools.cache, as trees.t_rec is), because
 every per-start count and every term of lemma_pac_check takes two spine
-factors and verify asks for the same few many times. A_term(m, n, j, kp, y)
-is the building block for per-vertex counts: labelings in which the walk
-starts on tooth j and the interleaving constraint is parameterized by the
-effective spine position kp and a cut index y. The per-start count is a
-weighted sum of these blocks over the cuts; count_from_vertex gives it
-for any (j, s) as one product, the sum collapsed by Vandermonde's
-identity, and count_comb is the fully summed closed form. count_comb is
-the fast path: one factorial, a Horner sum of O(n) small terms and one
-bigmath.exact_div, which raises instead of flooring if the formula leaves
-a remainder. count_from_vertex, t_spine and lemma_pac_check are the paths
-verify checks it against; every quantity here stays an integer, and
-lemma_pac_check states its identity of rationals multiplied through by
-their common denominator.
+factors and verify asks for the same few many times. count_from_vertex
+gives the labelings from any start (j, s) as one product: two spine
+factors, a multinomial and C(mn - 1, s - 1), the weighted sum of per-cut
+blocks over the cuts collapsed by Vandermonde's identity (the tests keep
+that block sum as a reference). count_comb is the fully summed closed
+form and the fast path: its factorials first, then a Horner sum of O(n)
+small terms and one bigmath.exact_div, which raises instead of flooring if
+the formula leaves a remainder. count_from_vertex, t_spine and
+lemma_pac_check are the paths verify checks it against; every quantity
+here stays an integer, and lemma_pac_check states its identity of
+rationals multiplied through by their common denominator.
 
 Two compact product formulas for single columns are kept for reference:
 corollary_double_comb agrees with count_comb, while corollary_comb does not
@@ -35,7 +33,6 @@ from functools import cache
 from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
 
 __all__ = [
-    "A_term",
     "CorollaryComparison",
     "corollary_comb",
     "corollary_double_comb",
@@ -67,27 +64,12 @@ def t_spine(m: int, n: int, k: int) -> int:
     return value
 
 
-def _cut(m: int, n: int, j: int, kp: int, y: int) -> int:
-    """A_term without its two spine factors."""
-    return multinomial([(j - 1) * n, n - y, (m - j) * n]) * binomial(n - y, n - kp)
-
-
-def A_term(m: int, n: int, j: int, kp: int, y: int) -> int:
-    """Block count for a start on tooth j with effective spine position kp:
-    the y-th cut of tooth j against the teeth on either side."""
-    _check_mnk(m, n, kp)
-    if not 1 <= j <= m:
-        raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
-    if not 1 <= y <= n:
-        raise ValueError(f"parameter out of range: y = {y} must be in [1, {n}]")
-    return _cut(m, n, j, kp, y) * t_spine(j - 1, n, kp) * t_spine(m - j, n, kp)
-
-
 def count_from_vertex(m: int, n: int, k: int, j: int, s: int) -> int:
     """Labelings of C(m, n, k) whose first label lands on vertex (j, s), as
     one product: two spine factors, a multinomial and C(mn-1, s-1), on the
-    mirrored tooth if s > k. The tests' reference sums A_term(m, n, j, k, y)
-    over the cuts y: y = 1 alone at s = k, else C(y-2, k-s-1) times it for y > k-s."""
+    mirrored tooth if s > k. The tests' reference sums the block count
+    A_term(m, n, j, k, y) over the cuts y: y = 1 alone at s = k, else
+    C(y-2, k-s-1) times it for y > k-s."""
     _check_mnk(m, n, k)
     if not 1 <= j <= m:
         raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
@@ -116,6 +98,10 @@ def count_comb(m: int, n: int, k: int) -> int:
     _check_mnk(m, n, k)
     mn = m * n
     last = max(k, n - k + 1)
+    # the factorials come before the loop, which runs max(k, n-k+1) times,
+    # so an n too large for math.factorial raises OverflowError at once
+    scale = factorial(mn - last) << (m - 1)
+    denominator = factorial(m - 1) * n ** (m - 1) * (factorial(k - 1) * factorial(n - k)) ** m
     # falling factorials (k-1)!/(k-y)! and (n-k)!/(n-k+1-y)!, which turn 0
     # once y passes the end of their sum
     left = right = 1
@@ -124,9 +110,7 @@ def count_comb(m: int, n: int, k: int) -> int:
         left *= k - y + 1
         right *= n - k - y + 2
         horner = horner * (mn - y + 1) + ((left + right) << (y - 2))
-    numerator = factorial(mn - last) * horner << (m - 1)
-    denominator = factorial(m - 1) * n ** (m - 1) * (factorial(k - 1) * factorial(n - k)) ** m
-    return exact_div(numerator, denominator, f"count_comb({m}, {n}, {k})")
+    return exact_div(scale * horner, denominator, f"count_comb({m}, {n}, {k})")
 
 
 def lemma_pac_check(m: int, n: int, k: int) -> bool:

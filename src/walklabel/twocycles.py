@@ -51,29 +51,42 @@ the labeled vertices of the two partial rows. Its summand is
 W(j) C(a, k) C(b, l) e(a - k) e(b - l) with j = k + l,
 W(j) = (full + j)! (a + b - j)! / (full! a! b!) and e(p) the orders of a
 stretch of p vertices filled from both ends, 2 e(p) = 2^p + [p = 0].
-Vandermonde's identity sums S(j), the part of the summand after W(j),
-along each diagonal j (binomials are 0 outside their range):
+Vandermonde's identity sums the part after W(j) along each diagonal j to
+d(j) / 4 (binomials are 0 outside their range):
 
-  4 S(j) = (C(a + b, j) + sa C(b, j - a) + sb C(a, j - b)) 2^(a + b - j)
-           + [j = a + b] sa sb,
+  d(j) = (C(a + b, j) + sa C(b, j - a) + sb C(a, j - b)) 2^(a + b - j)
+         + [j = a + b] sa sb,
 
 where sa = 1 when the row k = a is in the sum and sa = -1 when the cap
-leaves it out (sb likewise for the column l = b). With n = a + b, full!
-cancels from W(j), and the row sum is sum_j (full + 1)...(full + j) X_j
-over 4 a! b!, where X_j = 4 S(j) (n - j)! is diag_j D_j, plus sa sb at
-j = n, with diag_j the bracket above and D_j = (n - j)! 2^(n - j).
-Horner's rule sums it from j = n down,
+leaves it out (sb likewise for the column l = b). With n = a + b, each of
+the three diagonal binomials turns the sum over j into one partial sum
 
-  H_j = X_j + (full + j + 1) H_(j+1),
+  S(f, n) = sum_{j=0}^{n} C(f + j, j) 2^(n - j),
 
-so each of the a + b + 1 steps multiplies the running sum by one small
-factor. D_j and the three diagonal binomials step from j + 1 to j by
-their ratios (one small factor or one small exact division each), so no
-factorial of full and no math.comb is computed. One division of H_0 by
-4 a! b! through bigmath.exact_div, which raises if the identity ever
-leaves a remainder, ends the row sum; a block costs O(a) and
-count_two_cycles O(a^2). The Vandermonde sum over whole factorials and
-the double sum it collapsed are kept in the tests as references.
+the coefficient of t^n in 1 / ((1 - t)^(f + 1) (1 - 2t)), and the row sum
+is a quarter of
+
+  C(n, a) S(full, n) + sa C(full + a, a) S(full + a, b)
+    + sb C(full + b, b) S(full + b, a) + sa sb C(n, a) C(full + n, n).
+
+Every S a block (x, r, z) asks for has f + n = x + r + z, and the block
+after it in a q-sum, one vertex smaller, asks for partial sums one step
+below those in f or in n:
+
+  S(f, n) = (S(f + 1, n) + C(f + n + 1, n)) / 2
+          = (S(f, n + 1) - C(f + n + 1, n + 1)) / 2.
+
+So _partial_sum keeps every S for the process, as _block keeps its
+blocks, and steps from a kept neighbour by one binomial and one shift.
+With none kept it sums the shorter side: S(f, n) / 2^(f + n + 1) is the
+chance that f + 1 heads come before n + 1 tails in fair coin tosses, so
+S(f, n) + S(n, f) = 2^(f + n + 1), and min(f, n) small steps suffice.
+That power of two comes first, so a single part past sys.maxsize raises
+OverflowError at once. A row sum is four binomials, at most three
+partial-sum steps and one division by 4 through bigmath.exact_div, which
+raises if the identity ever leaves a remainder, and count_two_cycles
+costs O(a) of them. The double sum, its Vandermonde collapse over whole
+factorials and its Horner evaluation are kept in the tests as references.
 
 Multinomials go through bigmath.multinomial, which raises on a negative
 part rather than clamping to zero, and a row sum raises on a negative row
@@ -84,9 +97,10 @@ empty by design).
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
-from .bigmath import exact_div, factorial, multinomial
+from .bigmath import exact_div, multinomial
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
@@ -94,6 +108,31 @@ __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 def _check(a1: int, a2: int, a3: int) -> None:
     if min(a1, a2, a3) < 2:
         raise ValueError("parameter out of range: path lengths must all be >= 2")
+
+
+# S(f, n) by (f, n), every partial sum computed in this process
+_SUMS: dict[tuple[int, int], int] = {}
+
+
+def _partial_sum(f: int, n: int) -> int:
+    """S(f, n) = sum_{j=0}^{n} C(f + j, j) 2^(n - j), stepped from a kept
+    S(f + 1, n) or S(f, n + 1) when there is one."""
+    s = _SUMS.get((f, n))
+    if s is not None:
+        return s
+    if (f + 1, n) in _SUMS:
+        s = (_SUMS[f + 1, n] + math.comb(f + n + 1, n)) >> 1
+    elif (f, n + 1) in _SUMS:
+        s = (_SUMS[f, n + 1] - math.comb(f + n + 1, f)) >> 1
+    elif f < n:  # S(f, n) + S(n, f) = 2^(f + n + 1)
+        s = (2 << (f + n)) - _partial_sum(n, f)
+    else:
+        s = c = 1
+        for j in range(1, n + 1):  # S(f, j) from S(f, j - 1)
+            c = c * (f + j) // j
+            s = 2 * s + c
+    _SUMS[f, n] = s
+    return s
 
 
 def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
@@ -105,17 +144,10 @@ def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
         raise ValueError(f"malformed two-cycle term: rows({full}, {a}, {b}) with caps ({a_cap}, {b_cap})")
     n = a + b
     sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
-    # at j = n the three binomials and D_n are 1, so X_n = (1 + sa)(1 + sb);
-    # stepping down to j - 1, the three binomial ratios share the divisor
-    # n - j + 1
-    horner = (1 + sa) * (1 + sb)
-    c_n = c_b = c_a = d = 1
-    for j in range(n, 0, -1):
-        step = n - j + 1
-        c_n, c_b, c_a = c_n * j // step, c_b * (j - a) // step, c_a * (j - b) // step
-        d *= 2 * step
-        horner = (c_n + sa * c_b + sb * c_a) * d + (full + j) * horner
-    return exact_div(horner, 4 * factorial(a) * factorial(b), "two-cycle row sum")
+    total = math.comb(n, a) * (_partial_sum(full, n) + sa * sb * math.comb(full + n, n))
+    total += sa * math.comb(full + a, a) * _partial_sum(full + a, b)
+    total += sb * math.comb(full + b, b) * _partial_sum(full + b, a)
+    return exact_div(total, 4, "two-cycle row sum")
 
 
 @cache

@@ -4,10 +4,14 @@ fast evaluations in src/ are checked against.
 - rows: the two-cycle row sum as the double sum over k and l that
   twocycles._rows collapses by Vandermonde's identity.
 - rows_vandermonde: that collapsed sum as it was first evaluated, one term
-  of whole factorials and math.comb binomials per diagonal, which
-  twocycles._rows now sums by Horner's rule.
+  of whole factorials and math.comb binomials per diagonal.
+- rows_horner: the same sum by Horner's rule in a + b + 1 small-factor
+  steps, which twocycles._rows now evaluates as four partial sums S(f, n)
+  stepped from one row to the next.
 - count_comb: the comb total through exact rationals, one Fraction per
   summand, that combs.count_comb evaluates over one common denominator.
+- A_term: the comb block count per start tooth and cut, whose weighted sum
+  over the cuts combs.count_from_vertex collapses into one product.
 - a_closed, b_closed, count_torus: the torus closed forms as quotients of
   whole factorials, which torus.py evaluates as math.perm falling factorials.
 """
@@ -17,8 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
+from walklabel.combs import _check_mnk, t_spine
 
-__all__ = ["a_closed", "b_closed", "count_comb", "count_torus", "rows", "rows_vandermonde"]
+__all__ = ["A_term", "a_closed", "b_closed", "count_comb", "count_torus", "rows", "rows_horner",
+           "rows_vandermonde"]
 
 
 def _ends(p: int) -> int:
@@ -48,6 +54,28 @@ def rows_vandermonde(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
     return exact_div(total, 4 * factorial(full) * factorial(a) * factorial(b), "two-cycle row sum")
 
 
+def rows_horner(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
+    """rows_vandermonde summed by Horner's rule. With n = a + b, the row
+    sum is sum_j (full + 1)...(full + j) X_j over 4 a! b!, where X_j is
+    diag_j D_j, plus sa sb at j = n, diag_j the diagonal bracket and
+    D_j = (n - j)! 2^(n - j). H_j = X_j + (full + j + 1) H_(j+1), from
+    j = n down, multiplies by one small factor per step, and diag_j's
+    three binomials and D_j step by their ratios."""
+    n = a + b
+    sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
+    # at j = n the three binomials and D_n are 1, so X_n = (1 + sa)(1 + sb);
+    # stepping down to j - 1, the three binomial ratios share the divisor
+    # n - j + 1
+    horner = (1 + sa) * (1 + sb)
+    c_n = c_b = c_a = d = 1
+    for j in range(n, 0, -1):
+        step = n - j + 1
+        c_n, c_b, c_a = c_n * j // step, c_b * (j - a) // step, c_a * (j - b) // step
+        d *= 2 * step
+        horner = (c_n + sa * c_b + sb * c_a) * d + (full + j) * horner
+    return exact_div(horner, 4 * factorial(a) * factorial(b), "two-cycle row sum")
+
+
 def count_comb(m: int, n: int, k: int) -> int:
     """combs.count_comb by the summed closed form in exact rationals."""
     prefactor = (
@@ -69,6 +97,19 @@ def count_comb(m: int, n: int, k: int) -> int:
     )
     value = prefactor * bracket
     return exact_div(value.numerator, value.denominator, f"count_comb({m}, {n}, {k})")
+
+
+def A_term(m: int, n: int, j: int, kp: int, y: int) -> int:
+    """Block count for a comb start on tooth j with effective spine
+    position kp: the y-th cut of tooth j against the teeth on either side,
+    times the spine counts of those teeth."""
+    _check_mnk(m, n, kp)
+    if not 1 <= j <= m:
+        raise ValueError(f"parameter out of range: j = {j} must be in [1, {m}]")
+    if not 1 <= y <= n:
+        raise ValueError(f"parameter out of range: y = {y} must be in [1, {n}]")
+    cut = multinomial([(j - 1) * n, n - y, (m - j) * n]) * binomial(n - y, n - kp)
+    return cut * t_spine(j - 1, n, kp) * t_spine(m - j, n, kp)
 
 
 def a_closed(n: int, k: int) -> int:

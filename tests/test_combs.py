@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from closed_forms_ref import count_comb as count_comb_ref
+from closed_forms_ref import A_term, count_comb as count_comb_ref
 from walklabel import combs, oracle
 from walklabel.bigmath import binomial
 from walklabel.graphs import comb, vertex_at
@@ -53,10 +53,10 @@ def _count_from_vertex_by_a_terms(m, n, k, j, s):
     # count_from_vertex as first written: one A_term, spine factors and
     # all, per cut y
     if s == k:
-        return combs.A_term(m, n, j, k, 1)
+        return A_term(m, n, j, k, 1)
     if s > k:
         return _count_from_vertex_by_a_terms(m, n, n - k + 1, j, n - s + 1)
-    return sum(binomial(y - 2, k - s - 1) * combs.A_term(m, n, j, k, y) for y in range(k - s + 1, k + 1))
+    return sum(binomial(y - 2, k - s - 1) * A_term(m, n, j, k, y) for y in range(k - s + 1, k + 1))
 
 
 def test_per_vertex_counts_match_the_sum_of_a_terms():
@@ -121,11 +121,20 @@ def test_parameter_validation():
         combs.corollary_comb(0)
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param((2, 3, 0, 1, 1), id="A_term j"),
+    pytest.param((2, 3, 1, 1, 4), id="A_term y"),
+])
+def test_a_term_rejects_out_of_range_parameters(args):
+    with pytest.raises(ValueError, match="parameter out of range"):
+        A_term(*args)
+
+
 def test_a_term_block_positivity_boundary():
     for m, n, kp in [(2, 3, 2), (3, 4, 3), (1, 2, 1)]:
         for j in range(1, m + 1):
             for y in range(1, n + 1):
-                block = combs.A_term(m, n, j, kp, y)
+                block = A_term(m, n, j, kp, y)
                 # a cut beyond the spine position is impossible
                 assert (block >= 1) == (y <= kp)
 

@@ -4,8 +4,6 @@ from walklabel import combs, torus, trees
 
 
 @pytest.mark.parametrize("fn, args", [
-    pytest.param(combs.A_term, (2, 3, 0, 1, 1), id="A_term j"),
-    pytest.param(combs.A_term, (2, 3, 1, 1, 4), id="A_term y"),
     pytest.param(combs.count_from_vertex, (2, 3, 1, 1, 4), id="count_from_vertex s"),
     pytest.param(combs.count_comb, (1, 1, 1), id="comb n < 2"),
     pytest.param(combs.corollary_double_comb, (0,), id="corollary_double_comb m"),

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from closed_forms_ref import rows as rows_ref, rows_vandermonde
-from walklabel import oracle
+from closed_forms_ref import rows as rows_ref, rows_horner, rows_vandermonde
+from walklabel import oracle, twocycles
 from walklabel.bigmath import binomial
 from walklabel.graphs import two_cycles, vertex_at
 from walklabel.twocycles import _rows, count_two_cycles, term_A, term_B, term_C
@@ -112,7 +112,8 @@ def test_rows_match_the_double_sum():
     # only row a may, neither may
     for full, a, b in product(range(9), repeat=3):
         for a_cap, b_cap in [(a + 1, b + 1), (a + 1, b), (a, b)]:
-            assert _rows(full, a, b, a_cap, b_cap) == rows_ref(full, a, b, a_cap, b_cap)
+            expected = rows_ref(full, a, b, a_cap, b_cap)
+            assert _rows(full, a, b, a_cap, b_cap) == rows_horner(full, a, b, a_cap, b_cap) == expected
 
 
 def test_horner_rows_match_the_vandermonde_sum():
@@ -120,7 +121,35 @@ def test_horner_rows_match_the_vandermonde_sum():
     for _ in range(300):
         full, a, b = (rng.randint(0, 60) for _ in range(3))
         for a_cap, b_cap in [(a + 1, b + 1), (a + 1, b), (a, b)]:
-            assert _rows(full, a, b, a_cap, b_cap) == rows_vandermonde(full, a, b, a_cap, b_cap)
+            expected = rows_vandermonde(full, a, b, a_cap, b_cap)
+            assert _rows(full, a, b, a_cap, b_cap) == rows_horner(full, a, b, a_cap, b_cap) == expected
+
+
+def _partial_sum_by_definition(f, n):
+    return sum(binomial(f + j, j) << (n - j) for j in range(n + 1))
+
+
+def test_partial_sums_step_from_either_neighbour(monkeypatch):
+    # summed directly on either side of S(f, n) + S(n, f) = 2^(f + n + 1),
+    # then stepped down from S(f + 1, n) alone and from S(f, n + 1) alone
+    for f, n in product(range(12), repeat=2):
+        expected = _partial_sum_by_definition(f, n)
+        for kept in [(), ((f + 1, n),), ((f, n + 1),)]:
+            monkeypatch.setattr(twocycles, "_SUMS", {key: _partial_sum_by_definition(*key) for key in kept})
+            assert twocycles._partial_sum(f, n) == expected
+
+
+@pytest.mark.parametrize("a1, a2, a3", [(40, 30, 20), (9, 2, 7), (80, 80, 80)])
+def test_totals_from_stepped_partial_sums_match_the_reference_rows(monkeypatch, a1, a2, a3):
+    # with no block and no partial sum kept, the first block sums directly
+    # and every later block steps down in f or in n from the one before it
+    twocycles._block.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(twocycles, "_rows", rows_horner)
+        expected = count_two_cycles(a1, a2, a3)
+    twocycles._block.cache_clear()
+    monkeypatch.setattr(twocycles, "_SUMS", {})
+    assert count_two_cycles(a1, a2, a3) == expected
 
 
 def test_a_left_junction_source_gets_its_unconstrained_count():
