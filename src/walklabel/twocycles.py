@@ -46,53 +46,45 @@ for term_C. That is O(a) blocks. Each block is computed once per process
 neighbouring terms, count_two_cycles and its mirror image share them, and
 when a1 = a3 the term_C and swapped term_C blocks coincide.
 
-Each block is three row sums, and a row sum is a double sum over k and l,
-the labeled vertices of the two partial rows. Its summand is
-W(j) C(a, k) C(b, l) e(a - k) e(b - l) with j = k + l,
-W(j) = (full + j)! (a + b - j)! / (full! a! b!) and e(p) the orders of a
-stretch of p vertices filled from both ends, 2 e(p) = 2^p + [p = 0].
-Vandermonde's identity sums the part after W(j) along each diagonal j to
-d(j) / 4 (binomials are 0 outside their range):
+Each block is one identity in three tails of binomial row N = x + r + z,
+U(n, f) = sum_{i >= f} C(n, i), so that U(n, 0) = 2^n and U(n, f) = 0 for
+f > n:
 
-  d(j) = (C(a + b, j) + sa C(b, j - a) + sb C(a, j - b)) 2^(a + b - j)
-         + [j = a + b] sa sb,
+  2 block(x, r, z) = C(x + z, x) U(N, r) + C(x + r, x) U(N, z + 1)
+                       + C(z + r, z) U(N, x).
 
-where sa = 1 when the row k = a is in the sum and sa = -1 when the cap
-leaves it out (sb likewise for the column l = b). With n = a + b, each of
-the three diagonal binomials turns the sum over j into one partial sum
+It comes from splitting the completions by the rows that are fully
+labeled when the right junction is: the middle row; else the bottom row;
+else only the top row. Each part is a double sum over the labeled
+vertices of the two partial rows, and Vandermonde's identity collapses it
+to binomials times partial sums S(f, n) = sum_{j=0}^{n} C(f + j, j)
+2^(n - j). Added up, six of the nine partial sums cancel in pairs. The
+other three have f + n = N, and S(f, n) = U(N + 1, f + 1), since f + 1
+heads come before n + 1 tails in fair coin tosses exactly when N + 1
+tosses show at least f + 1 heads; with the binomial C(N, f) each part
+still carries, U(N + 1, f + 1) +- C(N, f) is twice a tail of row N. The
+double sums, their collapse and its Horner evaluation are kept in the
+tests as references, and the tests check the identity against them.
 
-  S(f, n) = sum_{j=0}^{n} C(f + j, j) 2^(n - j),
+The block after it in a q-sum, one vertex smaller, asks for tails one row
+up, at the same f or at f + 1:
 
-the coefficient of t^n in 1 / ((1 - t)^(f + 1) (1 - 2t)), and the row sum
-is a quarter of
+  U(n, f) = (U(n + 1, f) - C(n, f - 1)) / 2 = (U(n + 1, f + 1) + C(n, f)) / 2
 
-  C(n, a) S(full, n) + sa C(full + a, a) S(full + a, b)
-    + sb C(full + b, b) S(full + b, a) + sa sb C(n, a) C(full + n, n).
-
-Every S a block (x, r, z) asks for has f + n = x + r + z, and the block
-after it in a q-sum, one vertex smaller, asks for partial sums one step
-below those in f or in n:
-
-  S(f, n) = (S(f + 1, n) + C(f + n + 1, n)) / 2
-          = (S(f, n + 1) - C(f + n + 1, n + 1)) / 2.
-
-So _partial_sum keeps every S for the process, as _block keeps its
-blocks, and steps from a kept neighbour by one binomial and one shift.
-With none kept it sums the shorter side: S(f, n) / 2^(f + n + 1) is the
-chance that f + 1 heads come before n + 1 tails in fair coin tosses, so
-S(f, n) + S(n, f) = 2^(f + n + 1), and min(f, n) small steps suffice.
-That power of two comes first, so a single part past sys.maxsize raises
-OverflowError at once. A row sum is four binomials, at most three
-partial-sum steps and one division by 4 through bigmath.exact_div, which
-raises if the identity ever leaves a remainder, and count_two_cycles
-costs O(a) of them. The double sum, its Vandermonde collapse over whole
-factorials and its Horner evaluation are kept in the tests as references.
+with C(n, -1) = 0. So _tail keeps every tail for the process, as _block
+keeps its blocks, and steps from a kept neighbour by one binomial and one
+shift. With none kept it sums the shorter side of the row, using
+U(n, f) + U(n, n + 1 - f) = 2^n: 2^n less the binomials below f or below
+n + 1 - f, whichever are fewer. The power of two comes first, so a row
+past sys.maxsize raises OverflowError at once. A block is three binomials, at
+most three tail steps and one division by 2 through bigmath.exact_div,
+which raises if the identity ever leaves a remainder, and count_two_cycles
+costs O(a) blocks.
 
 Multinomials go through bigmath.multinomial, which raises on a negative
-part rather than clamping to zero, and a row sum raises on a negative row
-or a cap outside its two legal values, so a malformed term cannot
-silently vanish. Empty sums are 0 (for a_i = 2 several inner ranges are
-empty by design).
+part rather than clamping to zero, and a block raises on a negative row,
+so a malformed term cannot silently vanish. Empty sums are 0 (for a_i = 2
+several inner ranges are empty by design).
 """
 
 from __future__ import annotations
@@ -110,53 +102,41 @@ def _check(a1: int, a2: int, a3: int) -> None:
         raise ValueError("parameter out of range: path lengths must all be >= 2")
 
 
-# S(f, n) by (f, n), every partial sum computed in this process
-_SUMS: dict[tuple[int, int], int] = {}
+# U(n, f) by (n, f), every binomial tail computed in this process
+_TAILS: dict[tuple[int, int], int] = {}
 
 
-def _partial_sum(f: int, n: int) -> int:
-    """S(f, n) = sum_{j=0}^{n} C(f + j, j) 2^(n - j), stepped from a kept
-    S(f + 1, n) or S(f, n + 1) when there is one."""
-    s = _SUMS.get((f, n))
+def _tail(n: int, f: int) -> int:
+    """U(n, f) = sum_{i >= f} C(n, i) for 0 <= f <= n + 1, stepped from a
+    kept U(n + 1, f) or U(n + 1, f + 1) when there is one."""
+    s = _TAILS.get((n, f))
     if s is not None:
         return s
-    if (f + 1, n) in _SUMS:
-        s = (_SUMS[f + 1, n] + math.comb(f + n + 1, n)) >> 1
-    elif (f, n + 1) in _SUMS:
-        s = (_SUMS[f, n + 1] - math.comb(f + n + 1, f)) >> 1
-    elif f < n:  # S(f, n) + S(n, f) = 2^(f + n + 1)
-        s = (2 << (f + n)) - _partial_sum(n, f)
+    if (n + 1, f) in _TAILS:
+        s = (_TAILS[n + 1, f] - (math.comb(n, f - 1) if f else 0)) >> 1
+    elif (n + 1, f + 1) in _TAILS:
+        s = (_TAILS[n + 1, f + 1] + math.comb(n, f)) >> 1
+    elif 2 * f > n + 1:  # U(n, f) + U(n, n + 1 - f) = 2^n
+        s = (1 << n) - _tail(n, n + 1 - f)
     else:
-        s = c = 1
-        for j in range(1, n + 1):  # S(f, j) from S(f, j - 1)
-            c = c * (f + j) // j
-            s = 2 * s + c
-    _SUMS[f, n] = s
+        s, c = 1 << n, 1
+        for i in range(f):  # c = C(n, i)
+            s -= c
+            c = c * (n - i) // (i + 1)
+    _TAILS[n, f] = s
     return s
-
-
-def _rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
-    """Completions in which, when the right junction is labeled, one row of
-    `full` vertices is labeled and k < a_cap of row a and l < b_cap of row
-    b are, each row from its left end; the rest of rows a and b then fill
-    in from both ends. a_cap is a or a + 1, b_cap is b or b + 1."""
-    if min(full, a, b) < 0 or a_cap - a not in (0, 1) or b_cap - b not in (0, 1):
-        raise ValueError(f"malformed two-cycle term: rows({full}, {a}, {b}) with caps ({a_cap}, {b_cap})")
-    n = a + b
-    sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
-    total = math.comb(n, a) * (_partial_sum(full, n) + sa * sb * math.comb(full + n, n))
-    total += sa * math.comb(full + a, a) * _partial_sum(full + a, b)
-    total += sb * math.comb(full + b, b) * _partial_sum(full + b, a)
-    return exact_div(total, 4, "two-cycle row sum")
 
 
 @cache
 def _block(x: int, r: int, z: int) -> int:
     """Ways to finish a labeling once the left junction is labeled and x
-    top-row, r middle-interior and z bottom-row vertices are not, split by
-    the rows that are fully labeled when the right junction is: the middle
-    row; else the bottom row; else only the top row."""
-    return _rows(r, x, z, x + 1, z + 1) + _rows(z, x, r, x + 1, r) + _rows(x, z, r, z, r)
+    top-row, r middle-interior and z bottom-row vertices are not."""
+    if min(x, r, z) < 0:
+        raise ValueError(f"malformed two-cycle term: block({x}, {r}, {z})")
+    n = x + r + z
+    total = math.comb(x + z, x) * _tail(n, r) + math.comb(x + r, x) * _tail(n, z + 1)
+    total += math.comb(z + r, z) * _tail(n, x)
+    return exact_div(total, 2, "two-cycle block")
 
 
 def term_A(a1: int, a2: int, a3: int) -> int:

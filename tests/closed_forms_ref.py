@@ -1,13 +1,14 @@
 """Closed forms in the shape they were first written: the references the
 fast evaluations in src/ are checked against.
 
-- rows: the two-cycle row sum as the double sum over k and l that
-  twocycles._rows collapses by Vandermonde's identity.
+- rows: a two-cycle row sum as the double sum over k and l, the labeled
+  vertices of the two partial rows, that Vandermonde's identity collapses.
 - rows_vandermonde: that collapsed sum as it was first evaluated, one term
   of whole factorials and math.comb binomials per diagonal.
 - rows_horner: the same sum by Horner's rule in a + b + 1 small-factor
-  steps, which twocycles._rows now evaluates as four partial sums S(f, n)
-  stepped from one row to the next.
+  steps.
+- block_rows: twocycles._block as the three row sums it splits into,
+  which twocycles._block adds up in closed form as three binomial tails.
 - count_comb: the comb total through exact rationals, one Fraction per
   summand, that combs.count_comb evaluates over one common denominator.
 - A_term: the comb block count per start tooth and cut, whose weighted sum
@@ -23,8 +24,8 @@ from fractions import Fraction
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 from walklabel.combs import _check_mnk, t_spine
 
-__all__ = ["A_term", "a_closed", "b_closed", "count_comb", "count_torus", "rows", "rows_horner",
-           "rows_vandermonde"]
+__all__ = ["A_term", "a_closed", "b_closed", "block_rows", "count_comb", "count_torus", "rows",
+           "rows_horner", "rows_vandermonde"]
 
 
 def _ends(p: int) -> int:
@@ -34,7 +35,10 @@ def _ends(p: int) -> int:
 
 
 def rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
-    """twocycles._rows by its double sum over k < a_cap and l < b_cap."""
+    """Completions in which, when the right junction is labeled, one row of
+    `full` vertices is labeled and k < a_cap of row a and l < b_cap of row
+    b are, each row from its left end; the rest of rows a and b then fill
+    in from both ends. a_cap is a or a + 1, b_cap is b or b + 1."""
     return sum(
         multinomial((full, k, l)) * multinomial((a - k, b - l)) * _ends(a - k) * _ends(b - l)
         for k in range(a_cap)
@@ -43,8 +47,11 @@ def rows(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
 
 
 def rows_vandermonde(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
-    """twocycles._rows by one sum of a + b + 1 integer terms over whole
-    factorials and one division by 4 full! a! b!."""
+    """rows by one sum of a + b + 1 integer terms over whole factorials and
+    one division by 4 full! a! b!. Vandermonde's identity sums the double
+    sum along each diagonal k + l = j to a bracket of three binomials;
+    sa = 1 when the row k = a is in the sum and -1 when the cap leaves it
+    out, sb likewise for the column l = b."""
     n = a + b
     sa, sb = 2 * (a_cap - a) - 1, 2 * (b_cap - b) - 1
     total = sa * sb * factorial(full + n)
@@ -74,6 +81,13 @@ def rows_horner(full: int, a: int, b: int, a_cap: int, b_cap: int) -> int:
         d *= 2 * step
         horner = (c_n + sa * c_b + sb * c_a) * d + (full + j) * horner
     return exact_div(horner, 4 * factorial(a) * factorial(b), "two-cycle row sum")
+
+
+def block_rows(x: int, r: int, z: int, rows=rows) -> int:
+    """twocycles._block split by the rows fully labeled when the right
+    junction is: the middle row; else the bottom row; else only the top
+    row. `rows` is any of the three row-sum forms above."""
+    return rows(r, x, z, x + 1, z + 1) + rows(z, x, r, x + 1, r) + rows(x, z, r, z, r)
 
 
 def count_comb(m: int, n: int, k: int) -> int:

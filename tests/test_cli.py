@@ -68,10 +68,12 @@ def test_recursion_limit_exits_cleanly(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "torus", "--n", "100000000000000000000"],
     ["count", "comb", "--m", "100000000000000000000", "--n", "2", "--k", "1"],
-    # the comb Horner loop and the two-cycle q-sums would each run about
-    # 10^20 times; a factorial or a power of two taken before them overflows
+    # the comb Horner loop, the two-cycle q-sums and a directly summed
+    # binomial tail would each run about 10^20 times; a factorial or a power
+    # of two taken before them overflows
     ["count", "comb", "--m", "2", "--n", "100000000000000000000", "--k", "1"],
     ["count", "twocycles", "--a1", "100000000000000000000", "--a2", "2", "--a3", "2"],
+    ["count", "twocycles", "--a1", "100000000000000000000", "--a2", "1000000000000000000000", "--a3", "2"],
 ])
 def test_integer_overflow_exits_cleanly(capsys, argv):
     started = time.perf_counter()
