@@ -76,10 +76,10 @@ keeps its blocks, and steps from a kept neighbour by one binomial and one
 shift. With none kept it sums the shorter side of the row, using
 U(n, f) + U(n, n + 1 - f) = 2^n: 2^n less the binomials below f or below
 n + 1 - f, whichever are fewer. The power of two comes first, so a row
-past sys.maxsize raises OverflowError at once. A block is three binomials, at
-most three tail steps and one division by 2 through bigmath.exact_div,
-which raises if the identity ever leaves a remainder, and count_two_cycles
-costs O(a) blocks.
+past sys.maxsize raises OverflowError at once. A block is three
+binomials, at most three tail steps and one division by 2 through
+bigmath.exact_div, which raises if the identity ever leaves a remainder,
+and count_two_cycles costs O(a) blocks.
 
 Multinomials go through bigmath.multinomial, which raises on a negative
 part rather than clamping to zero, and a block raises on a negative row,
@@ -134,8 +134,8 @@ def _block(x: int, r: int, z: int) -> int:
     if min(x, r, z) < 0:
         raise ValueError(f"malformed two-cycle term: block({x}, {r}, {z})")
     n = x + r + z
-    total = math.comb(x + z, x) * _tail(n, r) + math.comb(x + r, x) * _tail(n, z + 1)
-    total += math.comb(z + r, z) * _tail(n, x)
+    total = (math.comb(x + z, x) * _tail(n, r) + math.comb(x + r, x) * _tail(n, z + 1)
+             + math.comb(z + r, z) * _tail(n, x))
     return exact_div(total, 2, "two-cycle block")
 
 
