@@ -337,17 +337,15 @@ def run(argv: list[str] | None = None) -> CommandResult:
     try:
         return CommandResult(*args.handler(args))
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(1, "")
+        message = str(exc)
     except RecursionError:
-        print("error: instance too large: recursion limit exceeded", file=sys.stderr)
-        return CommandResult(1, "")
+        message = "instance too large: recursion limit exceeded"
     except MemoryError:
-        print("error: instance too large: out of memory", file=sys.stderr)
-        return CommandResult(1, "")
+        message = "instance too large: out of memory"
     except OverflowError as exc:
-        print(f"error: instance too large: {exc}", file=sys.stderr)
-        return CommandResult(1, "")
+        message = f"instance too large: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return CommandResult(1, "")
 
 
 def main() -> int:

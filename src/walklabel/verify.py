@@ -11,16 +11,17 @@ an optional callback so the CLI can stream it to stderr and tests can keep
 it silent.
 
 Two families come in mirror pairs, and the oracle searches one graph of
-each pair. Swapping rows 1 and 3 carries S(a1, a2, a3) onto S(a3, a2, a1)
-and fixes both junctions, so S(a3, a2, a1) with a1 > a3 reads its total
-and its constrained counts from those of S(a1, a2, a3), its start (1, s)
-from (3, s) and (3, s) from (1, s). Reversing every tooth carries
-C(m, n, k) onto C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1), so a
-comb with k > n - k + 1 reads both its oracle counts from its mirror. Each
-answer is kept in a dict local to the call until its mirror reads it, and
-so is every closed form the pair evaluates at the same arguments
-(count_two_cycles and term_C at (a1, a2, a3) and (a3, a2, a1), count_comb at
-k and n - k + 1), which is thus evaluated once per pair.
+each pair, its canonical member. Swapping rows 1 and 3 carries
+S(a1, a2, a3) onto S(a3, a2, a1) and fixes both junctions, so S(a1, a2, a3)
+reads its total and its constrained counts from S(min(a1, a3), a2,
+max(a1, a3)), with rows 1 and 3 swapped when a1 > a3. Reversing every tooth
+carries C(m, n, k) onto C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1),
+so a comb reads both its oracle counts from C(m, n, min(k, n - k + 1)).
+The search is a function defined in each call and wrapped in
+functools.cache, so its answers live until the call returns.
+count_two_cycles, term_C and count_comb go through functools.cache
+wrappers of the module functions, made at the start of each call, so each
+is evaluated once per argument in a call and a monkeypatch is still seen.
 Counts are invariant under isomorphism, so every check keeps its expected
 and actual values, and the checks, their order and the report are those
 of one search per instance.
@@ -45,6 +46,7 @@ one start, so its total is the sum of the batch.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from . import combs, oracle, torus, trees, twocycles
 from .bigmath import to_decimal
@@ -120,32 +122,27 @@ _LEMMA_MAX_M, _LEMMA_MAX_N = 8, 6
 
 def verify_combs(max_mn: int = 16, progress=None) -> list[Check]:
     out: list[Check] = []
-    searched: dict = {}  # a k < n - k + 1 comb's answers, until its mirror reads them
+    count_comb = cache(combs.count_comb)
+
+    @cache
+    def searched(m, n, k):
+        g = comb(m, n, k)
+        return oracle.count_labelings(g), oracle.count_labelings_from(g, vertex_at(g, (1, k)))
+
     for m in range(1, max_mn // 2 + 1):
         for n in range(2, max_mn // m + 1):
             if progress:
                 progress(f"combs (m={m}, n={n})")
             for k in range(1, n + 1):
                 inst = f"(m={m}, n={n}, k={k})"
-                mirror = n - k + 1
-                if k > mirror:
-                    labelings, from_spine, closed, mirrored = searched.pop((m, n, k))
-                else:
-                    g = comb(m, n, k)
-                    labelings = oracle.count_labelings(g)
-                    from_spine = oracle.count_labelings_from(g, vertex_at(g, (1, k)))
-                    closed = combs.count_comb(m, n, k)
-                    mirrored = closed if k == mirror else combs.count_comb(m, n, mirror)
-                    if k < mirror:
-                        # reversing every tooth carries C(m, n, k) onto
-                        # C(m, n, n - k + 1) and (1, k) onto (1, n - k + 1)
-                        searched[m, n, mirror] = labelings, from_spine, mirrored, closed
+                labelings, from_spine = searched(m, n, min(k, n - k + 1))
+                closed = count_comb(m, n, k)
                 _check(out, "comb", inst, "count_comb == oracle", labelings, closed)
                 _check(out, "comb", inst, "count_comb == sum of count_from_vertex",
                        sum(combs.count_from_vertex(m, n, k, j, s)
                            for j in range(1, m + 1) for s in range(1, n + 1)),
                        closed)
-                _check(out, "comb", inst, "count_comb mirror symmetry", mirrored, closed)
+                _check(out, "comb", inst, "count_comb mirror symmetry", count_comb(m, n, n - k + 1), closed)
                 _check(out, "comb", inst, "t_spine == oracle from (1, k)",
                        from_spine, combs.t_spine(m, n, k))
     for m in range(0, _LEMMA_MAX_M + 1):
@@ -209,7 +206,26 @@ def verify_torus(max_n: int = 12, max_oracle_n: int = 8, progress=None) -> list[
 
 def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: int = 12, progress=None) -> list[Check]:
     out: list[Check] = []
-    searched: dict = {}  # an a1 < a3 graph's answers, until its mirror reads them
+    count_two_cycles = cache(twocycles.count_two_cycles)
+    term_c = cache(twocycles.term_C)
+
+    @cache
+    def searched(a1, a2, a3):
+        # the total and the left-first batch of S(a1, a2, a3), a1 <= a3
+        g = two_cycles(a1, a2, a3)
+        if a1 + a2 + a3 > max_lemma_total:
+            return oracle.count_labelings(g), None
+        left = vertex_at(g, "left_junction")
+        right = vertex_at(g, "right_junction")
+        # (2, 1) is the left junction, and a source holding it gets its plain count: term_A
+        starts = [(2, s) for s in range(1, a2)]
+        starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
+        constrained = dict(zip(starts, oracle.count_completions_each(
+            g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
+        # every start but the right junction, whose count is 0;
+        # the reflection that swaps the junctions doubles the sum
+        return 2 * sum(constrained.values()), constrained
+
     for a1 in range(2, max_part + 1):
         for a2 in range(2, max_part + 1):
             for a3 in range(2, max_part + 1):
@@ -219,39 +235,16 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                 inst = f"({a1}, {a2}, {a3})"
                 if progress and a3 == 2:
                     progress(f"twocycles ({a1}, {a2}, *)")
-                if a1 > a3:
-                    labelings, constrained, count, mirrored, term_c, swapped_c = searched.pop((a1, a2, a3))
-                else:
-                    g = two_cycles(a1, a2, a3)
-                    constrained = term_c = swapped_c = None
-                    count = twocycles.count_two_cycles(a1, a2, a3)
-                    mirrored = count if a1 == a3 else twocycles.count_two_cycles(a3, a2, a1)
-                    if total <= max_lemma_total:
-                        left = vertex_at(g, "left_junction")
-                        right = vertex_at(g, "right_junction")
-                        # (2, 1) is the left junction, and a source holding it gets its plain count: term_A
-                        starts = [(2, s) for s in range(1, a2)]
-                        starts += [(row, s) for row, a in ((1, a1), (3, a3)) for s in range(1, a + 1)]
-                        constrained = dict(zip(starts, oracle.count_completions_each(
-                            g, [[vertex_at(g, start)] for start in starts], before=(left, right))))
-                        # every start but the right junction, whose count is 0;
-                        # the reflection that swaps the junctions doubles the sum
-                        labelings = 2 * sum(constrained.values())
-                        # the term_C of the top-row starts and the swapped term_C of the bottom-row ones
-                        term_c = [twocycles.term_C(a1, a2, a3, s) for s in range(1, a1 + 1)]
-                        swapped_c = term_c if a1 == a3 else [twocycles.term_C(a3, a2, a1, s) for s in range(1, a3 + 1)]
-                    else:
-                        labelings = oracle.count_labelings(g)
-                    if a1 < a3:
-                        # the row swap (1, s) <-> (3, s) carries S(a1, a2, a3)
-                        # onto S(a3, a2, a1) and fixes both junctions; the
-                        # closed forms there take a1 and a3 swapped
-                        rows_swapped = constrained and {(4 - row, s): c for (row, s), c in constrained.items()}
-                        searched[a3, a2, a1] = labelings, rows_swapped, mirrored, count, swapped_c, term_c
+                labelings, constrained = searched(min(a1, a3), a2, max(a1, a3))
+                count = count_two_cycles(a1, a2, a3)
                 _check(out, "twocycles", inst, "count_two_cycles == oracle", labelings, count)
-                _check(out, "twocycles", inst, "a1 <-> a3 symmetry", mirrored, count)
+                _check(out, "twocycles", inst, "a1 <-> a3 symmetry", count_two_cycles(a3, a2, a1), count)
                 if total > max_lemma_total:
                     continue
+                if a1 > a3:
+                    # the row swap (1, s) <-> (3, s) carries S(a3, a2, a1)
+                    # onto S(a1, a2, a3) and fixes both junctions
+                    constrained = {(4 - row, s): c for (row, s), c in constrained.items()}
                 _check(out, "twocycles", inst, "term_A == oracle from left junction",
                        constrained[2, 1], twocycles.term_A(a1, a2, a3))
                 for s in range(2, a2):
@@ -259,10 +252,10 @@ def verify_twocycles(max_total: int = 16, max_part: int = 8, max_lemma_total: in
                            constrained[2, s], twocycles.term_B(a1, a2, a3, s))
                 for s in range(1, a1 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "term_C == constrained oracle",
-                           constrained[1, s], term_c[s - 1])
+                           constrained[1, s], term_c(a1, a2, a3, s))
                 for s in range(1, a3 + 1):
                     _check(out, "twocycles", f"{inst} s={s}", "swapped term_C == constrained oracle",
-                           constrained[3, s], swapped_c[s - 1])
+                           constrained[3, s], term_c(a3, a2, a1, s))
     return out
 
 

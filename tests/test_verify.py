@@ -8,7 +8,7 @@ from collections import Counter
 import verify_ref
 
 from walklabel import combs, oracle, twocycles, verify
-from walklabel.graphs import perfect_tree, torus, tree_minus_child
+from walklabel.graphs import comb, perfect_tree, torus, tree_minus_child, two_cycles
 from walklabel.verify import Check
 
 # small grids that hold mirror pairs, self-mirrored instances (a1 == a3,
@@ -84,23 +84,34 @@ def _per_kind(searches):
     return totals, len(searches) - totals
 
 
+def _first_encounters(adjacencies):
+    """The distinct adjacencies in the order they first occur."""
+    return list(dict.fromkeys(adjacencies))
+
+
 def test_verify_searches_each_mirror_class_once_per_call(monkeypatch):
     grid = TWOCYCLES_GRID
-    classes = {(min(a1, a3), a2, max(a1, a3))
-               for a1 in range(2, grid["max_part"] + 1) for a2 in range(2, grid["max_part"] + 1)
-               for a3 in range(2, grid["max_part"] + 1) if a1 + a2 + a3 <= grid["max_total"]}
+    instances = [(a1, a2, a3) for a1 in range(2, grid["max_part"] + 1) for a2 in range(2, grid["max_part"] + 1)
+                 for a3 in range(2, grid["max_part"] + 1) if a1 + a2 + a3 <= grid["max_total"]]
+    classes = {(min(a1, a3), a2, max(a1, a3)) for a1, a2, a3 in instances}
     lemma = [c for c in classes if sum(c) <= grid["max_lemma_total"]]
     first = _searches(monkeypatch, verify.verify_twocycles, grid)
     # a class within max_lemma_total takes its total from its batch
     assert _per_kind(first) == (len(classes) - len(lemma), len(lemma))
+    # each class is searched at its canonical member, a1 <= a3
+    assert _first_encounters(adj for adj, _ in first) == _first_encounters(
+        two_cycles(*i).adj for i in instances if i[0] <= i[2])
     # a second call searches again: no answer outlives the call
     assert _searches(monkeypatch, verify.verify_twocycles, grid) == first
 
-    classes = {(m, n, min(k, n - k + 1))
-               for m in range(1, COMBS_GRID["max_mn"] // 2 + 1)
-               for n in range(2, COMBS_GRID["max_mn"] // m + 1) for k in range(1, n + 1)}
+    instances = [(m, n, k) for m in range(1, COMBS_GRID["max_mn"] // 2 + 1)
+                 for n in range(2, COMBS_GRID["max_mn"] // m + 1) for k in range(1, n + 1)]
+    classes = {(m, n, min(k, n - k + 1)) for m, n, k in instances}
     first = _searches(monkeypatch, verify.verify_combs, COMBS_GRID)
     assert _per_kind(first) == (len(classes), len(classes))
+    # k <= n - k + 1; a single tooth (m = 1) is the same path for every k
+    assert _first_encounters(adj for adj, _ in first) == _first_encounters(
+        comb(*i).adj for i in instances if i[2] <= i[1] - i[2] + 1)
     assert _searches(monkeypatch, verify.verify_combs, COMBS_GRID) == first
 
 
@@ -137,6 +148,9 @@ def test_each_closed_form_is_evaluated_once_per_argument(monkeypatch):
                 calls[_name, args] += 1
                 return _function(*args)
             monkeypatch.setattr(module, name, recording)
+        # two calls under one recorder: a cache that outlives a call
+        # would skip the second call's evaluations
+        verify_family(**grid)
         verify_family(**grid)
         monkeypatch.undo()
         return calls
@@ -149,7 +163,7 @@ def test_each_closed_form_is_evaluated_once_per_argument(monkeypatch):
                         for s in range(1, i[0] + 1))
     calls = arguments(verify.verify_twocycles, grid,
                       [(twocycles, "count_two_cycles"), (twocycles, "term_C")])
-    assert calls == expected
+    assert calls == expected + expected
 
     instances = [(m, n, k) for m in range(1, COMBS_GRID["max_mn"] // 2 + 1)
                  for n in range(2, COMBS_GRID["max_mn"] // m + 1) for k in range(1, n + 1)]
@@ -157,4 +171,4 @@ def test_each_closed_form_is_evaluated_once_per_argument(monkeypatch):
     # at (2, 2, 1) and (2, 3, 2) inside their own checks
     expected = Counter(("count_comb", i) for i in instances) + Counter(
         {("count_comb", (2, 2, 1)): 1, ("count_comb", (2, 3, 2)): 1})
-    assert arguments(verify.verify_combs, COMBS_GRID, [(combs, "count_comb")]) == expected
+    assert arguments(verify.verify_combs, COMBS_GRID, [(combs, "count_comb")]) == expected + expected
