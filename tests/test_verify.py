@@ -1,7 +1,8 @@
 """verify's comb and two-cycle loops against their one-search-per-instance
 references in verify_ref.py: the same checks, progress lines and failures,
-from one oracle search per mirror pair and one evaluation per closed-form
-argument; and the oracle queries of its torus and tree loops."""
+from one oracle search per mirror pair, made at its canonical member, and
+one evaluation per closed-form argument in each call; and the oracle
+queries of its torus and tree loops."""
 
 from collections import Counter
 
