@@ -1,11 +1,12 @@
 """Time the CLI on a size ladder per family, one fresh interpreter per
 point.
 
-    python scripts/ladder.py [--out PATH] [--repeat N] [NAME ...]
+    python scripts/ladder.py [--out PATH] [--repeat N] [--root DIR] [NAME ...]
 
 The points are `walklabel count` on two-cycles (20,20,20), (40,40,40),
 (80,80,80), (300,300,300) and (600,600,600), perfect trees (h, m) =
-(12,2), (14,2) and (16,2), combs (m, n, k) = (80,80,40) and (200,200,100),
+(12,2), (14,2) and (16,2), combs (m, n, k) = (80,80,40), (200,200,100)
+and (500,500,250),
 the torus n = 2000 and 100000, `walklabel series` at degrees 45, 80 and
 100 (the CLI's top degree), and `walklabel --quiet verify --family all`
 at its default grids (verifyall).
@@ -26,7 +27,10 @@ perfbench's worker.calibrate() just before and just after its point, and
 repeat's mean calibration time, as perfbench scales its passes, so that
 batches run while the host is slower can be compared. The script exits 1
 if the repeats of a point differ in anything but time and memory (its
-sha256, say).
+sha256, say). --root DIR times the walklabel of another checkout (default
+this one): the children import it from DIR/src and the --out file records
+DIR's commit, while the points and the calibration stay this script's, so
+two checkouts are timed on the same points and scaled by the same code.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ POINTS = {
     **{f"tree{h}": ["count", "tree", "--h", str(h), "--m", "2"] for h in (12, 14, 16)},
     "comb80": ["count", "comb", "--m", "80", "--n", "80", "--k", "40"],
     "comb200": ["count", "comb", "--m", "200", "--n", "200", "--k", "100"],
+    "comb500": ["count", "comb", "--m", "500", "--n", "500", "--k", "250"],
     **{f"torus{n}": ["count", "torus", "--n", str(n)] for n in (2000, 100000)},
     **{f"series{d}": ["series", "--degree", str(d)] for d in (45, 80, 100)},
     "verifyall": ["--quiet", "verify", "--family", "all"],
@@ -79,9 +84,9 @@ def run_one(name: str) -> dict:
     }
 
 
-def environment() -> dict:
+def environment(root: Path = ROOT) -> dict:
     try:
-        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                                 text=True).stdout.strip() or None
     except OSError:
         commit = None
@@ -96,10 +101,12 @@ def _perfbench(module: str):
     return importlib.import_module(module)
 
 
-def _child(script, name: str, noun: str, calibrate: bool) -> dict:
+def _child(script, name: str, noun: str, calibrate: bool, root: str | None = None) -> dict:
     """The record of one entry, run as `--one NAME` in a fresh interpreter,
-    with `--calibrate` when the record should carry calibration times."""
-    argv = [sys.executable, script.__file__, "--one", name] + ["--calibrate"] * calibrate
+    with `--root DIR` when it times another checkout and `--calibrate` when
+    the record should carry calibration times."""
+    argv = [sys.executable, script.__file__, "--one", name]
+    argv += ["--root", root] * (root is not None) + ["--calibrate"] * calibrate
     child = subprocess.run(argv, capture_output=True, text=True)
     if child.returncode:
         return {noun: name, "error": f"exit {child.returncode}: {child.stderr.strip()[-200:]}"}
@@ -136,6 +143,9 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     scripts/sweep24.py runs its graphs through this too. Records and the
     --out file name the entries by noun: "point" and "points"."""
     if argv[:1] == ["--one"]:
+        if argv[2:3] == ["--root"]:  # run_one imports walklabel only after this
+            sys.path.insert(0, str(Path(argv[3]) / "src"))
+            argv = argv[:2] + argv[4:]
         if argv[2:] == ["--calibrate"]:
             calibrate = _perfbench("worker").calibrate
             calibrate()  # the first call in a fresh interpreter runs cold
@@ -152,8 +162,12 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help=f"run each {noun} in N fresh interpreters and record the median and quartiles "
                              "of its seconds")
+    if one is run_one:  # scripts/sweep24.py imports walklabel before it parses
+        parser.add_argument("--root", metavar="DIR",
+                            help="time the walklabel of the checkout at DIR (default this one)")
     parser.add_argument("names", nargs="*", metavar="NAME", help=f"{noun}s to run (default all): {', '.join(table)}")
     args = parser.parse_args(argv)
+    root = getattr(args, "root", None)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     names = args.names or list(table)
@@ -164,7 +178,7 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     records = []
     status = 0
     for name in names:
-        runs = [_child(script, name, noun, args.repeat > 1) for _ in range(args.repeat)]
+        runs = [_child(script, name, noun, args.repeat > 1, root) for _ in range(args.repeat)]
         record, agree = _repeated(runs) if args.repeat > 1 else (runs[0], True)
         if not agree:
             print(f"{noun} {name!r}: the output differs between repeats", file=sys.stderr)
@@ -173,7 +187,7 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
         print(json.dumps(record), flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"environment": environment(), f"{noun}s": records}, fh, indent=1)
+            json.dump({"environment": environment(Path(root or ROOT)), f"{noun}s": records}, fh, indent=1)
             fh.write("\n")
     return status
 

@@ -5,13 +5,17 @@ ever a rational: a closed form whose integrality rests on the formula
 divides through exact_div, which raises instead of flooring when the
 division leaves a remainder. Divisions that are exact by structure (geometric
 sums) keep a plain //. to_decimal converts values of any length without
-touching the interpreter's int/str digit limit.
+touching the interpreter's int/str digit limit: it splits a value at 10^k
+into halves, dividing by 5^k after a shift, since 10^k = 5^k 2^k and the
+2^k part is a shift and a mask, so each big division takes a divisor
+about 30% shorter than 10^k.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 
 __all__ = [
     "binomial",
@@ -41,7 +45,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def multinomial(parts: list[int] | tuple[int, ...]) -> int:
+def multinomial(parts: Iterable[int]) -> int:
     """Multinomial coefficient (sum(parts))! / prod(part!).
 
     Unlike binomial there is no zero convention: a negative part raises,
@@ -89,11 +93,17 @@ _SAFE_BITS = int(_SAFE_DIGITS / math.log10(2)) - 1  # at most _SAFE_DIGITS digit
 
 def _digits(n: int, width: int = 0) -> str:
     """Decimal digits of n >= 0, zero-padded to width: split at a power of
-    ten into halves, down to pieces short enough for str()."""
+    ten into halves, down to pieces short enough for str().
+
+    The split n = high 10^k + low divides by 5^k, not 10^k: with
+    (high, r) = divmod(n >> k, 5^k), n = (high 5^k + r) 2^k + (n mod 2^k),
+    so low = r 2^k + (n mod 2^k) < 5^k 2^k. The quadratic division then
+    takes a divisor of 2.32k bits instead of 3.32k."""
     if n.bit_length() <= _SAFE_BITS:
         return str(n).zfill(width)
     k = int(n.bit_length() * math.log10(2)) // 2
-    high, low = divmod(n, 10**k)
+    high, r = divmod(n >> k, 5**k)
+    low = (r << k) | (n & ((1 << k) - 1))
     return _digits(high, width - k) + _digits(low, k)
 
 

@@ -10,8 +10,10 @@ gives the labelings from any start (j, s) as one product: two spine
 factors, a multinomial and C(mn - 1, s - 1), the weighted sum of per-cut
 blocks over the cuts collapsed by Vandermonde's identity (the tests keep
 that block sum as a reference). count_comb is the fully summed closed
-form and the fast path: its factorials first, then a Horner sum of O(n)
-small terms and one bigmath.exact_div, which raises instead of flooring if
+form and the fast path: a multinomial and a falling factorial first, then
+a Horner sum of O(n) small terms and one bigmath.exact_div by
+n^(m-1) perm(mn-1, Y-1), a divisor of about (m + Y) log2(mn) bits rather
+than a factorial denominator; the division raises instead of flooring if
 the formula leaves a remainder. count_from_vertex, t_spine and
 lemma_pac_check are the paths verify checks it against; every quantity
 here stays an integer, and lemma_pac_check states its identity of
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
+from itertools import chain, repeat
 
 from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
 
@@ -93,15 +96,21 @@ def count_comb(m: int, n: int, k: int) -> int:
     Over the common denominator (n-k)! (k-1)! the bracket is
     sum_{y=1}^{Y} c_y (mn-y)! with Y = max(k, n-k+1), c_1 = 1 and small
     integer weights c_y, which Horner's rule sums as (mn-Y)! times a small
-    integer; the prefactor cancels to
-    2^(m-1) / ((m-1)! n^(m-1) ((k-1)! (n-k)!)^m)."""
+    integer H; the prefactor cancels to
+    2^(m-1) / ((m-1)! n^(m-1) ((k-1)! (n-k)!)^m). The parts m-1, m times
+    k-1 and m times n-k sum to mn-1, so (mn-1)! over (m-1)! ((k-1)! (n-k)!)^m
+    is a multinomial, and (mn-Y)! = (mn-1)! / perm(mn-1, Y-1): the total is
+    multinomial 2^(m-1) H over the short n^(m-1) perm(mn-1, Y-1)."""
     _check_mnk(m, n, k)
     mn = m * n
     last = max(k, n - k + 1)
-    # the factorials come before the loop, which runs max(k, n-k+1) times,
-    # so an n too large for math.factorial raises OverflowError at once
-    scale = factorial(mn - last) << (m - 1)
-    denominator = factorial(m - 1) * n ** (m - 1) * (factorial(k - 1) * factorial(n - k)) ** m
+    # the multinomial and the perm come before the loop, which runs
+    # max(k, n-k+1) times, so an n too large for math.comb raises
+    # OverflowError at once; the parts are repeated lazily, so a huge m
+    # raises in repeat() instead of allocating a list of 2m parts
+    parts = chain(repeat(k - 1, m), repeat(n - k, m), [m - 1])
+    scale = multinomial(parts) << (m - 1)
+    denominator = n ** (m - 1) * math.perm(mn - 1, last - 1)
     # falling factorials (k-1)!/(k-y)! and (n-k)!/(n-k+1-y)!, which turn 0
     # once y passes the end of their sum
     left = right = 1

@@ -1,6 +1,7 @@
 import decimal
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -151,3 +152,40 @@ def test_decimal_conversions_in_two_threads(digit_limit_4300):
     assert failures == []
     assert sys.get_int_max_str_digits() == 4300
 
+
+
+def _first_split(n: int) -> int:
+    """The exponent k at which to_decimal first splits n = high 10^k + low."""
+    return int(n.bit_length() * math.log10(2)) // 2
+
+
+def _split_shapes():
+    safe = bigmath._SAFE_BITS
+    for j in (bigmath._SAFE_DIGITS, bigmath._SAFE_DIGITS + 1, 9_000, 12_345):
+        yield from (10**j - 1, 10**j, 10**j + 1)
+    for b in (safe, safe + 1, 2 * safe + 3, 40_000):
+        yield 2**b - 1
+    for j, i in ((3_000, 10), (6_000, 3), (1_000, 20_000), (9_000, 9_000)):
+        yield 5**j << i
+    rng = random.Random(34)
+    for bits in (3 * safe, 40_000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        k = _first_split(n)
+        high = n // 10**k
+        # low halves with leading zeros: small, and r 2^k with r small
+        yield from (high * 10**k, high * 10**k + 7, high * 10**k + (3 << k))
+        yield from (high * 10**k + 10**k - 1, high * 10**k + 10**(k - 5) + 1)
+        # the low k bits all zero or all one
+        yield from ((n >> k) << k, n | ((1 << k) - 1))
+    lengths = [*range(safe - 2, safe + 3), *range(2 * safe - 2, 2 * safe + 3),
+               *range(4 * safe - 2, 4 * safe + 3), *range(safe + 1, 4 * safe, 1_999)]
+    for bits in lengths + [39_998, 40_000, 40_003]:
+        yield rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+def test_to_decimal_splits_every_shape_exactly():
+    # to_decimal splits at 10^k by dividing n >> k by 5^k and putting the
+    # low k bits back under the remainder; each shape that could lose or
+    # misplace those bits is compared with the decimal module's digits
+    for n in _split_shapes():
+        assert bigmath.to_decimal(n) == _decimal_text(n), n.bit_length()

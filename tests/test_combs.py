@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
 from closed_forms_ref import A_term, count_comb as count_comb_ref
 from walklabel import combs, oracle
-from walklabel.bigmath import binomial
+from walklabel.bigmath import binomial, multinomial
 from walklabel.graphs import comb, vertex_at
 
 
@@ -146,10 +144,17 @@ def test_count_comb_matches_the_rational_reference():
                 assert combs.count_comb(m, n, k) == count_comb_ref(m, n, k)
     for k in (1, 40, 80):
         assert combs.count_comb(80, 80, k) == count_comb_ref(80, 80, k)
+    # one tooth, where the multinomial's m-1 and every mirrored part but
+    # two are empty, and the shortest teeth with many copies
+    for k in range(1, 201):
+        assert combs.count_comb(1, 200, k) == count_comb_ref(1, 200, k)
+    for m in (100, 200):
+        for k in (1, 2):
+            assert combs.count_comb(m, 2, k) == count_comb_ref(m, 2, k)
 
 
 def test_count_comb_refuses_a_non_integral_value(monkeypatch):
-    # a corrupted factorial leaves a remainder, which must raise, not round
-    monkeypatch.setattr(combs, "factorial", lambda x: math.factorial(x) + 1)
+    # a corrupted multinomial leaves a remainder, which must raise, not round
+    monkeypatch.setattr(combs, "multinomial", lambda parts: multinomial(parts) + 1)
     with pytest.raises(ValueError, match=r"formula integrality violated: count_comb\(3, 4, 2\)"):
         combs.count_comb(3, 4, 2)

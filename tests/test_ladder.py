@@ -1,7 +1,10 @@
-"""scripts/ladder.py --repeat: how the runs of one point fold into one record."""
+"""scripts/ladder.py --repeat: how the runs of one point fold into one record;
+--root: which checkout a point times."""
 
+import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location("ladder", Path(__file__).resolve().parent.parent / "scripts" / "ladder.py")
@@ -59,3 +62,24 @@ def test_repeats_fold_a_sweep_batch_time_into_its_median():
     runs = [{**_run(s), "batch_seconds": b} for s, b in ((0.1, 0.9), (0.2, 0.5), (0.3, 0.7))]
     record, agree = ladder._repeated(runs)
     assert agree and record["batch_seconds"] == 0.7 and record["seconds"] == 0.2
+
+
+def test_a_root_times_the_walklabel_of_that_checkout(tmp_path, capsys, monkeypatch):
+    # a stub checkout whose cli echoes its argv: the child must import it,
+    # not this checkout's walklabel, and --out must not record this commit
+    monkeypatch.setitem(sys.modules, "ladder", ladder)  # main finds its script there
+    package = tmp_path / "src" / "walklabel"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("from types import SimpleNamespace\n\n\n"
+                                    "def run(argv):\n"
+                                    "    return SimpleNamespace(exit_code=0, stdout=' '.join(argv) + '\\n')\n")
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--root", str(tmp_path), "--out", str(out), "comb500"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    stdout = "count comb --m 500 --n 500 --k 250\n"
+    assert record["sha256"] == hashlib.sha256(stdout.encode()).hexdigest()
+    assert (record["exit"], record["digits"]) == (0, len(stdout.strip()))
+    written = json.loads(out.read_text())
+    assert written["points"] == [record]
+    assert written["environment"]["commit"] is None  # the stub is no git checkout
