@@ -5,10 +5,8 @@ ever a rational: a closed form whose integrality rests on the formula
 divides through exact_div, which raises instead of flooring when the
 division leaves a remainder. Divisions that are exact by structure (geometric
 sums) keep a plain //. to_decimal converts values of any length without
-touching the interpreter's int/str digit limit: it splits a value at 10^k
-into halves, dividing by 5^k after a shift, since 10^k = 5^k 2^k and the
-2^k part is a shift and a mask, so each big division takes a divisor
-about 30% shorter than 10^k.
+touching the interpreter's int/str digit limit, halving a value at 10^k by
+a shift, a mask and a division by 5^k.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ blocks over the cuts collapsed by Vandermonde's identity (the tests keep
 that block sum as a reference). count_comb is the fully summed closed
 form and the fast path: a multinomial and a falling factorial first, then
 a Horner sum of O(n) small terms and one bigmath.exact_div by
-n^(m-1) perm(mn-1, Y-1), a divisor of about (m + Y) log2(mn) bits rather
-than a factorial denominator; the division raises instead of flooring if
-the formula leaves a remainder. count_from_vertex, t_spine and
-lemma_pac_check are the paths verify checks it against; every quantity
-here stays an integer, and lemma_pac_check states its identity of
-rationals multiplied through by their common denominator.
+n^(m-1) perm(mn-1, Y-1) with Y = max(k, n-k+1), a divisor of at most
+(m + Y) log2(mn) bits rather than a factorial denominator; the division
+raises instead of flooring if the formula leaves a remainder.
+count_from_vertex, t_spine and lemma_pac_check are the paths verify
+checks it against; every quantity here stays an integer, and
+lemma_pac_check states its identity of rationals multiplied through by
+their common denominator.
 
 Two compact product formulas for single columns are kept for reference:
 corollary_double_comb agrees with count_comb, while corollary_comb does not

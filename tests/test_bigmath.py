@@ -153,7 +153,6 @@ def test_decimal_conversions_in_two_threads(digit_limit_4300):
     assert sys.get_int_max_str_digits() == 4300
 
 
-
 def _first_split(n: int) -> int:
     """The exponent k at which to_decimal first splits n = high 10^k + low."""
     return int(n.bit_length() * math.log10(2)) // 2

@@ -144,8 +144,8 @@ def test_count_comb_matches_the_rational_reference():
                 assert combs.count_comb(m, n, k) == count_comb_ref(m, n, k)
     for k in (1, 40, 80):
         assert combs.count_comb(80, 80, k) == count_comb_ref(80, 80, k)
-    # one tooth, where the multinomial's m-1 and every mirrored part but
-    # two are empty, and the shortest teeth with many copies
+    # one tooth, whose multinomial part m - 1 is empty, and so is k - 1 or
+    # n - k at either end; then the shortest teeth with many copies
     for k in range(1, 201):
         assert combs.count_comb(1, 200, k) == count_comb_ref(1, 200, k)
     for m in (100, 200):
