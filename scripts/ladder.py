@@ -101,11 +101,12 @@ def _perfbench(module: str):
     return importlib.import_module(module)
 
 
-def _child(script, name: str, noun: str, calibrate: bool, root: str | None = None) -> dict:
-    """The record of one entry, run as `--one NAME` in a fresh interpreter,
-    with `--root DIR` when it times another checkout and `--calibrate` when
-    the record should carry calibration times."""
-    argv = [sys.executable, script.__file__, "--one", name]
+def _child(script: str, name: str, noun: str, calibrate: bool, root: str | None = None) -> dict:
+    """The record of one entry, run as `--one NAME` in a fresh interpreter
+    of the script at that path, with `--root DIR` when it times another
+    checkout and `--calibrate` when the record should carry calibration
+    times."""
+    argv = [sys.executable, script, "--one", name]
     argv += ["--root", root] * (root is not None) + ["--calibrate"] * calibrate
     child = subprocess.run(argv, capture_output=True, text=True)
     if child.returncode:
@@ -156,8 +157,8 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
             record = one(argv[1])
         print(json.dumps(record), flush=True)
         return 0
-    script = sys.modules[one.__module__]
-    parser = argparse.ArgumentParser(description=script.__doc__.split("\n\n")[0])
+    script = one.__globals__  # the defining script's globals, registered in sys.modules or not
+    parser = argparse.ArgumentParser(description=script["__doc__"].split("\n\n")[0])
     parser.add_argument("--out", metavar="PATH", help="also write the environment and every record as JSON")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help=f"run each {noun} in N fresh interpreters and record the median and quartiles "
@@ -178,7 +179,7 @@ def main(argv: list[str], table: dict = POINTS, one=run_one, noun: str = "point"
     records = []
     status = 0
     for name in names:
-        runs = [_child(script, name, noun, args.repeat > 1, root) for _ in range(args.repeat)]
+        runs = [_child(script["__file__"], name, noun, args.repeat > 1, root) for _ in range(args.repeat)]
         record, agree = _repeated(runs) if args.repeat > 1 else (runs[0], True)
         if not agree:
             print(f"{noun} {name!r}: the output differs between repeats", file=sys.stderr)

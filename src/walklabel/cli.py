@@ -23,11 +23,11 @@ subcommand as a _Level: its options (flag, field, what the value reads,
 required or default, help), its positional and the handler it names; the
 count families are levels built from _FAMILIES. _parse reads a line in
 one of two ways, with the same fields either way. _read_plain reads a
-plain line: only the exact flags of the level reached, their values as
---flag value or --flag=value where the value does not start with "-",
-and exact subcommand and positional words. Every other line (-h, a
-prefix of a flag, --, a negative or malformed value, an unknown or
-missing argument) goes to an argparse tree built from the same tables
+plain line: only the exact flags of the level reached, each value as
+the next word (--flag value) where it does not start with "-", and
+exact subcommand and positional words. Every other line (-h, a prefix
+of a flag, --flag=value, --, a negative or malformed value, an unknown
+or missing argument) goes to an argparse tree built from the same tables
 once per process, which prints the help, reads the rest by its own rules
 and rejects a line with exit 2, a usage line and an error line on
 stderr. The plain reader exists for speed: importing argparse and
@@ -234,9 +234,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 def _read_plain(argv: list[str]) -> dict | None:
     """The fields of a line made only of the exact flags of the level
-    reached, their values (--flag value or --flag=value, the value not
-    starting with "-"), plain flags without "=" and exact words, read as
-    argparse reads them; None for any other line."""
+    reached, each value the next word (--flag value, the value not
+    starting with "-"), and exact words, read as argparse reads them;
+    None for any other line, --flag=value included."""
     fields: dict = {}
     args = iter(argv)
     level = _TOP
@@ -248,8 +248,7 @@ def _read_plain(argv: list[str]) -> dict | None:
         dest, words = level.positional or (None, ())
         level = None
         for arg in args:
-            flag, eq, text = arg.partition("=")
-            option = options.get(flag)
+            option = options.get(arg)
             if option is None:
                 # no word starts with "-", so this rejects every other flag
                 if arg not in words or dest in fields:
@@ -260,12 +259,10 @@ def _read_plain(argv: list[str]) -> dict | None:
                     level = words[arg]
                     break
             elif option.kind is bool:
-                if eq:
-                    return None
                 fields[option.dest] = True
             else:
                 # a missing value reads as "-", which is rejected
-                text = text if eq else next(args, "-")
+                text = next(args, "-")
                 if text.startswith("-"):
                     return None
                 if option.kind is int:

@@ -146,21 +146,17 @@ def corollary_comb(m: int) -> CorollaryComparison:
     against count_comb(m, 2, 1). The two disagree for every m >= 2; the
     closed form is the one the oracle confirms, so treat this value as a
     historical reference only."""
-    if m < 1:
-        raise ValueError(f"parameter out of range: m = {m} must be >= 1")
+    closed = count_comb(m, 2, 1)  # rejects m < 1
     value = 2 ** (m - 1) * m * double_factorial(m - 1)
-    closed = count_comb(m, 2, 1)
     return CorollaryComparison(value, closed, value == closed)
 
 
 def corollary_double_comb(m: int) -> CorollaryComparison:
     """Compact form for the double comb C(m, 3, 2):
     2^(m-1) (3m+1)! / (3^m (3m-1) m!), compared against count_comb."""
-    if m < 1:
-        raise ValueError(f"parameter out of range: m = {m} must be >= 1")
+    closed = count_comb(m, 3, 2)  # rejects m < 1
     value = exact_div(2 ** (m - 1) * factorial(3 * m + 1), 3**m * (3 * m - 1) * factorial(m),
                       f"corollary_double_comb({m})")
-    closed = count_comb(m, 3, 2)
     return CorollaryComparison(value, closed, value == closed)
 
 

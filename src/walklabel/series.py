@@ -132,9 +132,7 @@ def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dic
 
 
 def _xz_sym(e1: int, e3: int) -> dict:
-    """x^e1 z^e3 + x^e3 z^e1 (single monomial when e1 == e3)."""
-    if e1 == e3:
-        return {(e1, 0, e3): 1}
+    """x^e1 z^e3 + x^e3 z^e1, one monomial (one key) when e1 == e3."""
     return {(e1, 0, e3): 1, (e3, 0, e1): 1}
 
 

@@ -19,6 +19,13 @@ count_torus(n) = 2n a(n, 1) for n >= 2, computed from its closed form as
 C(2n-2, n) n!, so that no n runs into the recursion of a_rec; n = 1
 degenerates to a single edge with exactly 2 labelings.
 
+Beyond a(n, n) = n! and b = 0 for s + t >= n, each form states only the
+boundaries its general rules miss. a_rec: a(2, 1) = 4. b_rec: b(2, 0, 0)
+= 2, b(1, 0, 0) = 0 by convention, and (n-1)! at s + t = n - 1. a_closed:
+k = 1. b_closed: w = 0 and w = n - 1, one arc a single vertex and the
+other of w + 1. n = 1 needs no case of its own: a(1, 1) = 1! by k = n,
+and b_closed(1, 0, 0) = perm(0, 1) = 0 by w = 0.
+
 torus_state names the labeled vertices of the configuration each state
 quantity describes by their (row, column) coordinates in graphs.torus(n),
 so the brute-force oracle can check a and b directly as completions of
@@ -61,14 +68,10 @@ def _check_b(n: int, s: int, t: int) -> None:
 @cache
 def a_rec(n: int, k: int) -> int:
     _check_a(n, k)
-    if n == 1:
-        return 1  # a(1, 1): the other endpoint of the single edge
-    if n == 2:
-        return 4 if k == 1 else 2
     if k == n:
         return factorial(n)
-    if k == 1:
-        return 2 * a_rec(n, 2) + b_rec(n, 0, 0)
+    if k == 1:  # the rule holds for n >= 3 only
+        return 4 if n == 2 else 2 * a_rec(n, 2) + b_rec(n, 0, 0)
     if k <= n - 2:
         return 2 * a_rec(n, k + 1) + (k - 2) * a_rec(n - 1, k - 1) + 2 * b_rec(n, k - 1, 0)
     # k == n - 1
@@ -82,11 +85,9 @@ def b_rec(n: int, s: int, t: int) -> int:
         return 0
     if n == 1:
         return 0  # boundary convention; the n >= 2 recurrences never consume it
-    if n == 2:
-        return 2 if (s, t) == (0, 0) else 1  # (0,1) and (1,0); (1,1) fell in the zero branch
     # cases in fixed order, first match wins
-    if s == 0 and t == 0:
-        return 4 * b_rec(n, 1, 0)
+    if s == 0 and t == 0:  # the rule holds for n >= 3 only
+        return 2 if n == 2 else 4 * b_rec(n, 1, 0)
     if s + t == n - 1:
         return factorial(n - 1)
     if t == 0:
@@ -97,19 +98,15 @@ def b_rec(n: int, s: int, t: int) -> int:
     if s == 0 and t <= n - 3:
         head += a_rec(n - 1, t + 1)
     tail = sum(
-        binomial(2 * n - (s + t + 3), q - 1) * factorial(q - 1) * b_rec(n - q, s - q, t)
-        for q in range(1, s + 1)
+        math.perm(2 * n - (s + t + 3), q - 1) * b_rec(n - q, s - q, t) for q in range(1, s + 1)
     ) + sum(
-        binomial(2 * n - (s + t + 3), q - 1) * factorial(q - 1) * b_rec(n - q, s, t - q)
-        for q in range(1, t + 1)
+        math.perm(2 * n - (s + t + 3), q - 1) * b_rec(n - q, s, t - q) for q in range(1, t + 1)
     )
     return head + tail
 
 
 def a_closed(n: int, k: int) -> int:
     _check_a(n, k)
-    if n == 1:
-        return 1
     if k == n:
         return factorial(n)
     if k == 1:
@@ -121,8 +118,6 @@ def b_closed(n: int, s: int, t: int) -> int:
     _check_b(n, s, t)
     if s + t >= n:
         return 0
-    if n == 1:
-        return 0
     if s == 0 or t == 0:
         w = max(s, t)
         if w == 0:
@@ -130,8 +125,6 @@ def b_closed(n: int, s: int, t: int) -> int:
         if w == n - 1:
             return factorial(n - 1)
         return exact_div(math.perm(2 * n - 2 - w, n - 1) * (n - w), 2, f"b_closed({n}, {s}, {t})")
-    if s + t == n - 1:
-        return factorial(n - 1)
     u = n - s - t
     return exact_div(math.perm(2 * n - 2 - s - t, n - 2) * (u * (u + 1) + 2), 4, f"b_closed({n}, {s}, {t})")
 

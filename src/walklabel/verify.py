@@ -88,7 +88,7 @@ def verify_trees(max_h: int = 4, max_m: int = 4, max_vertices: int = 22, progres
             for k in range(h):
                 _check(out, "tree", f"{inst} k={k}", "s_rec == s_closed",
                        trees.s_rec(h, m, k), trees.s_closed(h, m, k))
-            n = (m ** (h + 1) - 1) // (m - 1)
+            n = trees._geo(m, h + 1)
             if n <= max_vertices:
                 g = perfect_tree(h, m)
                 from_each = oracle.count_completions_each(g, [[v] for v in range(g.n)])
@@ -106,7 +106,7 @@ def verify_trees(max_h: int = 4, max_m: int = 4, max_vertices: int = 22, progres
                            counts.pop(), trees.t_rec(h, m, d))
             for k in range(h):
                 # the subtree tree_minus_child drops has height h - k - 1
-                if n - (m ** (h - k) - 1) // (m - 1) <= max_vertices:
+                if n - trees._geo(m, h - k) <= max_vertices:
                     g = tree_minus_child(h, m, k)
                     _check(out, "tree", f"{inst} k={k}", "s_rec == oracle from bereaved parent",
                            oracle.count_labelings_from(g, vertex_at(g, "bereaved")),

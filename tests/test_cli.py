@@ -410,14 +410,19 @@ def test_only_a_line_that_is_not_plain_loads_argparse():
         "from walklabel import cli\n"
         "assert cli.run(['count', 'torus', '--n', '20']) == (0, '35944473450435194879410176000000\\n')\n"
         "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "# the plain reader takes --flag value only; argparse reads --n=20 into the same field\n"
+        "assert cli._read_plain(['count', 'torus', '--n=20']) is None\n"
+        "assert cli.run(['count', 'torus', '--n=20']) == (0, '35944473450435194879410176000000\\n')\n"
+        "print('argparse' in sys.modules)\n"
         "result = cli.run(['count', 'torus', '-h'])\n"
         "print(result.exit_code, result.stdout.splitlines()[0])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    unwanted, help_line = out.stdout.splitlines()
+    unwanted, loaded, help_line = out.stdout.splitlines()
     assert unwanted == "[]"
+    assert loaded == "True"
     assert help_line.startswith("0 usage: walklabel count torus ")
 
 

@@ -4,7 +4,6 @@
 import hashlib
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location("ladder", Path(__file__).resolve().parent.parent / "scripts" / "ladder.py")
@@ -64,10 +63,9 @@ def test_repeats_fold_a_sweep_batch_time_into_its_median():
     assert agree and record["batch_seconds"] == 0.7 and record["seconds"] == 0.2
 
 
-def test_a_root_times_the_walklabel_of_that_checkout(tmp_path, capsys, monkeypatch):
+def test_a_root_times_the_walklabel_of_that_checkout(tmp_path, capsys):
     # a stub checkout whose cli echoes its argv: the child must import it,
     # not this checkout's walklabel, and --out must not record this commit
-    monkeypatch.setitem(sys.modules, "ladder", ladder)  # main finds its script there
     package = tmp_path / "src" / "walklabel"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
