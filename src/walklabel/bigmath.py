@@ -48,15 +48,24 @@ def multinomial(parts: Iterable[int]) -> int:
 
     Unlike binomial there is no zero convention: a negative part raises,
     because the closed-form evaluators that call this must never silently
-    zero out a malformed term.
+    zero out a malformed term. Each binomial C(total, part) takes in the top
+    of a stack while that is no larger, so factors of like length meet.
     """
-    total = 0
-    out = 1
+    total, out, below = 0, 1, []  # out is the top of the stack
     for part in parts:
         if part < 0:
             raise ValueError(f"negative multinomial part: {part}")
         total += part
-        out *= math.comb(total, part)
+        factor = math.comb(total, part)
+        if factor < out:
+            below.append(out)
+            out = factor
+        else:
+            out *= factor
+            while below and below[-1] <= out:
+                out *= below.pop()
+    while below:
+        out *= below.pop()
     return out
 
 

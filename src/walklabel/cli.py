@@ -143,8 +143,8 @@ def _cmd_series(args) -> tuple[int, str]:
         raise ValueError("parameter out of range: degree must be >= 0")
     if args.degree > _MAX_SERIES_DEGREE:
         raise ValueError(f"instance too large: series degree {args.degree} is above {_MAX_SERIES_DEGREE}")
-    expansion = series.expand_rational(series.two_cycles_gf(), args.degree)
-    rows = series.export_coefficients(expansion)
+    # no name holds the dict, so it is freed once its rows are exported
+    rows = series.export_coefficients(series.expand_rational(series.two_cycles_gf(), args.degree))
     # str is safe here: a coefficient counts the labelings of a graph of at
     # most _MAX_SERIES_DEGREE vertices, so it is below 100! (158 digits),
     # under 640, the lowest int/str digit limit the interpreter accepts

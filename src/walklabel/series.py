@@ -8,12 +8,11 @@ Polynomials and truncated series are sparse dicts mapping exponent triples
 (e1, e2, e3) to nonzero int coefficients. A rational function is the pair
 (numerator, [(factor, multiplicity), ...]), each factor with constant term
 1 so that division is a well-defined series operation. expand_rational
-works on dense rows instead: one list of coefficients over the power of z
-for each pair of powers of x and y, from the numerator's least powers up
-to the truncation degree. It divides by each factor in place, row by row
-in lexicographic order; a term with a power of x or y updates the whole
-row from an earlier row that is already final, and one loop along the row
-then applies the terms in z alone. Only the result goes back to a dict.
+works on packed rows instead (Kronecker substitution): one int for each
+power of z and anti-diagonal x^i y^(s-i), each coefficient in a slot wide
+enough for a univariate majorant of the series, so that each factor term
+divides a whole row in one big-int operation. Only the result goes back
+to a dict.
 
 The numerator data f_numerator() was entered by hand from a typeset source
 whose display joins two blocks without an operator sign; recover_numerator
@@ -79,17 +78,16 @@ def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dic
     """Truncated expansion of numerator / prod factor^multiplicity up to
     the given total degree, for gf = (numerator, [(factor, multiplicity)]).
 
-    No quotient term has a lower power of a variable than every numerator
-    term, so the series starts at those least powers (lo1, lo2, lo3) and,
-    with top = degree - lo1 - lo2 - lo3, is held as rows: r[i][j][k] is
-    the coefficient of x^(lo1+i) y^(lo2+j) z^(lo3+k), for
-    i + j + k <= top. Each division by a factor 1 + sum over d of a_d x^d
-    runs in place, visiting the rows in lexicographic (i, j) order: r[e]
-    becomes r[e] - sum over d of a_d r[e - d]. A term with (d1, d2) other
-    than (0, 0) reads an earlier row, which already holds the quotient, so
-    it updates the whole row at once; the pure-z terms then run along the
-    row in increasing k. Coefficients that end at 0 are left out of the
-    returned dict.
+    The series starts at the numerator's least powers (lo1, lo2, lo3), as
+    no quotient term has a lower one. Row (s, k), s + k <= top = degree -
+    lo1 - lo2 - lo3, packs the coefficients c_i of x^(lo1+i) y^(lo2+s-i)
+    z^(lo3+k), i = 0..s, as one int, sum of c_i 2^(iW). Dividing in place
+    by 1 + sum over d of a_d x^d, row by row in lexicographic (s, k) order,
+    row (s, k) loses a_d times the finished row (s - d1 - d2, k - d3)
+    shifted up d1 slots. Only the result must fit a slot: the coefficient
+    of t^n in |N|(t) / prod (1 - sum |a_d| t^|d|)^mult bounds every |c| of
+    degree n; W is one sign bit more than the largest one's length. Slots
+    are read unsigned after adding 2^(W-1); zero coefficients are left out.
     """
     numerator, factors = gf
     for factor, _ in factors:
@@ -100,35 +98,38 @@ def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dic
         return {}
     lo1, lo2, lo3 = (min(e[i] for e, _ in terms) for i in range(3))
     top = degree - lo1 - lo2 - lo3
-    r = [[[0] * (top - i - j + 1) for j in range(top - i + 1)] for i in range(top + 1)]
+    # one list of (d1 + d2, d3, d1, a) per division, a factor mult times
+    divisions = [[(d1 + d2, d3, d1, a) for (d1, d2, d3), a in factor.items() if a and (d1 or d2 or d3)]
+                 for factor, mult in factors for _ in range(mult)]
+    bound = [0] * (top + 1)
+    for e, c in terms:
+        bound[sum(e) - lo1 - lo2 - lo3] += abs(c)
+    for steps in divisions:
+        for n in range(top + 1):
+            bound[n] += sum(abs(a) * bound[n - ds - d3] for ds, d3, _, a in steps if ds + d3 <= n)
+    width = max(bound).bit_length() + 1
+    r = [[0] * (top - s + 1) for s in range(top + 1)]
     for (e1, e2, e3), c in terms:
-        r[e1 - lo1][e2 - lo2][e3 - lo3] = c
-    for factor, mult in factors:
-        # terms that read an earlier row, and terms in z alone, by degree
-        across = [(d1, d2, d3, a) for (d1, d2, d3), a in factor.items() if a and (d1 or d2)]
-        along = sorted((d3, a) for (d1, d2, d3), a in factor.items() if a and not (d1 or d2) and d3)
-        for _ in range(mult):
-            for i, plane in enumerate(r):
-                for j, row in enumerate(plane):
-                    for d1, d2, d3, a in across:
-                        if d1 <= i and d2 <= j:
-                            src = r[i - d1][j - d2]
-                            row[d3:] = [v - a * s for v, s in zip(row[d3:], src)]
-                    if along:
-                        for k in range(along[0][0], len(row)):
-                            acc = row[k]
-                            for d3, a in along:
-                                if d3 > k:
-                                    break
-                                acc -= a * row[k - d3]
-                            row[k] = acc
-    return {
-        (lo1 + i, lo2 + j, lo3 + k): c
-        for i, plane in enumerate(r)
-        for j, row in enumerate(plane)
-        for k, c in enumerate(row)
-        if c
-    }
+        r[e1 - lo1 + e2 - lo2][e3 - lo3] += c << (e1 - lo1) * width
+    for steps in divisions:
+        for s, plane in enumerate(r):
+            for k, row in enumerate(plane):
+                for ds, d3, d1, a in steps:
+                    if ds <= s and d3 <= k:
+                        row -= a * r[s - ds][k - d3] << d1 * width
+                plane[k] = row
+    out = {}
+    half, mask = 1 << width - 1, (1 << width) - 1
+    for s in range(top + 1):
+        bias = half * ((1 << (s + 1) * width) - 1) // mask  # half in every slot
+        for k, row in enumerate(r[s]):
+            row += bias
+            for i in range(s + 1):
+                if c := (row & mask) - half:
+                    out[lo1 + i, lo2 + s - i, lo3 + k] = c
+                row >>= width
+        r[s] = None  # free each plane once decoded
+    return out
 
 
 def _xz_sym(e1: int, e3: int) -> dict:

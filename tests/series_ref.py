@@ -3,8 +3,9 @@ series.expand_rational is checked against.
 
 - expand_rational: the truncated series as a sparse dict, each division
   one sweep over the exponent triples in lexicographic order, with one
-  dict lookup per term and exponent; series.expand_rational divides the
-  same way on dense rows.
+  dict lookup per term and exponent and no bound on a coefficient;
+  series.expand_rational divides in the same order on rows packed into
+  fixed-width slots, one big-int operation per factor term and row.
 """
 
 from __future__ import annotations

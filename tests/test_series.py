@@ -3,6 +3,7 @@ import random
 import pytest
 from series_ref import expand_rational as expand_rational_ref
 
+from walklabel import twocycles
 from walklabel.series import (
     expand_rational,
     export_coefficients,
@@ -110,6 +111,27 @@ def test_expansion_matches_the_dict_sweep_on_the_two_cycle_series():
     assert expand_rational(two_cycles_gf(), 24) == expand_rational_ref(two_cycles_gf(), 24)
 
 
+@pytest.mark.parametrize("var", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize("c, a, mult", [(-7, 3, 3), (5, -2, 4)])
+def test_expansion_fills_its_slots_where_the_majorant_is_met(var, c, a, mult):
+    # c / (1 + a v)^mult has one term per degree, whose |coefficient| is the
+    # bound the slot width is taken from: signs alternate for a > 0
+    gf = ({(0, 0, 0): c}, [({(0, 0, 0): 1, var: a}, mult)])
+    got = expand_rational(gf, 40)
+    assert got == expand_rational_ref(gf, 40)
+    assert len(got) == 41
+    assert {v > 0 for v in got.values()} == ({True, False} if a > 0 else {True})
+
+
+def test_expansion_with_a_numerator_coefficient_above_2_to_the_200():
+    numerator = {(0, 0, 0): 2**201 + 1, (1, 0, 1): -(3**130), (0, 2, 0): 5}
+    factors = [({(0, 0, 0): 1, (1, 1, 0): -2, (0, 0, 1): 3}, 2), ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 1): -1}, 1)]
+    gf = (numerator, factors)
+    got = expand_rational(gf, 14)
+    assert got == expand_rational_ref(gf, 14)
+    assert max(map(abs, got.values())) > 2**210
+
+
 def test_rational_gf_requires_unit_constant_terms():
     with pytest.raises(ValueError, match="constant term"):
         expand_rational((ONE, [(X, 1)]), 3)
@@ -151,3 +173,17 @@ def test_recover_numerator_directly():
 def test_smallest_coefficient():
     expansion = expand_rational(two_cycles_gf(), 6)
     assert expansion.get((2, 2, 2)) == 208
+
+
+def test_expansion_matches_counts_on_every_triple_to_degree_40():
+    # the generating function against the closed form at every triple it
+    # reaches, once in increasing and once in decreasing order from empty
+    # caches, so that each binomial tail is stepped from either neighbour
+    expansion = expand_rational(two_cycles_gf(), 40)
+    assert all(min(e) >= 2 for e in expansion)
+    triples = [(a1, a2, a3) for a1 in range(2, 37) for a2 in range(2, 39 - a1) for a3 in range(2, 41 - a1 - a2)]
+    assert len(triples) == 7770
+    for order in (triples, triples[::-1]):
+        twocycles._TAILS.clear()
+        twocycles._block.cache_clear()
+        assert [expansion.get(t) for t in order] == [count_two_cycles(*t) for t in order]
