@@ -83,8 +83,8 @@ _FAMILIES = (
 )
 
 
-# series --degree 100 takes 1.0 s and 79 MB ru_maxrss (2 cores, Python
-# 3.11.7; scripts/ladder.py point series100), about 0.6 s of it in the
+# series --degree 100 takes 0.4 s and 69 MB ru_maxrss (2 cores, Python
+# 3.11.7; scripts/ladder.py point series100), about 0.15 s of it in the
 # expansion; the work grows as the cube of the degree
 _MAX_SERIES_DEGREE = 100
 
