@@ -17,9 +17,10 @@ stripped stdout (the digit count of a count) and the sha256 of the CLI's
 stdout, so two checkouts can be compared for both speed and output.
 Points run one after another, so at most one holds memory at a time.
 --out PATH also writes one JSON file: the environment (python version,
-processor count, the checkout's git commit) and the records of every
-point. --repeat N runs each point in N fresh interpreters, one after
-another, and prints one record for them: "seconds" is the median,
+processor count, the checkout's git commit and the line count of its
+src/walklabel/*.py, "src_lines") and the records of every point.
+--repeat N runs each point in N fresh interpreters, one after another,
+and prints one record for them: "seconds" is the median,
 "seconds_iqr" the first and third quartiles and "runs" every run's
 seconds, and "maxrss_mb" is the largest. Each repeat also times
 perfbench's worker.calibrate() just before and just after its point, and
@@ -90,7 +91,8 @@ def environment(root: Path = ROOT) -> dict:
                                 text=True).stdout.strip() or None
     except OSError:
         commit = None
-    return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit}
+    src_lines = sum(len(path.read_bytes().splitlines()) for path in (root / "src" / "walklabel").glob("*.py"))
+    return {"python": platform.python_version(), "nproc": os.cpu_count(), "commit": commit, "src_lines": src_lines}
 
 
 def _perfbench(module: str):

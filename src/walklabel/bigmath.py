@@ -17,7 +17,6 @@ from collections.abc import Iterable
 
 __all__ = [
     "binomial",
-    "double_factorial",
     "exact_div",
     "factorial",
     "multinomial",
@@ -66,17 +65,6 @@ def multinomial(parts: Iterable[int]) -> int:
                 out *= below.pop()
     while below:
         out *= below.pop()
-    return out
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n (n-2) (n-4) ... down to 1 or 2, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError("double factorial of argument below -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
     return out
 
 

@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, repeat
 
-from .bigmath import binomial, double_factorial, exact_div, factorial, multinomial
+from .bigmath import binomial, exact_div, factorial, multinomial
 
 __all__ = [
     "CorollaryComparison",
@@ -147,7 +147,7 @@ def corollary_comb(m: int) -> CorollaryComparison:
     closed form is the one the oracle confirms, so treat this value as a
     historical reference only."""
     closed = count_comb(m, 2, 1)  # rejects m < 1
-    value = 2 ** (m - 1) * m * double_factorial(m - 1)
+    value = 2 ** (m - 1) * m * math.prod(range(m - 1, 0, -2))
     return CorollaryComparison(value, closed, value == closed)
 
 

@@ -73,10 +73,10 @@ too large: ..."), which the CLI prints as a clean exit 1.
 - DP_LIMIT (24 vertices) bounds every query, trees included, and keeps
   the completion search and the first-gap recursion, which recurse once
   per vertex added or removed, at most 25 calls deep. It is the only bound
-  on long sparse inputs: with the cap removed path(2000) took 11 s, and
-  the tree formula, whose rerooting steps divide counts as long as the
-  result, took 7.7 s on a 40,000-vertex comb. It stays until one work
-  budget per call bounds the formula and the DPs.
+  on long sparse inputs. The tree formula's cost grows with the length of
+  the count: with the cap removed count_labelings takes 7 ms on path(2000)
+  and 1.4 s on a 40,000-vertex comb. The cap stays until one work budget
+  per call bounds the formula and the DPs.
 - LAYER_LIMIT (2^19) bounds the entries of one call's memo in
   dp_completions and dp_first_gap, checked before each insert. A set of
   the completion memo costs 96 to 141 bytes, about 75 MB when full
@@ -284,9 +284,15 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
     in which each comes after its parent, a linear extension of the tree
     with L contracted to its root: (n - |L|)! over the product of the free
     vertices' subtree sizes (Knuth, TAOCP vol. 3, 5.1.4). With L empty
-    that is the count from vertex 0, and the total sums it over every
-    root: moving the root from p to its child c multiplies the count by
-    size(c) / (n - size(c)).
+    that is count0, the count from vertex 0, and the total sums the count
+    over every root. Moving the root from p to its child c multiplies it
+    by size(c) / (n - size(c)), so the total is count0 F(0), where
+
+        F(v) = 1 + sum over v's children c of size(c) / (n - size(c)) F(c).
+
+    F(v) is summed bottom-up as one fraction num[v] / den[v], den[v] the
+    product of n - size(u) over v's subtree without v, and the total is
+    one exact division of count0 num[0] by den[0].
     """
     root = labeled_mask or 1
     parent = [-1] * n
@@ -311,12 +317,12 @@ def tree_count(masks, n: int, labeled_mask: int = 0) -> int:
     count = exact_div(factorial(len(free)), hooks, "tree hook-length count")
     if labeled_mask:
         return count
-    counts = [0] * n
-    counts[0] = total = count
-    for c in free:
-        counts[c] = exact_div(counts[parent[c]] * size[c], n - size[c], "rerooted tree count")
-        total += counts[c]
-    return total
+    num, den = [1] * n, [1] * n
+    for c in reversed(free):
+        p, a, b = parent[c], size[c] * num[c], (n - size[c]) * den[c]
+        num[p], den[p] = num[p] * b + a * den[p], den[p] * b
+        num[c] = den[c] = 0  # merged: a path would keep O(n^2 log n) bits alive
+    return exact_div(count * num[0], den[0], "tree total")
 
 
 # The completion search grows every connected set of the graph, the

@@ -81,9 +81,9 @@ binomials, at most three tail steps and one division by 2 through
 bigmath.exact_div, which raises if the identity ever leaves a remainder,
 and count_two_cycles costs O(a) blocks.
 
-Multinomials go through bigmath.multinomial, which raises on a negative
-part rather than clamping to zero, and a block raises on a negative row,
-so a malformed term cannot silently vanish. Empty sums are 0 (for a_i = 2
+The prefixes are math.comb binomials, which raise on a negative argument
+rather than clamping to zero, and a block raises on a negative row, so a
+malformed term cannot silently vanish. Empty sums are 0 (for a_i = 2
 several inner ranges are empty by design).
 """
 
@@ -92,7 +92,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .bigmath import exact_div, multinomial
+from .bigmath import exact_div
 
 __all__ = ["count_two_cycles", "term_A", "term_B", "term_C"]
 
@@ -151,7 +151,7 @@ def term_B(a1: int, a2: int, a3: int, s: int) -> int:
     _check(a1, a2, a3)
     if not 2 <= s <= a2 - 1:
         raise ValueError(f"parameter out of range: s = {s} must be in [2, {a2 - 1}]")
-    return sum(multinomial((q - s, s - 2)) * _block(a1, a2 - 1 - q, a3) for q in range(s, a2))
+    return sum(math.comb(q - 2, s - 2) * _block(a1, a2 - 1 - q, a3) for q in range(s, a2))
 
 
 def term_C(a1: int, a2: int, a3: int, s: int) -> int:
@@ -161,7 +161,7 @@ def term_C(a1: int, a2: int, a3: int, s: int) -> int:
     _check(a1, a2, a3)
     if not 1 <= s <= a1:
         raise ValueError(f"parameter out of range: s = {s} must be in [1, {a1}]")
-    return sum(multinomial((q - s, s - 1)) * _block(a1 - q, a2 - 2, a3) for q in range(s, a1 + 1))
+    return sum(math.comb(q - 1, s - 1) * _block(a1 - q, a2 - 2, a3) for q in range(s, a1 + 1))
 
 
 def count_two_cycles(a1: int, a2: int, a3: int) -> int:

@@ -15,17 +15,21 @@ fast evaluations in src/ are checked against.
   over the cuts combs.count_from_vertex collapses into one product.
 - a_closed, b_closed, count_torus: the torus closed forms as quotients of
   whole factorials, which torus.py evaluates as math.perm falling factorials.
+- tree_total: a tree's labelings from every start as the sum of its n
+  rerooted hook-length counts, each divided out of its parent's, which
+  oracle.tree_count sums bottom-up as one fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 from walklabel.combs import _check_mnk, t_spine
 
 __all__ = ["A_term", "a_closed", "b_closed", "block_rows", "count_comb", "count_torus", "rows",
-           "rows_horner", "rows_vandermonde"]
+           "rows_horner", "rows_vandermonde", "tree_total"]
 
 
 def _ends(p: int) -> int:
@@ -162,3 +166,23 @@ def count_torus(n: int) -> int:
     if n == 1:
         return 2
     return n * (n + 2) * factorial(2 * n - 2) // factorial(n - 2)
+
+
+def tree_total(masks, n: int) -> int:
+    """oracle.tree_count(masks, n) for a tree given by adjacency masks: the
+    count from vertex 0, n! over the product of the subtree sizes, then
+    the count from each other vertex c from its parent p's, count(p)
+    size(c) / (n - size(c)), summed over every vertex."""
+    parent, order = [-1] * n, [0]
+    for v in order:
+        for c in range(n):
+            if masks[v] >> c & 1 and c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    size = [1] * n
+    for c in reversed(order[1:]):
+        size[parent[c]] += size[c]
+    counts = [exact_div(factorial(n), prod(size), "tree hook-length count")] + [0] * (n - 1)
+    for c in order[1:]:
+        counts[c] = exact_div(counts[parent[c]] * size[c], n - size[c], "rerooted tree count")
+    return sum(counts)

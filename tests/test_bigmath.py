@@ -60,20 +60,6 @@ def test_multinomial_rejects_negative_parts():
         bigmath.multinomial([-2])
 
 
-def test_double_factorial():
-    assert bigmath.double_factorial(-1) == 1
-    assert bigmath.double_factorial(0) == 1
-    assert bigmath.double_factorial(1) == 1
-    assert bigmath.double_factorial(5) == 15
-    assert bigmath.double_factorial(6) == 48
-    assert bigmath.double_factorial(9) == 945
-
-
-def test_double_factorial_rejects_below_minus_one():
-    with pytest.raises(ValueError):
-        bigmath.double_factorial(-2)
-
-
 def test_exact_div_passes_integers_through():
     assert bigmath.exact_div(6, 3, "q") == 2
     assert bigmath.exact_div(0, 5, "q") == 0

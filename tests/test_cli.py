@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import importlib.util
 import inspect
@@ -63,6 +64,22 @@ def test_recursion_limit_exits_cleanly(monkeypatch, capsys):
     result = run(["count", "tree", "--h", "2", "--m", "2"])
     assert (result.exit_code, result.stdout) == (1, "")
     assert capsys.readouterr().err == "error: instance too large: recursion limit exceeded\n"
+
+
+def test_no_library_module_changes_the_interpreter_limits():
+    # the recursion limit and the int/str digit limit belong to the process
+    # that imports walklabel: no module may set them, by any spelling
+    setters = {"setrecursionlimit", "set_int_max_str_digits"}
+    for path in sorted((ROOT / "src" / "walklabel").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not names & setters, path.name
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,3 +81,4 @@ def test_a_root_times_the_walklabel_of_that_checkout(tmp_path, capsys):
     written = json.loads(out.read_text())
     assert written["points"] == [record]
     assert written["environment"]["commit"] is None  # the stub is no git checkout
+    assert written["environment"]["src_lines"] == 5  # the stub cli.py; its __init__.py is empty

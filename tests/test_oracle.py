@@ -3,14 +3,17 @@ import random
 from itertools import permutations
 
 import pytest
+from closed_forms_ref import tree_total
 from conftest import random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from subset_dp import dp_completion_table, dp_resume, dp_total
 
 from walklabel import oracle
+from walklabel.combs import count_comb
 from walklabel.oracle import dp_completions, dp_first_gap, tree_count
 from walklabel.graphs import Graph, comb, cycle, is_connected, path, perfect_tree, torus, two_cycles
+from walklabel.trees import count_perfect_tree
 
 
 @st.composite
@@ -278,6 +281,22 @@ def test_tree_formula_matches_the_dps_and_permutations():
         assert oracle.count_completions_each(g, sets) == dp_completions(masks, n, labeled) == [
             table[s] for s in labeled]
         assert oracle.count_completions_each(g, starts) == from_each
+
+
+def test_tree_total_matches_the_rerooted_counts():
+    rng = random.Random(40)
+    for n in range(1, 41):
+        for _ in range(25):
+            g = _prufer_tree(rng, n)
+            assert tree_count(g.masks, n) == tree_total(g.masks, n)
+
+
+def test_tree_total_matches_the_closed_forms_past_the_size_limit():
+    # called directly, so DP_LIMIT does not apply: 8,191 and 6,400 vertices
+    g = perfect_tree(12, 2)
+    assert tree_count(g.masks, g.n) == count_perfect_tree(12, 2)
+    g = comb(80, 80, 40)
+    assert tree_count(g.masks, g.n) == count_comb(80, 80, 40)
 
 
 def test_engine_follows_density():
