@@ -10,9 +10,9 @@ Polynomials and truncated series are sparse dicts mapping exponent triples
 1 so that division is a well-defined series operation. expand_rational
 works on packed rows instead (Kronecker substitution): one int for each
 power of z and anti-diagonal x^i y^(s-i), each coefficient in a slot wide
-enough for a univariate majorant of the series, so that each factor term
-divides a whole row in one big-int operation. Only the result goes back
-to a dict.
+enough for a univariate majorant of the series, so that the factor terms
+of one row shift divide a whole row in one big-int operation. The rows are
+decoded to a dict in export order, each freed once it is read.
 
 The numerator data f_numerator() was entered by hand from a typeset source
 whose display joins two blocks without an operator sign; recover_numerator
@@ -29,7 +29,6 @@ from .twocycles import count_two_cycles
 
 __all__ = [
     "expand_rational",
-    "export_coefficients",
     "f_numerator",
     "poly_add",
     "poly_mul",
@@ -64,30 +63,25 @@ def poly_mul(a: dict, b: dict, max_degree: int | None = None) -> dict:
     return _clean(out)
 
 
-def export_coefficients(p: dict) -> list[tuple[int, int, int, int]]:
-    """Rows (a1, a2, a3, coefficient) sorted by total degree, then
-    lexicographically by exponents; zero coefficients are not stored."""
-    # two sorts with no Python key function: the second is stable and keeps
-    # the exponents' order within each total degree
-    keys = sorted(p)
-    keys.sort(key=sum)
-    return [(a1, a2, a3, p[a1, a2, a3]) for a1, a2, a3 in keys]
-
-
 def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dict:
     """Truncated expansion of numerator / prod factor^multiplicity up to
     the given total degree, for gf = (numerator, [(factor, multiplicity)]).
+    The dict holds the nonzero coefficients and iterates in export order:
+    by total degree, then by the exponents (a1, a2, a3).
 
     The series starts at the numerator's least powers (lo1, lo2, lo3), as
     no quotient term has a lower one. Row (s, k), s + k <= top = degree -
     lo1 - lo2 - lo3, packs the coefficients c_i of x^(lo1+i) y^(lo2+s-i)
     z^(lo3+k), i = 0..s, as one int, sum of c_i 2^(iW). Dividing in place
     by 1 + sum over d of a_d x^d, row by row in lexicographic (s, k) order,
-    row (s, k) loses a_d times the finished row (s - d1 - d2, k - d3)
-    shifted up d1 slots. Only the result must fit a slot: the coefficient
-    of t^n in |N|(t) / prod (1 - sum |a_d| t^|d|)^mult bounds every |c| of
-    degree n; W is one sign bit more than the largest one's length. Slots
-    are read unsigned after adding 2^(W-1); zero coefficients are left out.
+    row (s, k) loses the finished row (s - e, k - d3) times the merged
+    multiplier sum of a_d 2^(d1 W) over the terms with d1 + d2 = e, one
+    big-int step per (e, d3). Only the result must fit a slot: the
+    coefficient of t^n in |N|(t) / prod (1 - sum |a_d| t^|d|)^mult bounds
+    every |c| of degree n; W is one sign bit more than the largest one's
+    length. Slots are read unsigned after adding 2^(W-1) to each, one
+    diagonal s + k = d at a time, freed once read: slot i of rows (i, d - i)
+    to (d, 0), for i = 0..d, gives the terms of degree d in export order.
     """
     numerator, factors = gf
     for factor, _ in factors:
@@ -98,37 +92,44 @@ def expand_rational(gf: tuple[dict, list[tuple[dict, int]]], degree: int) -> dic
         return {}
     lo1, lo2, lo3 = (min(e[i] for e, _ in terms) for i in range(3))
     top = degree - lo1 - lo2 - lo3
-    # one list of (d1 + d2, d3, d1, a) per division, a factor mult times
-    divisions = [[(d1 + d2, d3, d1, a) for (d1, d2, d3), a in factor.items() if a and (d1 or d2 or d3)]
-                 for factor, mult in factors for _ in range(mult)]
     bound = [0] * (top + 1)
     for e, c in terms:
         bound[sum(e) - lo1 - lo2 - lo3] += abs(c)
-    for steps in divisions:
-        for n in range(top + 1):
-            bound[n] += sum(abs(a) * bound[n - ds - d3] for ds, d3, _, a in steps if ds + d3 <= n)
+    for factor, mult in factors:
+        majorant = [(sum(d), abs(a)) for d, a in factor.items() if d != _ZERO]
+        for _ in range(mult):
+            for n in range(top + 1):
+                bound[n] += sum(a * bound[n - d] for d, a in majorant if d <= n)
     width = max(bound).bit_length() + 1
+    # per division, a factor mult times: ((d1 + d2, d3), sum of a 2^(d1 W))
+    divisions = []
+    for factor, mult in factors:
+        steps = {}
+        for (d1, d2, d3), a in factor.items():
+            if d1 or d2 or d3:
+                steps[d1 + d2, d3] = steps.get((d1 + d2, d3), 0) + (a << d1 * width)
+        divisions += [list(steps.items())] * mult
     r = [[0] * (top - s + 1) for s in range(top + 1)]
     for (e1, e2, e3), c in terms:
         r[e1 - lo1 + e2 - lo2][e3 - lo3] += c << (e1 - lo1) * width
     for steps in divisions:
         for s, plane in enumerate(r):
             for k, row in enumerate(plane):
-                for ds, d3, d1, a in steps:
+                for (ds, d3), a in steps:
                     if ds <= s and d3 <= k:
-                        row -= a * r[s - ds][k - d3] << d1 * width
+                        row -= a * r[s - ds][k - d3]
                 plane[k] = row
     out = {}
     half, mask = 1 << width - 1, (1 << width) - 1
-    for s in range(top + 1):
-        bias = half * ((1 << (s + 1) * width) - 1) // mask  # half in every slot
-        for k, row in enumerate(r[s]):
-            row += bias
-            for i in range(s + 1):
+    bias = half * ((1 << (top + 1) * width) - 1) // mask  # half in each of top + 1 slots
+    for d in range(top + 1):
+        diagonal = [r[s].pop(0) + (bias >> (top - s) * width) for s in range(d + 1)]
+        for i in range(d + 1):
+            for s in range(i, d + 1):
+                row = diagonal[s]
                 if c := (row & mask) - half:
-                    out[lo1 + i, lo2 + s - i, lo3 + k] = c
-                row >>= width
-        r[s] = None  # free each plane once decoded
+                    out[lo1 + i, lo2 + s - i, lo3 + d - s] = c
+                diagonal[s] = row >> width
     return out
 
 

@@ -8,17 +8,18 @@ the path from the root to the bereaved depth-k parent is labeled (the
 recursive step the t recurrence consumes).
 
 count_perfect_tree is the fast path: one factorial and one exact division
-give the root-started count by hook lengths, and each start depth below it
-is one exact small-integer step (O(h) steps in all). The per-depth
-quantities keep two independent evaluation paths, the mutual recurrences
-(t_rec, s_rec) and fully expanded products (t_closed, s_closed); verify
-holds them equal to each other and to the brute-force oracle, and the tests
-hold count_perfect_tree equal to the depth-weighted sum of t_rec.
+give the root-started count by hook lengths, and one more exact division
+gives the total, by a small fraction that sums every start depth in h
+small-integer steps. The per-depth quantities keep two independent
+evaluation paths, the mutual recurrences (t_rec, s_rec) and fully expanded
+products (t_closed, s_closed); verify holds them equal to each other and to
+the brute-force oracle, and the tests hold count_perfect_tree equal to the
+depth-weighted sum of t_rec.
 
 Sizes below are written with the geometric sums (m^a - m^b) // (m - 1),
 which are exact by construction for every m >= 2. The hook-length quotient
-and the rerooting steps are exact only because the formula says so, so they
-divide through bigmath.exact_div, which raises instead of flooring.
+and the total's division are exact only because the formula says so, so
+they divide through bigmath.exact_div, which raises instead of flooring.
 """
 
 from __future__ import annotations
@@ -132,22 +133,20 @@ def t_closed(h: int, m: int, k: int) -> int:
 
 def count_perfect_tree(h: int, m: int) -> int:
     """Total labelings of T(h, m): sum over start depths of m^k t(h, m, k),
-    by rerooted hook lengths. With s_j the size of a depth-j subtree and n
-    the tree's size, t(h, m, 0) = n! / prod_j s_j^(m^j), and moving the
+    by rerooted hook lengths. With s_k the size of a depth-k subtree and n
+    the tree's size, t(h, m, 0) = n! / prod_k s_k^(m^k), and moving the
     start from a depth-(k-1) vertex to its child multiplies the count by
-    s_k / (n - s_k), an exact integer step."""
+    s_k / (n - s_k). The sum of m^k t(h, m, k) / t(h, m, 0) is one fraction
+    num / den, summed by Horner's rule from the deepest level."""
     _check_hm(h, m)
     n = _geo(m, h + 1)
-    hooks = 1
-    for j in range(h + 1):
-        hooks *= _geo(m, h + 1 - j) ** (m**j)
-    t = exact_div(factorial(n), hooks, f"t({h}, {m}, 0)")
-    total = t
-    for k in range(1, h + 1):
+    hooks, num, den = n, 1, 1
+    for k in range(h, 0, -1):
         size = _geo(m, h + 1 - k)
-        t = exact_div(t * size, n - size, f"t({h}, {m}, {k})")
-        total += m**k * t
-    return total
+        hooks *= size ** (m**k)
+        num, den = (n - size) * den + m * size * num, (n - size) * den
+    t = exact_div(factorial(n), hooks, f"t({h}, {m}, 0)")
+    return exact_div(t * num, den, f"count_perfect_tree({h}, {m})")
 
 
 def oeis_tree_root_sequence(count: int) -> list[int]:

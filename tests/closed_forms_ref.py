@@ -18,6 +18,9 @@ fast evaluations in src/ are checked against.
 - tree_total: a tree's labelings from every start as the sum of its n
   rerooted hook-length counts, each divided out of its parent's, which
   oracle.tree_count sums bottom-up as one fraction.
+- perfect_tree_total: trees.count_perfect_tree as it was first written,
+  one exact division of the count per start depth, stepped down from the
+  root's; count_perfect_tree sums the depths as one fraction.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from math import prod
 from walklabel.bigmath import binomial, exact_div, factorial, multinomial
 from walklabel.combs import _check_mnk, t_spine
 
-__all__ = ["A_term", "a_closed", "b_closed", "block_rows", "count_comb", "count_torus", "rows",
-           "rows_horner", "rows_vandermonde", "tree_total"]
+__all__ = ["A_term", "a_closed", "b_closed", "block_rows", "count_comb", "count_torus",
+           "perfect_tree_total", "rows", "rows_horner", "rows_vandermonde", "tree_total"]
 
 
 def _ends(p: int) -> int:
@@ -186,3 +189,18 @@ def tree_total(masks, n: int) -> int:
     for c in order[1:]:
         counts[c] = exact_div(counts[parent[c]] * size[c], n - size[c], "rerooted tree count")
     return sum(counts)
+
+
+def perfect_tree_total(h: int, m: int) -> int:
+    """trees.count_perfect_tree(h, m), h >= 0 and m >= 2, by the count from
+    each start depth k: t_0 = n! over the product of the subtree sizes,
+    then t_k = t_(k-1) s_k / (n - s_k) with s_k the size of a depth-k
+    subtree, summed with weight m^k, the number of depth-k vertices."""
+    n = (m ** (h + 1) - 1) // (m - 1)
+    sizes = [(m ** (h + 1 - k) - 1) // (m - 1) for k in range(h + 1)]
+    t = exact_div(factorial(n), prod(s ** m**k for k, s in enumerate(sizes)), "perfect tree root count")
+    total = t
+    for k in range(1, h + 1):
+        t = exact_div(t * sizes[k], n - sizes[k], "perfect tree rerooted count")
+        total += m**k * t
+    return total

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 from cli_ref import build_parser
+from series_ref import expand_rational as expand_rational_ref
 
-from walklabel import cli, oracle, trees, verify
+from walklabel import cli, oracle, series, trees, verify
 from walklabel.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -659,6 +660,18 @@ def test_series_json():
     record = json.loads(result.stdout)
     assert record["degree"] == 6
     assert record["terms"] == [{"a1": 2, "a2": 2, "a3": 2, "coefficient": "208"}]
+
+
+def test_series_prints_the_reference_expansion_in_export_order():
+    # the text built from the dict sweep, sorted here by total degree and
+    # then exponents, so the order does not rest on the CLI's expansion
+    terms = sorted(expand_rational_ref(series.two_cycles_gf(), 12).items(), key=lambda t: (sum(t[0]), t[0]))
+    assert len(terms) == 84
+    csv = "a1,a2,a3,coefficient\n" + "".join(f"{a1},{a2},{a3},{c}\n" for (a1, a2, a3), c in terms)
+    record = {"degree": 12, "terms": [{"a1": a1, "a2": a2, "a3": a3, "coefficient": str(c)}
+                                      for (a1, a2, a3), c in terms]}
+    assert run(["series", "--degree", "12"]) == (0, csv)
+    assert run(["series", "--degree", "12", "--format", "json"]) == (0, json.dumps(record) + "\n")
 
 
 def test_series_prints_the_same_bytes_under_the_lowest_digit_limit():

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from closed_forms_ref import perfect_tree_total
 
 from walklabel import oracle, trees
 from walklabel.graphs import perfect_tree, tree_minus_child, vertex_at
@@ -63,6 +64,15 @@ def test_count_is_depth_weighted_sum_of_t():
     for h, m in grid:
         total = sum(m**k * trees.t_rec(h, m, k) for k in range(h + 1))
         assert trees.count_perfect_tree(h, m) == total
+
+
+def test_count_matches_the_per_depth_reference():
+    # every (h, m) of at most 5,000 vertices (h = 0 for the same m as h = 1),
+    # and h = 12, 8,191 vertices
+    grid = [(h, m) for m in range(2, 5000) for h in range(13) if (m ** (h + 1) - 1) // (m - 1) <= 5000]
+    assert len(grid) == 10099 and (11, 2) in grid and (1, 4999) in grid
+    for h, m in grid + [(12, 2)]:
+        assert trees.count_perfect_tree(h, m) == perfect_tree_total(h, m), (h, m)
 
 
 def test_alpha_beta_gamma_are_positive_integers():
